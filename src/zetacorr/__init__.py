@@ -44,6 +44,7 @@ from .errors import BudgetError, DataError, DomainError, ResourceError
 from .quadrature import (
     QuadratureResult,
     adaptive_integrate,
+    closed_form_profile_integral,
     sinc_product_constant,
     weighted_profile_integral,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "build_report",
     "bundled_zeros_path",
     "class_membership_report",
+    "closed_form_profile_integral",
     "coefficient_tuple",
     "correlation_kernel",
     "cosh_product_identity",

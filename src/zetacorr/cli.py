@@ -27,7 +27,7 @@ from .dips import (
 from .errors import BudgetError, DataError, DomainError, ResourceError
 from .identities import run_identity_suite
 from .arithmetic import SIEVE_LIMIT_CAP, sieve_mangoldt
-from .series import SeriesConfig, required_limit_estimate
+from .series import SeriesConfig, required_limit_estimate, transform_truncation
 from .weights import gaussian_triplet
 from .zeros import load_zeros, validate_zero_table
 
@@ -42,7 +42,18 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _sieve_for(tuples, tol: float):
+def _sieve_for(tuples, tol: float, h=None):
+    """Mangoldt table for the tuples' certified series at tolerance tol.
+
+    Given the weight h, sized instead for the closed-form main term at
+    tolerance tol, which needs far fewer terms.
+    """
+    if h is not None:
+        need = max(
+            transform_truncation(h, float(t.positive_sum), t.m, tol, SIEVE_LIMIT_CAP)[0]
+            for t in tuples
+        )
+        return sieve_mangoldt(max(need, 10**4))
     sigma = min(t.positive_sum for t in tuples)
     m = max(t.m for t in tuples)
     need = required_limit_estimate(float(sigma), m, tol)
@@ -96,8 +107,8 @@ def _cmd_hsum(args) -> int:
     cfg = load_config(args.config)
     zeros = load_zeros(cfg.zeros_path)
     h = gaussian_triplet(cfg.h_center, cfg.h_width)
-    series_cfg = SeriesConfig(tolerance=cfg.series_tolerance)
-    table = _sieve_for(cfg.tuples, cfg.series_tolerance)
+    series_cfg = SeriesConfig()  # only its domain floor and term cap are used
+    table = _sieve_for(cfg.tuples, cfg.quadrature_tolerance, h)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     agree = True

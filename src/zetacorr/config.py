@@ -8,16 +8,20 @@ Format: UTF-8 text, one `key = value` per line, '#' comments.  Keys:
                          ``1,1,-2; 1,1,-1,-1``
     T                    comma-separated list of cutoffs
     h_center, h_width    weight-function parameters (default 20, 2)
-    series_tolerance     certified series tail tolerance (default 1e-3;
-                         tighter values need rapidly growing sieves at
-                         kernel height 2)
-    quadrature_tolerance main-term integration tolerance (default 1e-6)
+    series_tolerance     certified series tail tolerance (default 1e-3);
+                         accepted and validated, but hsum does not read it
+    quadrature_tolerance certified tail tolerance of the closed-form
+                         main-term sum, which also sizes the sieve
+                         (default 1e-6)
     output_dir           where reports are written (default '.')
 
-Every tuple is validated before any computation starts.
+Every tuple is validated before any computation starts.  Unknown keys,
+and T entries, tolerances or weight parameters that are not finite and
+positive, are rejected.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +32,10 @@ from .correlation import parse_tuple_text
 from .zeros import bundled_zeros_path
 
 ENV_ZEROS = "ZETA_ZEROS_PATH"
+KEYS = {
+    "zeros", "tuples", "T", "h_center", "h_width",
+    "series_tolerance", "quadrature_tolerance", "output_dir",
+}
 
 
 @dataclass
@@ -47,6 +55,13 @@ def default_zeros_path() -> Path:
     return Path(env) if env else bundled_zeros_path()
 
 
+def _positive(key: str, text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{key} must be finite and positive, got {text!r}")
+    return value
+
+
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse config text; raises DataError naming the offending line."""
     raw: dict[str, str] = {}
@@ -58,6 +73,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             raise DataError(f"{source}: line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         raw[key.strip()] = value.strip()
+    unknown = sorted(set(raw) - KEYS)
+    if unknown:
+        raise DataError(f"{source}: unknown key(s) {', '.join(unknown)}")
     try:
         tuples_text = raw.get("tuples", "")
         tuples = [
@@ -67,7 +85,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         ]
         if not tuples:
             raise ValueError("config must list at least one tuple")
-        t_list = [float(part) for part in raw.get("T", "").split(",") if part.strip()]
+        t_list = [
+            _positive("T", part) for part in raw.get("T", "").split(",") if part.strip()
+        ]
         if not t_list:
             raise ValueError("config must list at least one T")
         zeros_path = Path(raw["zeros"]) if "zeros" in raw else default_zeros_path()
@@ -75,10 +95,14 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             zeros_path=zeros_path,
             tuples=tuples,
             t_list=t_list,
-            h_center=float(raw.get("h_center", 20.0)),
-            h_width=float(raw.get("h_width", 2.0)),
-            series_tolerance=float(raw.get("series_tolerance", 1e-3)),
-            quadrature_tolerance=float(raw.get("quadrature_tolerance", 1e-6)),
+            h_center=_positive("h_center", raw.get("h_center", "20")),
+            h_width=_positive("h_width", raw.get("h_width", "2")),
+            series_tolerance=_positive(
+                "series_tolerance", raw.get("series_tolerance", "1e-3")
+            ),
+            quadrature_tolerance=_positive(
+                "quadrature_tolerance", raw.get("quadrature_tolerance", "1e-6")
+            ),
             output_dir=Path(raw.get("output_dir", ".")),
         )
     except (ValueError, KeyError) as exc:

@@ -15,8 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
-from .series import SeriesConfig, correlation_kernel, kernel_profile_evaluator
+from .errors import BudgetError, DomainError, ResourceError
+from .series import (
+    SeriesConfig,
+    _check_domain,
+    correlation_kernel,
+    kernel_profile_evaluator,
+    profile_terms,
+    transform_truncation,
+)
 from .tuples import CoefficientTuple
 
 _GAUSS_LO = np.polynomial.legendre.leggauss(10)
@@ -173,11 +180,12 @@ def weighted_profile_integral(
     cfg: SeriesConfig,
     tol: float,
 ) -> QuadratureResult:
-    """integral of h(t) * y(t) over R, where y is the kernel profile.
+    """integral of h(t) * y(t) over R by adaptive quadrature (an oracle).
 
     The window [-T, T] is chosen from the weight's Gaussian decay so
     that sup|y| times the discarded weight mass is below tol/2; the
-    integrand is even, so only [0, T] is integrated and doubled.
+    integrand is even, so only [0, T] is integrated and doubled.  The
+    claimed error leaves out the series truncation at cfg.tolerance.
 
     Raises:
         ValueError: tuple's positive-part sum below 2.
@@ -188,10 +196,10 @@ def weighted_profile_integral(
         raise ValueError("tol must be positive")
     k0 = correlation_kernel(complex(tup.positive_sum, 0.0), tup.m, table, cfg).real
     y_bound = 2.0 * (k0 + cfg.tolerance)
-    t_edge = h.center + h.width
-    while 2.0 * y_bound * h.tail_weight_bound(t_edge) > tol / 2.0:
-        t_edge += 0.25 * h.width
-        if t_edge > h.center + 40.0 * h.width:
+    # stepped by index: at a huge center, t_edge += width would not move
+    for step in range(158):
+        t_edge = h.center + h.width * (1.0 + 0.25 * step)
+        if 2.0 * y_bound * h.tail_weight_bound(t_edge) <= tol / 2.0:
             break
     tail = 2.0 * y_bound * h.tail_weight_bound(t_edge)
     profile = kernel_profile_evaluator(tup, table, cfg)
@@ -204,3 +212,40 @@ def weighted_profile_integral(
         evaluations=inner.evaluations,
         tail_bound=tail,
     )
+
+
+def closed_form_profile_integral(
+    h,
+    tup: CoefficientTuple,
+    table,
+    cfg: SeriesConfig,
+    tol: float,
+) -> tuple[QuadratureResult, int]:
+    """integral of h(t) * y(t) over R as 2 sum_{n<=N} w_n hhat(log n / 2 pi).
+
+    y(t) = 2 sum_n w_n cos(t log n) with w_n = Lambda(n)^m n^(-S) and h
+    is even, so each term integrates to w_n hhat(log n / 2 pi): the
+    spectral side of the explicit formula.  N is `transform_truncation`'s
+    for tol, capped at min(table.limit, cfg.max_terms); the terms are
+    summed exactly in ascending n.  Returns the result (tail_bound
+    certifies the truncation; evaluations counts the terms) and N.
+
+    Raises:
+        DomainError: S below 1 + cfg.sigma_margin.
+        ResourceError: N would exceed the cap.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    sigma = float(tup.positive_sum)
+    _check_domain(complex(sigma, 0.0), cfg)
+    cap = min(table.limit, cfg.max_terms)
+    n_cut, tail = transform_truncation(h, sigma, tup.m, tol, cap)
+    log_n, w = profile_terms(tup, table, n_cut)
+    terms = w * h.hat(log_n / (2.0 * math.pi))
+    result = QuadratureResult(
+        value=2.0 * math.fsum(terms.tolist()),
+        error_estimate=0.0,
+        evaluations=int(terms.size),
+        tail_bound=tail,
+    )
+    return result, n_cut

@@ -133,6 +133,24 @@ def required_limit_estimate(sigma: float, m: int, tol: float) -> int:
     return int(math.exp(hi)) + 1
 
 
+def _smallest_cut(bound, sigma: float, m: int, cap: int, tol: float) -> int:
+    """Smallest N <= cap with bound(N) <= tol, given bound(cap) <= tol.
+
+    The bound must be decreasing in N beyond exp(m / sigma).
+    """
+    lo = max(3, int(math.exp(m / sigma)) + 1)
+    if bound(lo) <= tol:
+        return lo
+    hi = cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def choose_truncation(
     sigma: float, m: int, table: MangoldtTable, cfg: SeriesConfig
 ) -> int:
@@ -149,17 +167,33 @@ def choose_truncation(
             f"tolerance {cfg.tolerance:.3g} at sigma={sigma} needs a sieve/term "
             f"limit of about {need}, but only {cap} is available"
         )
-    lo = max(3, int(math.exp(m / sigma)) + 1)
-    if certified_tail_bound(lo, sigma, m, table) <= cfg.tolerance:
-        return lo
-    hi = cap
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if certified_tail_bound(mid, sigma, m, table) <= cfg.tolerance:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    bound = lambda n: certified_tail_bound(n, sigma, m, table)
+    return _smallest_cut(bound, sigma, m, cap, cfg.tolerance)
+
+
+def transform_truncation(
+    h, sigma: float, m: int, tol: float, cap: int
+) -> tuple[int, float]:
+    """Smallest N <= cap certifying the sum 2 sum_n w_n hhat(log n / 2 pi).
+
+    Here w_n = Lambda(n)^m n^(-sigma).  The envelope of |hhat(log n / 2 pi)|
+    decreases in n, so the tail over n > N is at most 2 envelope(log N / 2 pi)
+    times the all-integer bound on sum_{n>N} (log n)^m n^(-sigma).  Needs no
+    sieve table.  Returns N and its tail bound.
+
+    Raises:
+        ResourceError: the tail bound at the cap is still above tol.
+    """
+    tail = lambda n: 2.0 * h.hat_envelope(math.log(n) / (2.0 * math.pi)) * (
+        integral_tail_bound(n, sigma, m)
+    )
+    if not tail(cap) <= tol:
+        raise ResourceError(
+            f"main-term tolerance {tol:.3g} at sigma={sigma} needs more "
+            f"than {cap} terms"
+        )
+    n_cut = _smallest_cut(tail, sigma, m, cap, tol)
+    return n_cut, tail(n_cut)
 
 
 def prime_tail_estimate(n_cut: int, sigma: float, m: int) -> float:
@@ -183,6 +217,15 @@ def _fsum(values: np.ndarray) -> float:
 def _truncated_view(table: MangoldtTable, n_cut: int):
     idx = int(np.searchsorted(table.prime_powers, n_cut, side="right"))
     return table.base_log[:idx], table.power_index[:idx]
+
+
+def profile_terms(
+    tup: CoefficientTuple, table: MangoldtTable, n_cut: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """log n and w_n = Lambda(n)^m n^(-S) over the prime powers n <= N, ascending."""
+    base_log, k = _truncated_view(table, n_cut)
+    log_n = k * base_log
+    return log_n, base_log**tup.m * np.exp(-float(tup.positive_sum) * log_n)
 
 
 def _check_domain(s: complex, cfg: SeriesConfig) -> None:
@@ -269,9 +312,7 @@ def kernel_profile_evaluator(
     m, s_plus = tup.m, tup.positive_sum
     _check_domain(complex(s_plus, 0.0), cfg)
     n_cut = choose_truncation(float(s_plus), m, table, cfg)
-    base_log, k = _truncated_view(table, n_cut)
-    log_n = k * base_log
-    amp = base_log**m * np.exp(-float(s_plus) * log_n)
+    log_n, amp = profile_terms(tup, table, n_cut)
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=np.float64)

@@ -96,10 +96,15 @@ class GaussianTriplet:
         piece = lambda shift: 0.5 * s * math.erfc(SQRT_PI * (t_cut - shift) / s)
         return piece(c) + piece(-c) + 2.0 * piece(0.0)
 
+    def hat_envelope(self, xi: float) -> float:
+        """Bound 4 s exp(-pi s^2 xi^2) on |hhat(xi)|, decreasing in |xi|."""
+        u = self.width * xi
+        return 4.0 * self.width * math.exp(-math.pi * u * u)
+
     def hat_tail_integral(self, xi_cut: float) -> float:
         """Bound on the one-sided integral of |hhat| over [xi_cut, inf).
 
-        |hhat| <= 4 s exp(-pi s^2 xi^2), integrating to 2 erfc(sqrt(pi) s xi).
+        The envelope of |hhat| integrates to 2 erfc(sqrt(pi) s xi).
         """
         if xi_cut < 0:
             raise ValueError("xi_cut must be >= 0")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,24 @@ class TestHsumCommand:
         cfg.write_text("tuples = 1,1,-3\nT = 40\n")
         assert main(["hsum", "--config", str(cfg)]) == 2
 
+    def test_huge_center_finishes(self, tmp_path):
+        # the main term once looped forever here: t_edge += width/4 stops
+        # moving a float near 1e300
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"tuples = 1,1,-2\nT = 40\nh_center = 1e300\noutput_dir = {tmp_path}\n"
+        )
+        src = str(Path(z.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-m", "zetacorr.cli", "hsum", "--config", str(cfg)],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode in (0, 1, 2, 3, 4), done.stderr
+
 
 class TestDipsCommand:
     def test_json_output(self, capsys):
@@ -182,6 +204,20 @@ class TestConfigParsing:
     def test_malformed_line_rejected(self):
         with pytest.raises(z.DataError, match="line 1"):
             parse_config_text("tuples without equals sign\n")
+
+    @pytest.mark.parametrize(
+        "key", ["series_tolerance", "quadrature_tolerance", "h_center", "h_width", "T"]
+    )
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_non_finite_or_non_positive_rejected(self, key, value):
+        fields = {"tuples": "1,1,-2", "T": "40", key: value}
+        text = "".join(f"{k} = {v}\n" for k, v in fields.items())
+        with pytest.raises(z.DataError, match=key):
+            parse_config_text(text)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(z.DataError, match="h_widht"):
+            parse_config_text("tuples = 1,1,-2\nT = 40\nh_widht = 2\n")
 
     def test_env_fallback(self, monkeypatch, tmp_path):
         fake = tmp_path / "alt.txt"

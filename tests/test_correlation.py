@@ -5,6 +5,7 @@ import pytest
 
 import zetacorr as z
 from zetacorr.correlation import _simpson
+from zetacorr.series import transform_truncation
 
 CFG = z.SeriesConfig(tolerance=1e-3)
 
@@ -169,10 +170,16 @@ class TestMainTermAndReport:
         tup = z.coefficient_tuple([1, 1, -1, -1])
         t_max = 100.0
         main = z.main_term(weight_default, tup, t_max, mangoldt_medium, CFG)
-        profile = z.weighted_profile_integral(
-            weight_default, tup, mangoldt_medium, CFG, tol=1e-6
-        )
-        expected = (2.0 / 3.0) / (2.0 * math.pi) ** 4 * t_max**3 * profile.value
+        # the closed-form sum 2 sum_{n<=N} Lambda(n)^4 n^-2 hhat(log n / 2 pi),
+        # at the truncation main_term certifies for its default tolerance
+        n_cut, _ = transform_truncation(weight_default, 2.0, 4, 1e-6, 10**8)
+        keep = mangoldt_medium.prime_powers <= n_cut
+        log_p = mangoldt_medium.base_log[keep]
+        log_n = mangoldt_medium.power_index[keep] * log_p
+        hat = weight_default.hat(log_n / (2.0 * math.pi))
+        terms = log_p**4 * np.exp(-2.0 * log_n) * hat
+        closed_form = 2.0 * math.fsum(terms.tolist())
+        expected = (2.0 / 3.0) / (2.0 * math.pi) ** 4 * t_max**3 * closed_form
         assert main == pytest.approx(expected, rel=1e-9)
 
     def test_scaling_in_t_exact(self, weight_default, mangoldt_medium):
@@ -192,6 +199,11 @@ class TestMainTermAndReport:
         n_zeros = z.zeros_up_to(zero_table, 100.0).size
         assert report.diagnostics["tuple_count"] <= n_zeros**tup.m
         assert all(v >= 0.0 for v in report.diagnostics["claimed_errors"].values())
+        # main-term certificate: tail bound <= tol, scaled by |D| T^(m-1)
+        d_abs = 0.5 / (2.0 * math.pi) ** 3
+        claimed = report.diagnostics["main_term_claimed_error"]
+        assert 0.0 < claimed <= 1.01e-6 * d_abs * 100.0**2
+        assert report.diagnostics["main_term_terms"] >= 3
         clone = z.CorrelationReport.from_json(report.to_json())
         assert clone == report
         row = report.csv_row()

@@ -125,22 +125,24 @@ class TestWeightedProfileIntegral:
         assert res.value == pytest.approx(oracle, abs=1e-5)
 
     def test_matches_spectral_side_formula(self, mangoldt_medium, weight_default):
-        # the weighted integral equals 2 sum_n w_n hhat(log n / 2 pi)
-        tup = z.coefficient_tuple([1, 1, -1, -1])
-        cfg = z.SeriesConfig(tolerance=1e-3)
-        res = z.weighted_profile_integral(
-            weight_default, tup, mangoldt_medium, cfg, tol=1e-7
+        # the adaptive oracle agrees with 2 sum_n w_n hhat(log n / 2 pi)
+        tup = z.coefficient_tuple([1, 1, -2])
+        series_cfg = z.SeriesConfig(tolerance=1e-2)
+        oracle = z.weighted_profile_integral(
+            weight_default, tup, mangoldt_medium, series_cfg, tol=1e-6
         )
-        from zetacorr.series import _truncated_view, choose_truncation
+        closed, n_cut = z.closed_form_profile_integral(
+            weight_default, tup, mangoldt_medium, CFG, tol=1e-6
+        )
+        from zetacorr.series import choose_truncation
 
-        n_cut = choose_truncation(float(tup.positive_sum), tup.m, mangoldt_medium, cfg)
-        base_log, k = _truncated_view(mangoldt_medium, n_cut)
-        log_n = k * base_log
-        w = base_log**tup.m * np.exp(-float(tup.positive_sum) * log_n)
-        other = 2.0 * math.fsum(
-            (w * weight_default.hat(log_n / (2.0 * math.pi))).tolist()
-        )
-        assert res.value == pytest.approx(other, abs=5 * res.total_error + 1e-7)
+        # the oracle integrates the profile truncated at n_series term by
+        # term, i.e. the closed form at n_series; from n_cut on, the closed
+        # form's tail bound covers the difference
+        n_series = choose_truncation(2.0, 3, mangoldt_medium, series_cfg)
+        assert n_series >= n_cut
+        gap = abs(oracle.value - closed.value)
+        assert gap <= oracle.total_error + closed.tail_bound
 
     def test_window_tail_accounted(self, mangoldt_medium, weight_default):
         tup = z.coefficient_tuple([1, 1, -2])

@@ -9,6 +9,7 @@ from zetacorr.series import (
     choose_truncation,
     integral_tail_bound,
     prime_tail_estimate,
+    transform_truncation,
     upper_gamma_int,
 )
 
@@ -41,6 +42,19 @@ class TestTailBounds:
         tail = math.fsum((logs**m * view[mask].astype(float) ** (-sigma)).tolist())
         assert integral_tail_bound(n_cut, sigma, m) >= tail
         assert certified_tail_bound(n_cut, sigma, m, mangoldt_small) >= tail
+
+    def test_transform_truncation_covers_measured_tail(self, mangoldt_small):
+        h = z.gaussian_triplet(20.0, 2.0)
+        n_cut, bound = transform_truncation(h, 2.0, 4, 1e-6, 10**8)
+        assert bound <= 1e-6
+        keep = mangoldt_small.prime_powers > n_cut
+        log_p = mangoldt_small.base_log[keep]
+        log_n = mangoldt_small.power_index[keep] * log_p
+        terms = log_p**4 * np.exp(-2.0 * log_n) * np.abs(h.hat(log_n / (2 * math.pi)))
+        assert 2.0 * math.fsum(terms.tolist()) <= bound
+        # smallest such N: one term fewer is not certified
+        with pytest.raises(z.ResourceError):
+            transform_truncation(h, 2.0, 4, 1e-6, n_cut - 1)
 
     def test_choose_truncation_is_certified(self, mangoldt_small):
         cfg = z.SeriesConfig(tolerance=1e-4)

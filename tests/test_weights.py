@@ -91,6 +91,11 @@ class TestBounds:
             )
             assert h.hat_tail_integral(xi_cut) >= num.value
 
+    def test_hat_envelope_bounds_hat(self, h):
+        xi = np.linspace(-3.0, 3.0, 6001)
+        envelope = np.array([h.hat_envelope(q) for q in xi])
+        assert (np.abs(h.hat(xi)) <= envelope).all()
+
     def test_absolute_moment_finite(self, h):
         report = z.class_membership_report(h, 5)
         assert math.isfinite(report["integral_abs_xh"])

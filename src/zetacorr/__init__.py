@@ -22,6 +22,7 @@ from .combinatorics import (
     multinomial,
     signed_power_sum,
     sinc_power_integral,
+    sinc_product_exact,
 )
 from .correlation import (
     CorrelationReport,
@@ -120,6 +121,7 @@ __all__ = [
     "signed_power_sum",
     "sinc_power_integral",
     "sinc_product_constant",
+    "sinc_product_exact",
     "spectral_correlation_sum",
     "validate_zero_table",
     "weighted_profile_integral",

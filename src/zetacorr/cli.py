@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: constants, kfun, hsum, dips, validate-zeros, identities.
-Exit codes: 0 success, 1 invariant violation, 2 input error, 3 numeric
-domain error, 4 resource/budget exceeded.  All numbers print with 17
-significant digits so output round-trips to the same floats.
+Exit codes: 0 success, 1 invariant violation (routes disagree, or a
+certificate is vacuous), 2 input error, 3 numeric domain error, 4
+resource/budget exceeded.  All numbers print with 17 significant
+digits so output round-trips to the same floats.
 """
 from __future__ import annotations
 
@@ -112,6 +113,7 @@ def _cmd_hsum(args) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     agree = True
+    vacuous = []
     for tup in cfg.tuples:
         for t_max in cfg.t_list:
             report = build_report(
@@ -129,16 +131,23 @@ def _cmd_hsum(args) -> int:
             print(out)
             rows.append(report.csv_row())
             agree = agree and routes_agree(report)
+            claimed = report.diagnostics["main_term_claimed_error"]
+            if not claimed < abs(report.main_term):
+                vacuous.append(
+                    f"{tup} at T={t_max:g}: main term {_fmt(report.main_term)}, "
+                    f"claimed error {_fmt(claimed)}"
+                )
     csv_path = cfg.output_dir / "reports.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
     print(csv_path)
+    for line in vacuous:
+        print(f"vacuous certificate: {line}", file=sys.stderr)
     if not agree:
         print("route agreement violated", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return EXIT_VIOLATION if vacuous or not agree else EXIT_OK
 
 
 def _cmd_dips(args) -> int:

@@ -213,6 +213,33 @@ def balanced_sinc_constant(r: int) -> Fraction:
     return sinc_power_integral(r)
 
 
+def sinc_product_exact(entries: tuple[int, ...]) -> Fraction:
+    """Exact C = (1/pi) * integral over R of prod_k sin(a_k w)/(a_k w) dw.
+
+    The product of sines is a signed sum of sin((eps . a) w) over sign
+    vectors eps, and the integral of sin(b w)/w^m follows from b^(m-1)
+    sgn(b), which gives
+
+        C = sum_eps (prod eps) sgn(eps . a) (eps . a)^(m-1) / (2^m (m-1)! prod |a_k|).
+
+    Depends only on the multiset of |a_k|.  Balanced +-1 tuples give
+    :func:`balanced_sinc_constant`.
+
+    Raises:
+        ValueError: fewer than three entries, or a zero entry.
+    """
+    abs_a = [abs(int(a)) for a in entries]
+    m = len(abs_a)
+    if m < 3 or 0 in abs_a:
+        raise ValueError("need at least three nonzero entries")
+    total = 0
+    for eps in product((1, -1), repeat=m):
+        b = sum(e * a for e, a in zip(eps, abs_a))
+        if b:
+            total += math.prod(eps) * (1 if b > 0 else -1) * b ** (m - 1)
+    return Fraction(total, 2**m * math.factorial(m - 1) * math.prod(abs_a))
+
+
 def dip_depth_prediction(m: int, s_plus: int) -> float:
     """Predicted depth -2*(m-1)!/(s_plus - 1/2)^m of the profile dips.
 

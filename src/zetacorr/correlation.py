@@ -5,36 +5,44 @@ ordinates up to T.  The first m-1 coordinates are enumerated; for each
 prefix only the window of last ordinates where |Delta| stays below the
 weight's support cutoff contributes, located by binary search.  Skipped
 tuples are covered by an analytic bound added to the claimed error.
+It accumulates in ascending tuple order with compensated/exact
+summation, so results are reproducible and independent of worker
+partitioning.
 
 Spectral route: the same sum as 2 Re of the integral over [0, xi_max]
 of hhat(xi) times the product of geometric zero sums Q(a_k xi), with
 the conjugate used for negative coefficients, on a uniform grid fine
 enough to sample the fastest composite phase (frequency
-sum|a_k| * T) several times per period.
-
-Both routes accumulate in a fixed order (ascending tuples; ascending
-grid) with compensated/exact summation, so results are reproducible and
-independent of worker partitioning.
+sum|a_k| * T) several times per period.  The grid is uniform, so each
+phase factors into a per-row and a per-column exponential (the blocked
+sums of Dutt and Rokhlin, 1993, with no approximation).  The Simpson
+sums are exact (math.fsum), and the claimed error carries a bound on
+every rounding of the computation alongside the quadrature and tail
+terms; it runs in one thread and is deterministic.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .combinatorics import balanced_sinc_constant
+from .combinatorics import sinc_product_exact
 from .errors import BudgetError, DataError
-from .quadrature import closed_form_profile_integral, sinc_product_constant
+from .quadrature import closed_form_profile_integral
+from .rounding import ELEM_REL, MARGIN, TRIG_ABS, U, gamma
 from .series import SeriesConfig
 from .tuples import CoefficientTuple, coefficient_tuple
-from .weights import GaussianTriplet
+from .weights import TWO_PI, GaussianTriplet
 from .zeros import ZeroTable, zeros_up_to
 
 DIRECT_PREFIX_BUDGET = 80_000_000
+ROW = 128  # grid points per row of the factored phase sums
+SQRT2 = math.sqrt(2.0)
 
 
 class _Kahan:
@@ -67,6 +75,7 @@ class SpectralDiagnostics:
     xi_max: float
     quadrature_error: float
     tail_bound: float
+    rounding_error: float
     claimed_error: float
     accuracy_warning: bool = False
 
@@ -228,35 +237,45 @@ def naive_correlation_sum(
     return acc.total
 
 
-def _simpson(values: np.ndarray, dx: float) -> complex:
+def _simpson(values: np.ndarray, dx: float) -> float:
     """Composite Simpson on an odd-length uniform grid (exact reduction)."""
     if values.size % 2 == 0 or values.size < 3:
         raise ValueError("Simpson needs an odd number of points >= 3")
-    w = np.full(values.size, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    weighted = values * w
-    re = math.fsum(weighted.real.tolist())
-    im = math.fsum(weighted.imag.tolist())
-    return complex(re, im) * (dx / 3.0)
+    weighted = 2.0 * values
+    weighted[1::2] *= 2.0
+    weighted[0], weighted[-1] = values[0], values[-1]
+    return math.fsum(memoryview(weighted)) * (dx / 3.0)
 
 
-def _zero_phase_sum(
-    gammas: np.ndarray, scale: float, xi: np.ndarray, chunk: int = 65536
+def _phase_rows(gammas: np.ndarray, a: int, dx: float, rows: int):
+    """Q(a j dx) = sum over ordinates of e^(2 pi i a j dx gamma), row by row.
+
+    Grid index j = r ROW + q splits the phase into e^(2 pi i a r ROW dx
+    gamma) e^(2 pi i a q dx gamma).  The (ROW x n) block of the second
+    factor is computed once; each row then costs n exponentials, one
+    elementwise product and a row sum.  Yields ROW values per row r < rows.
+    """
+    g = (TWO_PI * a * dx) * gammas
+    block = np.exp(1j * (np.arange(ROW, dtype=np.float64)[:, None] * g))
+    buf = np.empty_like(block)
+    for r in range(rows):
+        np.multiply(block, np.exp(1j * (float(r * ROW) * g)), out=buf)
+        yield buf.sum(axis=1)
+
+
+def _phase_error(
+    n: int, gamma_sum: float, a: int, jdx: np.ndarray, gap: np.ndarray
 ) -> np.ndarray:
-    """Q(scale * xi) = sum over ordinates of e^(2 pi i scale xi gamma)."""
-    out = np.empty(xi.size, dtype=np.complex128)
-    step = max(1, chunk // max(gammas.size, 1))
-    # one reused block buffer: a fresh ~1 MB temporary per block is
-    # mmapped and faulted in anew unless earlier work happened to raise
-    # the allocator's mmap threshold
-    phase = np.empty((min(step, xi.size), gammas.size), dtype=np.complex128)
-    for start in range(0, xi.size, step):
-        block = xi[start : start + step]
-        buf = phase[: block.size]
-        np.multiply(2j * math.pi * scale * block[:, None], gammas[None, :], out=buf)
-        out[start : start + step] = np.exp(buf, out=buf).sum(axis=1)
-    return out
+    """Bound on |_phase_rows at j - Q(a xi_j)|; see spectral_correlation_sum.
+
+    jdx is fl(j dx) and gap bounds |xi_j - j dx|; gamma_sum is sum gamma.
+    """
+    eta = SQRT2 * TRIG_ABS
+    per_term = 2.0 * eta * (1.0 + eta) + (1.0 + eta) ** 2 * SQRT2 * (
+        gamma(2) + gamma(n - 1) * (1.0 + SQRT2 * gamma(2))
+    )
+    arg_rel = (1.0 + eta) * math.expm1(6.0 * U)
+    return n * per_term + (TWO_PI * abs(a) * gamma_sum) * (arg_rel * jdx + gap)
 
 
 def spectral_correlation_sum(
@@ -276,12 +295,39 @@ def spectral_correlation_sum(
     phase (frequency sum|a_k| * T) `samples_per_period` times per
     period; the default xi_max makes the truncated hhat tail, amplified
     by the worst-case |Q|^m = N^m, negligible.  The quadrature error is
-    estimated by comparing against the half-resolution grid.
+    estimated by comparing against the half-resolution grid.  Q comes
+    from `_phase_rows`, streamed one row of ROW grid points at a time.
+
+    The claimed error adds `rounding_error`, a bound on |full - S| for
+    the exact Simpson sum S over the linspace nodes xi_j, in the
+    floating-point model of `rounding`:
+    - phases: theta = 2 pi a j dx gamma is computed from TWO_PI, a, dx,
+      gamma and q or r ROW in five roundings, so |theta~ - theta| <=
+      expm1(5U) |theta|; summed over gamma, and with fl(j dx) standing
+      for j dx, that is expm1(6U) 2 pi |a| fl(j dx) sum gamma, growing
+      with j;
+    - grid: j dx differs from the linspace value xi_j; every phase moves
+      by at most 2 pi |a| gamma gap_j, gap_j >= |xi_j - j dx|;
+    - each exponential is off by eta = sqrt2 TRIG_ABS, so the block and
+      row factors are within eta + |theta~ - theta| of e^(i theta) and of
+      modulus <= 1 + eta; their complex product adds Higham's sqrt2
+      gamma_2 (which also covers the fused multiply-add variant's 2U) and
+      the n-term row sum sqrt2 gamma_(n-1) sum |terms| (Higham's bound,
+      for any summation order, on real and imaginary parts).  This gives
+      the per-point bound e_k of `_phase_error`;
+    - product: with U_l = |Q~_l| + e_l >= |Q_l|, telescoping gives
+      |prod Q~ - prod Q| <= sum_k e_k prod_(l!=k) U_l, and the m - 1
+      complex products and the final real product by hhat add
+      expm1((m-1) sqrt2 gamma_2 + U) |hhat~| prod |Q~|;
+    - hhat: its own value, cos(2 pi c xi) included, is off by at most
+      `GaussianTriplet.hat_rounding_bound`, amplified by prod U_l;
+    - Simpson: the per-point bounds enter with the Simpson weights, and
+      fsum plus the scaling by dx/3 add expm1(3U) |full|.
     """
     gammas = _ordinates_for(zeros, t_max)
     n = gammas.size
     if n == 0:
-        return 0.0, SpectralDiagnostics(0, 0.0, 0.0, 0.0, 0.0)
+        return 0.0, SpectralDiagnostics(0, 0.0, 0.0, 0.0, 0.0, 0.0)
     if grid is not None and grid < 2:
         raise ValueError("grid must be >= 2")
     amp = float(n) ** tup.m
@@ -297,23 +343,45 @@ def spectral_correlation_sum(
         points = grid
     points += (-points) % 4 + 1  # next 4k+1, so the half grid stays odd
     xi = np.linspace(0.0, xi_max, points)
-    dx = xi[1] - xi[0]
-    factors: dict[int, np.ndarray] = {}
-    for a in sorted({abs(a) for a in tup.entries}):
-        factors[a] = _zero_phase_sum(gammas, float(a), xi)
-    integrand = h.hat(xi).astype(np.complex128)
-    for a in tup.entries:
-        integrand = integrand * (factors[abs(a)] if a > 0 else np.conj(factors[abs(a)]))
-    full = 2.0 * _simpson(integrand, dx).real
-    half = 2.0 * _simpson(integrand[::2], 2.0 * dx).real
+    dx = float(xi[1] - xi[0])
+    rows = -(-points // ROW)
+    gamma_sum = math.fsum(memoryview(gammas))
+    counts = Counter(sorted(abs(a) for a in tup.entries))
+    phases = {a: _phase_rows(gammas, a, dx, rows) for a in counts}
+    product_rel = math.expm1((tup.m - 1) * SQRT2 * gamma(2) + U)
+    re = h.hat(xi)  # becomes Re(integrand), row by row
+    err = h.hat_rounding_bound(xi)  # becomes the integrand's rounding bound
+    for r in range(rows):
+        j0, j1 = r * ROW, min(points, (r + 1) * ROW)
+        jdx = np.arange(j0, j1, dtype=np.float64) * dx
+        gap = np.abs(xi[j0:j1] - jdx) + U * jdx
+        q, abs_prod, upper, spread = {}, 1.0, 1.0, 0.0
+        for a, count in counts.items():
+            q[a] = next(phases[a])[: j1 - j0]
+            mag = np.abs(q[a])
+            e = _phase_error(n, gamma_sum, a, jdx, gap)
+            abs_prod = abs_prod * mag**count
+            upper = upper * (mag + e) ** count
+            spread = spread + count * e / (mag + e)
+        prod = None
+        for a in tup.entries:
+            factor = q[a] if a > 0 else np.conj(q[-a])
+            prod = factor if prod is None else prod * factor
+        hat_abs = np.abs(re[j0:j1])
+        err[j0:j1] = hat_abs * (product_rel * abs_prod + upper * spread) + err[j0:j1] * upper
+        re[j0:j1] *= prod.real
+    full = 2.0 * _simpson(re, dx)
+    half = 2.0 * _simpson(re[::2], 2.0 * dx)
     quad_err = abs(full - half)
-    claimed = quad_err + tail
+    rounding = MARGIN * (2.0 * _simpson(err, dx) + math.expm1(3.0 * U) * abs(full))
+    claimed = quad_err + tail + rounding
     warn = bool(tol_hint is not None and claimed > tol_hint)
     return full, SpectralDiagnostics(
         grid_points=points,
         xi_max=xi_max,
         quadrature_error=quad_err,
         tail_bound=tail,
+        rounding_error=rounding,
         claimed_error=claimed,
         accuracy_warning=warn,
     )
@@ -329,20 +397,20 @@ def main_term(
 ) -> float:
     """Leading asymptotic D * T^(m-1) * integral of h(t) y(t) dt.
 
-    D = (-1)^m C / (2 pi)^m with C the normalized sinc-product constant;
-    for the balanced +-1 tuple C comes from the exact rational closed
-    form, otherwise from adaptive quadrature.  The integral is the
+    D = (-1)^m C / (2 pi)^m with C the normalized sinc-product constant,
+    an exact rational (`sinc_product_exact`).  The integral is the
     closed-form sum 2 sum_n Lambda(n)^m n^(-S) hhat(log n / 2 pi), its
     truncated tail certified below tol.
     """
-    m = tup.m
-    if tup.is_balanced:
-        c_val = float(balanced_sinc_constant(m // 2))
-    else:
-        c_val = sinc_product_constant(tup, tol=min(tol, 1e-9)).value
-    d_val = (-1.0) ** m * c_val / (2.0 * math.pi) ** m
     profile, _ = closed_form_profile_integral(h, tup, table, cfg, tol)
-    return d_val * t_max ** (m - 1) * profile.value
+    return _main_scale(tup, t_max) * profile.value
+
+
+def _main_scale(tup: CoefficientTuple, t_max: float) -> float:
+    """D * T^(m-1); (m + 4) roundings plus two powers, see build_report."""
+    m = tup.m
+    d_val = (-1.0) ** m * float(sinc_product_exact(tup.entries)) / TWO_PI**m
+    return d_val * t_max ** (m - 1)
 
 
 @dataclass
@@ -397,8 +465,12 @@ def build_report(
     h_spectral, sdiag = spectral_correlation_sum(h, tup, t_max, zeros)
     main = main_term(h, tup, t_max, table, cfg, tol=tol)
     # main_term's sum again (under a millisecond) for its certificate:
-    # |main / profile| is |D| T^(m-1)
+    # its tail and rounding, scaled by |D| T^(m-1), plus that scaling's
+    # own rounding
     profile, n_cut = closed_form_profile_integral(h, tup, table, cfg, tol)
+    main_claimed = abs(_main_scale(tup, t_max)) * profile.total_error + math.expm1(
+        (tup.m + 4) * U + 2.0 * ELEM_REL
+    ) * abs(main)
     scale = t_max ** (tup.m - 1)
     diagnostics = {
         "tuple_count": ddiag.tuple_count,
@@ -411,11 +483,10 @@ def build_report(
         "h_direct_scaled": h_direct / scale,
         "h_spectral_scaled": h_spectral / scale,
         "main_term_scaled": main / scale,
-        "main_term_claimed_error": abs(main / profile.value) * profile.tail_bound
-        if profile.value
-        else 0.0,
+        "main_term_claimed_error": MARGIN * main_claimed,
         "main_term_terms": n_cut,
         "route_gap": abs(h_direct - h_spectral),
+        "spectral_rounding_error": sdiag.rounding_error,
         "accuracy_warning": sdiag.accuracy_warning,
     }
     return CorrelationReport(

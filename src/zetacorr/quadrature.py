@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError, ResourceError
+from .rounding import ELEM_REL, MARGIN, U
 from .series import (
     SeriesConfig,
     _check_domain,
@@ -230,6 +231,17 @@ def closed_form_profile_integral(
     summed exactly in ascending n.  Returns the result (tail_bound
     certifies the truncation; evaluations counts the terms) and N.
 
+    error_estimate bounds the rounding, in the model of `rounding`:
+    - xi_n = fl(fl(k fl(log p)) / fl(2 pi)) is within relative
+      xi_rel = expm1(ELEM_REL + 3U) of log n / 2 pi, and hhat(xi_n) within
+      `hat_rounding_bound(xi_n, xi_rel)` of hhat(log n / 2 pi); its cos
+      argument error grows like c log n U, so a large center c makes
+      this bound, and the certificate, vacuous;
+    - w_n = fl(log p)^m exp(-S fl(k fl(log p))) is within relative
+      w_rel = expm1((m + 2) ELEM_REL + S log n expm1(ELEM_REL + 2U) + U);
+    - a term w~ hhat~ is off by w~/(1 - w_rel) (w_rel |hhat~| + hat bound)
+      plus U |term|, and fsum rounds the sum once.
+
     Raises:
         DomainError: S below 1 + cfg.sigma_margin.
         ResourceError: N would exceed the cap.
@@ -241,10 +253,21 @@ def closed_form_profile_integral(
     cap = min(table.limit, cfg.max_terms)
     n_cut, tail = transform_truncation(h, sigma, tup.m, tol, cap)
     log_n, w = profile_terms(tup, table, n_cut)
-    terms = w * h.hat(log_n / (2.0 * math.pi))
+    xi = log_n / (2.0 * math.pi)
+    hat = h.hat(xi)
+    terms = w * hat
+    total = math.fsum(memoryview(terms))
+    xi_rel = math.expm1(ELEM_REL + 3.0 * U)
+    w_rel = np.expm1(
+        (tup.m + 2) * ELEM_REL + sigma * log_n * math.expm1(ELEM_REL + 2.0 * U) + U
+    )
+    per_term = w / (1.0 - w_rel) * (
+        w_rel * np.abs(hat) + h.hat_rounding_bound(xi, xi_rel)
+    ) + U * np.abs(terms)
+    rounding = 2.0 * MARGIN * (math.fsum(memoryview(per_term)) + U * abs(total))
     result = QuadratureResult(
-        value=2.0 * math.fsum(terms.tolist()),
-        error_estimate=0.0,
+        value=2.0 * total,
+        error_estimate=rounding,
         evaluations=int(terms.size),
         tail_bound=tail,
     )

@@ -12,6 +12,9 @@ which integrates to zero by construction, is real and even, and has
 Gaussian decay beats any polynomial, so the family sits inside every
 decay class the correlation machinery needs; the membership report
 returns the measured decay constant rather than a pass/fail verdict.
+
+Its transform's rounding bound uses the floating-point model of
+`rounding`.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import adaptive_integrate
+from .rounding import ELEM_REL, TRIG_ABS, U
 
 TWO_PI = 2.0 * math.pi
 SQRT_PI = math.sqrt(math.pi)
@@ -51,6 +55,33 @@ class GaussianTriplet:
             * np.exp(-math.pi * s * s * xi * xi)
             * (np.cos(TWO_PI * c * xi) - 1.0)
         )
+
+    def hat_rounding_bound(self, xi, xi_rel: float = 0.0) -> np.ndarray:
+        """Bound on |hat(xi~) - hhat(xi)| for a float xi~ = xi (1 + d), |d| <= xi_rel.
+
+        `hat` computes A * B with A = (2s) exp(x), x = -pi s s xi xi, and
+        B = cos(y) - 1, y = 2 pi c xi, in the model of `rounding`:
+        - x~ carries pi's rounding, four products and xi~: relative error
+          rx = expm1(2 xi_rel + 5 U), so exp(x~) = exp(x)(1 + e) with
+          |e| <= expm1(rx |x| + ELEM_REL); with 2s and the final product,
+          A~ (1 + d_last) = A (1 + a), |a| <= alpha = expm1(rx |x| + ELEM_REL + 2U);
+        - y~ carries TWO_PI's rounding, two products and xi~, so
+          |cos(y~) - cos(y)| <= min(2, expm1(xi_rel + 3U) |y|); with cos's own
+          TRIG_ABS and the rounding of "- 1" on a value in [-2, 0],
+          |B~ - B| <= beta = min(2, ...) + TRIG_ABS + 2U.
+        Then |hat - hhat| <= A (2 alpha + (1 + alpha) beta) with |B| <= 2, and
+        A <= A~ / (1 - alpha) for the recomputed envelope A~.  This is where
+        a large c shows: the cos argument error grows like c xi U.
+        """
+        xi = np.abs(np.asarray(xi, dtype=np.float64))
+        c, s = self.center, self.width
+        x = math.pi * s * s * xi * xi
+        alpha = np.expm1(math.expm1(2.0 * xi_rel + 5.0 * U) * x + ELEM_REL + 2.0 * U)
+        arg_err = math.expm1(xi_rel + 3.0 * U) * (TWO_PI * c * xi)
+        beta = np.minimum(2.0, arg_err) + TRIG_ABS + 2.0 * U
+        envelope = 2.0 * s * np.exp(-x) / (1.0 - alpha)
+        bound = envelope * (2.0 * alpha + (1.0 + alpha) * beta)
+        return np.where(alpha < 0.5, bound, np.inf)
 
     def hat_prime(self, xi) -> np.ndarray:
         """Derivative of the Fourier transform, closed form."""

@@ -133,6 +133,37 @@ class TestLeadingCoefficients:
             z.balanced_sinc_constant(1)
 
 
+class TestSincProductExact:
+    @pytest.mark.parametrize(
+        "entries, value",
+        [
+            ((1, 1, -2), Fraction(1, 2)),
+            ((1, 2, -3), Fraction(1, 3)),
+            ((1, 1, 1, -3), Fraction(1, 3)),
+            ((1, 2, 2, -5), Fraction(1, 5)),
+        ],
+    )
+    def test_against_quadrature_oracle(self, entries, value):
+        exact = z.sinc_product_exact(entries)
+        assert exact == value
+        oracle = z.sinc_product_constant(z.coefficient_tuple(list(entries)), tol=1e-10)
+        assert abs(float(exact) - oracle.value) <= oracle.total_error
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_balanced_matches_closed_form(self, r):
+        assert z.sinc_product_exact((1,) * r + (-1,) * r) == z.balanced_sinc_constant(r)
+
+    def test_sign_and_order_free(self):
+        assert z.sinc_product_exact((1, 2, -3)) == z.sinc_product_exact((-3, 2, 1))
+        assert z.sinc_product_exact((1, 2, -3)) == z.sinc_product_exact((-1, -2, 3))
+
+    def test_rejects_short_or_zero(self):
+        with pytest.raises(ValueError):
+            z.sinc_product_exact((1, -1))
+        with pytest.raises(ValueError):
+            z.sinc_product_exact((1, 0, -1))
+
+
 class TestDipDepth:
     def test_reference_values(self):
         assert z.dip_depth_prediction(3, 2) == pytest.approx(-1.1851851851851851)

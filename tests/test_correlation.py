@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import zetacorr as z
-from zetacorr.correlation import _simpson
+from zetacorr.correlation import ROW, _phase_error, _phase_rows, _simpson
 from zetacorr.series import transform_truncation
 
 CFG = z.SeriesConfig(tolerance=1e-3)
@@ -125,27 +125,86 @@ class TestDirectRoute:
             z.direct_correlation_sum(weight_default, wide, 1000.0, zero_table)
 
 
+LD = np.longdouble
+LD_PI = np.arccos(LD(-1.0))
+needs_extended = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 2.0**-60, reason="long double is not extended"
+)
+
+
+def _zero_phase_sum_oracle(gammas, scale, xi):
+    """Q(scale * xi) point by point, every phase and sum in long double."""
+    phase = (2.0 * LD_PI * scale) * np.outer(xi.astype(LD), gammas.astype(LD))
+    return np.exp(1j * phase).sum(axis=1)
+
+
+def _spectral_oracle(h, tup, gammas, diag):
+    """Simpson sum of the spectral integrand on the route's grid, in long double."""
+    xi = np.linspace(0.0, diag.xi_max, diag.grid_points)
+    x = xi.astype(LD)
+    c, s = LD(h.center), LD(h.width)
+    f = (2 * s * np.exp(-LD_PI * s * s * x * x) * (np.cos(2 * LD_PI * c * x) - 1)).astype(
+        np.clongdouble
+    )
+    factors = {a: _zero_phase_sum_oracle(gammas, a, xi) for a in {abs(a) for a in tup.entries}}
+    for a in tup.entries:
+        f = f * (factors[a] if a > 0 else np.conj(factors[-a]))
+    w = np.full(x.size, LD(2.0))
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return 2 * (LD(xi[1] - xi[0]) / 3) * np.sum(w * f.real)
+
+
+def _rows(gammas, a, dx, points):
+    rows = list(_phase_rows(gammas, a, dx, -(-points // ROW)))
+    return np.concatenate(rows)[:points]
+
+
 class TestSpectralRoute:
     def test_simpson_on_parabola(self):
         xs = np.linspace(0.0, 1.0, 5)
-        vals = (xs * xs).astype(np.complex128)
-        assert _simpson(vals, xs[1] - xs[0]).real == pytest.approx(1.0 / 3.0)
+        assert _simpson(xs * xs, xs[1] - xs[0]) == pytest.approx(1.0 / 3.0)
 
     def test_zero_phase_sum_at_origin(self, zero_table):
-        from zetacorr.correlation import _zero_phase_sum
-
         gammas = z.zeros_up_to(zero_table, 100.0)
-        q0 = _zero_phase_sum(gammas, 1.0, np.array([0.0]))[0]
+        q0 = next(_phase_rows(gammas, 1, 0.01, 1))[0]
         assert q0 == complex(29.0, 0.0)
 
     def test_conjugate_reflection(self, zero_table):
-        from zetacorr.correlation import _zero_phase_sum
-
         gammas = z.zeros_up_to(zero_table, 100.0)
-        xi = np.array([0.3, 0.7])
-        plus = _zero_phase_sum(gammas, 1.0, xi)
-        minus = _zero_phase_sum(gammas, -1.0, xi)
-        assert np.allclose(np.conj(plus), minus, rtol=0, atol=0)
+        plus = _rows(gammas, 1, 0.01, 300)
+        minus = _rows(gammas, -1, 0.01, 300)
+        assert np.array_equal(np.conj(plus), minus)
+
+    @needs_extended
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_rows_within_bound_of_oracle(self, zero_table, a):
+        gammas = z.zeros_up_to(zero_table, 500.0)
+        xi = np.linspace(0.0, 1.9, 1001)
+        dx = float(xi[1] - xi[0])
+        got = _rows(gammas, a, dx, xi.size)
+        exact = _zero_phase_sum_oracle(gammas, a, xi)
+        jdx = np.arange(xi.size) * dx
+        gap = np.abs(xi - jdx) + 2.0**-53 * jdx
+        bound = _phase_error(gammas.size, math.fsum(gammas), a, jdx, gap)
+        miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
+        assert np.all(miss <= bound)
+        # a worst case, but within three orders of the realised error
+        assert np.max(bound) <= 1e3 * np.max(miss)
+
+    @needs_extended
+    @pytest.mark.parametrize("entries", [(1, 1, -2), (1, 1, -1, -1)])
+    def test_rounding_bound_covers_long_double_reference(
+        self, weight_default, zero_table, entries
+    ):
+        tup = z.coefficient_tuple(list(entries))
+        value, diag = z.spectral_correlation_sum(weight_default, tup, 100.0, zero_table)
+        gammas = z.zeros_up_to(zero_table, 100.0)
+        reference = _spectral_oracle(weight_default, tup, gammas, diag)
+        assert float(abs(LD(value) - reference)) <= diag.rounding_error
+        assert diag.claimed_error >= diag.quadrature_error + diag.tail_bound + diag.rounding_error
+        _, ddiag = z.direct_correlation_sum(weight_default, tup, 100.0, zero_table)
+        assert diag.rounding_error <= 0.5 * ddiag.claimed_error
 
     def test_matches_direct_on_tiny_instance(self, weight_default, tiny_zeros):
         tup = z.coefficient_tuple([1, 1, -2])

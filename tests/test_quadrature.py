@@ -144,6 +144,34 @@ class TestWeightedProfileIntegral:
         gap = abs(oracle.value - closed.value)
         assert gap <= oracle.total_error + closed.tail_bound
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 2.0**-60, reason="long double is not extended"
+    )
+    @pytest.mark.parametrize("entries", [(1, 1, -2), (1, 1, -1, -1)])
+    def test_closed_form_rounding_covers_long_double_sum(
+        self, mangoldt_small, weight_default, entries
+    ):
+        tup = z.coefficient_tuple(list(entries))
+        closed, n_cut = z.closed_form_profile_integral(
+            weight_default, tup, mangoldt_small, CFG, tol=1e-6
+        )
+        keep = mangoldt_small.prime_powers <= n_cut
+        log_n = np.log(mangoldt_small.prime_powers[keep].astype(np.longdouble))
+        log_p = log_n / mangoldt_small.power_index[keep]
+        pi = np.arccos(np.longdouble(-1.0))
+        xi = log_n / (2 * pi)
+        c, s = np.longdouble(weight_default.center), np.longdouble(weight_default.width)
+        hat = 2 * s * np.exp(-pi * s * s * xi * xi) * (np.cos(2 * pi * c * xi) - 1)
+        reference = 2 * np.sum(log_p**tup.m * np.exp(-tup.positive_sum * log_n) * hat)
+        assert 0.0 < closed.error_estimate < 1e-12
+        assert float(abs(closed.value - reference)) <= closed.error_estimate
+
+    def test_closed_form_rounding_vacuous_at_huge_center(self, mangoldt_small):
+        h = z.gaussian_triplet(1e300, 2.0)
+        tup = z.coefficient_tuple([1, 1, -2])
+        closed, _ = z.closed_form_profile_integral(h, tup, mangoldt_small, CFG, tol=1e-6)
+        assert closed.error_estimate >= abs(closed.value)
+
     def test_window_tail_accounted(self, mangoldt_medium, weight_default):
         tup = z.coefficient_tuple([1, 1, -2])
         res = z.weighted_profile_integral(

@@ -4,6 +4,18 @@ import numpy as np
 import pytest
 
 import zetacorr as z
+from zetacorr.rounding import ELEM_REL, TRIG_ABS
+
+LD = np.longdouble
+LD_PI = np.arccos(LD(-1.0))
+needs_extended = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 2.0**-60, reason="long double is not extended"
+)
+
+
+def _hat_long_double(h, x):
+    c, s = LD(h.center), LD(h.width)
+    return 2 * s * np.exp(-LD_PI * s * s * x * x) * (np.cos(2 * LD_PI * c * x) - 1)
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +127,47 @@ class TestMembershipReport:
 
     def test_origin_support_flagged(self, h):
         assert z.class_membership_report(h, 4)["origin_in_support"] is True
+
+
+@needs_extended
+class TestRoundingModel:
+    def test_libm_within_model(self):
+        rng = np.random.default_rng(7)
+        for scale in (1.0, 1e3, 1e6):
+            x = rng.uniform(-scale, scale, 100_000)
+            exact = x.astype(LD)
+            z_exp = np.exp(1j * x)
+            for got, want in (
+                (z_exp.real, np.cos(exact)),
+                (z_exp.imag, np.sin(exact)),
+                (np.cos(x), np.cos(exact)),
+            ):
+                assert np.max(np.abs(got - want)) <= TRIG_ABS
+        y = rng.uniform(0.5, 700.0, 100_000)
+        exact = y.astype(LD)
+        for got, want in (
+            (np.exp(-y), np.exp(-exact)),
+            (np.log(y), np.log(exact)),
+            (y**3, exact**3),
+        ):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= ELEM_REL
+
+    @pytest.mark.parametrize("center", [20.0, 3.7e5])
+    @pytest.mark.parametrize("xi_rel", [0.0, 1e-15])
+    def test_hat_rounding_bound_covers_long_double(self, center, xi_rel):
+        h = z.gaussian_triplet(center, 2.0)
+        xi = np.linspace(0.0, 2.5, 20_001)
+        # the float xi stands for an exact point within relative xi_rel
+        exact = xi.astype(LD) * (1 + LD(xi_rel) * np.cos(np.arange(xi.size)))
+        miss = np.abs(h.hat(xi) - _hat_long_double(h, exact)).astype(np.float64)
+        bound = h.hat_rounding_bound(xi, xi_rel)
+        assert np.all(miss <= bound)
+        assert np.max(bound) <= 1e4 * max(np.max(miss), 1e-16)
+
+    def test_hat_rounding_bound_grows_with_center(self):
+        xi = np.linspace(0.01, 1.0, 100)
+        small = z.gaussian_triplet(20.0, 2.0).hat_rounding_bound(xi)
+        huge = z.gaussian_triplet(1e300, 2.0)
+        # no digit of cos(2 pi c xi) survives: the bound covers the whole range of hhat
+        assert np.all(huge.hat_rounding_bound(xi) >= np.abs(huge.hat(xi)))
+        assert np.all(huge.hat_rounding_bound(xi) > 1e6 * small)

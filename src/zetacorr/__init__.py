@@ -29,7 +29,6 @@ from .correlation import (
     build_report,
     direct_correlation_sum,
     main_term,
-    naive_correlation_sum,
     parse_tuple_text,
     routes_agree,
     spectral_correlation_sum,
@@ -109,7 +108,6 @@ __all__ = [
     "main_term",
     "match_to_zeros",
     "multinomial",
-    "naive_correlation_sum",
     "nearest_int",
     "parse_tuple_text",
     "profile_grid",

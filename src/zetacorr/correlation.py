@@ -5,9 +5,9 @@ ordinates up to T.  The first m-1 coordinates are enumerated; for each
 prefix only the window of last ordinates where |Delta| stays below the
 weight's support cutoff contributes, located by binary search.  Skipped
 tuples are covered by an analytic bound added to the claimed error.
-It accumulates in ascending tuple order with compensated/exact
-summation, so results are reproducible and independent of worker
-partitioning.
+The result is the correctly rounded sum of all evaluated terms
+(`rounding.exact_sum`), which depends on neither their order nor their
+grouping into blocks.
 
 Spectral route: the same sum as 2 Re of the integral over [0, xi_max]
 of hhat(xi) times the product of geometric zero sums Q(a_k xi), with
@@ -16,49 +16,34 @@ enough to sample the fastest composite phase (frequency
 sum|a_k| * T) several times per period.  The grid is uniform, so each
 phase factors into a per-row and a per-column exponential (the blocked
 sums of Dutt and Rokhlin, 1993, with no approximation).  The Simpson
-sums are exact (math.fsum), and the claimed error carries a bound on
-every rounding of the computation alongside the quadrature and tail
-terms; it runs in one thread and is deterministic.
+sums are correctly rounded (`exact_sum`), and the claimed error carries
+a bound on every rounding of the computation alongside the quadrature
+and tail terms; it runs in one thread and is deterministic.
 """
 from __future__ import annotations
 
 import json
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .combinatorics import sinc_product_exact
 from .errors import BudgetError, DataError
 from .quadrature import closed_form_profile_integral
-from .rounding import ELEM_REL, MARGIN, TRIG_ABS, U, gamma
+from .rounding import ELEM_REL, MARGIN, TRIG_ABS, U, exact_sum, gamma
 from .series import SeriesConfig
 from .tuples import CoefficientTuple, coefficient_tuple
 from .weights import TWO_PI, GaussianTriplet
 from .zeros import ZeroTable, zeros_up_to
 
 DIRECT_PREFIX_BUDGET = 80_000_000
+# the direct route's steps; small, so that its arrays do not raise peak memory
+PREFIXES = 2**11  # (m-1)-prefixes per step
+BLOCK = 2**14  # tuples per call of h.value, plus at most one row
 ROW = 128  # grid points per row of the factored phase sums
 SQRT2 = math.sqrt(2.0)
-
-
-class _Kahan:
-    """Compensated scalar accumulator (fixed-order reduction)."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
 
 
 @dataclass(frozen=True)
@@ -98,64 +83,22 @@ def _ordinates_for(zeros: ZeroTable, t_max: float) -> np.ndarray:
     return zeros_up_to(zeros, t_max) if len(zeros) else zeros.ordinates
 
 
-def _direct_chunk(
-    h: GaussianTriplet,
-    entries: tuple[int, ...],
-    gammas: np.ndarray,
-    prefix: tuple[int, ...],
-    bound: float,
-):
-    """Row sums for one (m-2)-prefix, rows ascending in the (m-1)-th index.
-
-    Returns (row_sums, hits): float list in row order and the number of
-    evaluated tuples.  With bound = +inf every row spans all ordinates.
-    """
-    a_mid, a_last = entries[-2], entries[-1]
-    base = 0.0
-    for coeff, idx in zip(entries[:-2], prefix):
-        base = base + coeff * gammas[idx]
-    dprime = base + a_mid * gammas
-    if math.isinf(bound):
-        lo = np.zeros(gammas.size, dtype=np.int64)
-        hi = np.full(gammas.size, gammas.size, dtype=np.int64)
-    else:
-        left = (-bound - dprime) / a_last
-        right = (bound - dprime) / a_last
-        if a_last < 0:
-            left, right = right, left
-        lo = np.searchsorted(gammas, left, side="left")
-        hi = np.searchsorted(gammas, right, side="right")
-        hi = np.maximum(hi, lo)
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return [0.0] * gammas.size, 0
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    flat_idx = np.arange(total, dtype=np.int64) - np.repeat(
-        offsets[:-1], counts
-    ) + np.repeat(lo, counts)
-    deltas = np.repeat(dprime, counts) + a_last * gammas[flat_idx]
-    values = h.value(deltas)
-    rows = []
-    for j in range(gammas.size):
-        seg = values[offsets[j] : offsets[j + 1]]
-        rows.append(math.fsum(seg.tolist()) if seg.size else 0.0)
-    return rows, total
-
-
 def direct_correlation_sum(
     h: GaussianTriplet,
     tup: CoefficientTuple,
     t_max: float,
     zeros: ZeroTable,
     cutoff: float | None = None,
-    workers: int = 1,
 ) -> tuple[float, DirectDiagnostics]:
     """Pruned exact enumeration of sum h(Delta) over ordinate m-tuples.
 
     cutoff=None uses the weight's support cutoff (|h| below 1e-14 of its
     sup); cutoff=inf disables pruning entirely, which reproduces a naive
-    full enumeration bit for bit.
+    full enumeration bit for bit (the test oracle `naive_correlation_sum`).
+
+    The (m-1)-prefixes are walked PREFIXES at a time, each with its
+    window of last ordinates from a binary search; h.value takes about
+    BLOCK tuples per call, so memory does not grow with n^(m-1).
 
     Raises:
         DataError: the zero table does not cover (0, T].
@@ -175,76 +118,51 @@ def direct_correlation_sum(
     if cutoff is None:
         cutoff = h.support_cutoff()
     claimed = 0.0 if math.isinf(cutoff) else float(n) ** m * h.value_bound_beyond(cutoff)
-    prefixes = list(product(range(n), repeat=m - 2))
-    acc = _Kahan()
+    *heads, a_last = tup.entries
     hits = 0
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda pre: _direct_chunk(h, tup.entries, gammas, pre, cutoff),
-                prefixes,
-                chunksize=64,
-            )
-            for rows, chunk_hits in results:
-                hits += chunk_hits
-                for r in rows:
-                    acc.add(r)
-    else:
-        for pre in prefixes:
-            rows, chunk_hits = _direct_chunk(h, tup.entries, gammas, pre, cutoff)
-            hits += chunk_hits
-            for r in rows:
-                acc.add(r)
-    pruned = 1.0 - hits / float(n) ** m
-    return acc.total, DirectDiagnostics(
+
+    def terms():
+        nonlocal hits
+        for start in range(0, n ** (m - 1), PREFIXES):
+            stop = min(start + PREFIXES, n ** (m - 1))
+            digits = np.unravel_index(np.arange(start, stop), (n,) * (m - 1))
+            dprime = 0.0  # the naive loops' left-to-right order, term for term
+            for coeff, idx in zip(heads, digits):
+                dprime = dprime + coeff * gammas[idx]
+            left = (-cutoff - dprime) / a_last
+            right = (cutoff - dprime) / a_last
+            if a_last < 0:
+                left, right = right, left
+            lo = np.searchsorted(gammas, left, side="left")
+            counts = np.maximum(np.searchsorted(gammas, right, side="right") - lo, 0)
+            ends = np.cumsum(counts)
+            hits += int(ends[-1])
+            # runs of rows holding about BLOCK tuples each
+            cuts = np.searchsorted(ends, np.arange(BLOCK, ends[-1] + BLOCK, BLOCK), "right")
+            for r0, r1 in zip([0, *cuts], cuts):
+                if r0 == r1:
+                    continue
+                rows, first = counts[r0:r1], ends[r0:r1] - counts[r0:r1]
+                pos = np.arange(first[0], ends[r1 - 1]) + np.repeat(lo[r0:r1] - first, rows)
+                yield h.value(np.repeat(dprime[r0:r1], rows) + a_last * gammas[pos])
+
+    value = exact_sum(terms())
+    return value, DirectDiagnostics(
         tuple_count=hits,
-        pruned_fraction=pruned,
+        pruned_fraction=1.0 - hits / float(n) ** m,
         claimed_error=claimed,
         cutoff=cutoff,
     )
 
 
-def naive_correlation_sum(
-    h: GaussianTriplet,
-    tup: CoefficientTuple,
-    t_max: float,
-    zeros: ZeroTable,
-) -> float:
-    """Unpruned reference enumeration (small instances only).
-
-    Triple-nested loops in ascending index order; the innermost
-    coordinate is evaluated as one row and summed exactly, matching the
-    engine's reduction contract so the two agree bit for bit when the
-    engine's cutoff is infinite.
-    """
-    gammas = _ordinates_for(zeros, t_max)
-    n = gammas.size
-    if n == 0:
-        return 0.0
-    if n > 40:
-        raise ValueError("naive enumeration is intended for tiny instances")
-    entries = tup.entries
-    a_last = entries[-1]
-    acc = _Kahan()
-    for prefix in product(range(n), repeat=tup.m - 2):
-        base = 0.0
-        for coeff, idx in zip(entries[:-2], prefix):
-            base = base + coeff * gammas[idx]
-        for j in range(n):
-            dprime = base + entries[-2] * gammas[j]
-            row = h.value(dprime + a_last * gammas)
-            acc.add(math.fsum(row.tolist()))
-    return acc.total
-
-
 def _simpson(values: np.ndarray, dx: float) -> float:
-    """Composite Simpson on an odd-length uniform grid (exact reduction)."""
+    """Composite Simpson on an odd-length uniform grid (correctly rounded sum)."""
     if values.size % 2 == 0 or values.size < 3:
         raise ValueError("Simpson needs an odd number of points >= 3")
     weighted = 2.0 * values
     weighted[1::2] *= 2.0
     weighted[0], weighted[-1] = values[0], values[-1]
-    return math.fsum(memoryview(weighted)) * (dx / 3.0)
+    return exact_sum((weighted,)) * (dx / 3.0)
 
 
 def _phase_rows(gammas: np.ndarray, a: int, dx: float, rows: int):
@@ -322,7 +240,8 @@ def spectral_correlation_sum(
     - hhat: its own value, cos(2 pi c xi) included, is off by at most
       `GaussianTriplet.hat_rounding_bound`, amplified by prod U_l;
     - Simpson: the per-point bounds enter with the Simpson weights, and
-      fsum plus the scaling by dx/3 add expm1(3U) |full|.
+      the correctly rounded sum plus the scaling by dx/3 add
+      expm1(3U) |full|.
     """
     gammas = _ordinates_for(zeros, t_max)
     n = gammas.size
@@ -345,7 +264,7 @@ def spectral_correlation_sum(
     xi = np.linspace(0.0, xi_max, points)
     dx = float(xi[1] - xi[0])
     rows = -(-points // ROW)
-    gamma_sum = math.fsum(memoryview(gammas))
+    gamma_sum = exact_sum((gammas,))
     counts = Counter(sorted(abs(a) for a in tup.entries))
     phases = {a: _phase_rows(gammas, a, dx, rows) for a in counts}
     product_rel = math.expm1((tup.m - 1) * SQRT2 * gamma(2) + U)
@@ -458,10 +377,9 @@ def build_report(
     table,
     cfg: SeriesConfig,
     tol: float = 1e-6,
-    workers: int = 1,
 ) -> CorrelationReport:
     """Run both routes plus the main term and assemble the report."""
-    h_direct, ddiag = direct_correlation_sum(h, tup, t_max, zeros, workers=workers)
+    h_direct, ddiag = direct_correlation_sum(h, tup, t_max, zeros)
     h_spectral, sdiag = spectral_correlation_sum(h, tup, t_max, zeros)
     main = main_term(h, tup, t_max, table, cfg, tol=tol)
     # main_term's sum again (under a millisecond) for its certificate:

@@ -23,6 +23,7 @@ import numpy as np
 from .arithmetic import MangoldtTable, MobiusTable, b_coefficient
 from .combinatorics import dip_depth_prediction
 from .errors import DomainError
+from .rounding import exact_sum
 from .series import SeriesConfig, kernel_profile_evaluator
 from .tuples import CoefficientTuple
 from .zeros import ZeroTable
@@ -198,9 +199,9 @@ def kernel_pole_expansion(
         zu = s - (0.5 + 1j * gammas) / d
         zl = s - (0.5 - 1j * gammas) / d
         zt = s - trivial / d
+        powers = [zu**-m, zl**-m, zt**-m]
         rho_sum = complex(
-            math.fsum(np.concatenate([(zu**-m).real, (zl**-m).real, (zt**-m).real]).tolist()),
-            math.fsum(np.concatenate([(zu**-m).imag, (zl**-m).imag, (zt**-m).imag]).tolist()),
+            exact_sum(p.real for p in powers), exact_sum(p.imag for p in powers)
         )
         # midpoint-rule tail of the trivial-zero sum; the dilation packs
         # those poles toward s, so the fixed cutoff alone is too crude

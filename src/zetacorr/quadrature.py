@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError, ResourceError
-from .rounding import ELEM_REL, MARGIN, U
+from .rounding import ELEM_REL, MARGIN, U, exact_sum
 from .series import (
     SeriesConfig,
     _check_domain,
@@ -240,7 +240,7 @@ def closed_form_profile_integral(
     - w_n = fl(log p)^m exp(-S fl(k fl(log p))) is within relative
       w_rel = expm1((m + 2) ELEM_REL + S log n expm1(ELEM_REL + 2U) + U);
     - a term w~ hhat~ is off by w~/(1 - w_rel) (w_rel |hhat~| + hat bound)
-      plus U |term|, and fsum rounds the sum once.
+      plus U |term|, and the correctly rounded sum adds one rounding.
 
     Raises:
         DomainError: S below 1 + cfg.sigma_margin.
@@ -256,7 +256,7 @@ def closed_form_profile_integral(
     xi = log_n / (2.0 * math.pi)
     hat = h.hat(xi)
     terms = w * hat
-    total = math.fsum(memoryview(terms))
+    total = exact_sum((terms,))
     xi_rel = math.expm1(ELEM_REL + 3.0 * U)
     w_rel = np.expm1(
         (tup.m + 2) * ELEM_REL + sigma * log_n * math.expm1(ELEM_REL + 2.0 * U) + U
@@ -264,7 +264,7 @@ def closed_form_profile_integral(
     per_term = w / (1.0 - w_rel) * (
         w_rel * np.abs(hat) + h.hat_rounding_bound(xi, xi_rel)
     ) + U * np.abs(terms)
-    rounding = 2.0 * MARGIN * (math.fsum(memoryview(per_term)) + U * abs(total))
+    rounding = 2.0 * MARGIN * (exact_sum((per_term,)) + U * abs(total))
     result = QuadratureResult(
         value=2.0 * total,
         error_estimate=rounding,

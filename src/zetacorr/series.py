@@ -14,8 +14,8 @@ bounds are available and the smaller certificate wins:
   which tracks the prime-power density and is roughly log N / (sigma-1)
   times sharper.
 
-Summation is in ascending n with exact (fsum) accumulation, so equal
-inputs give bit-identical results regardless of worker partitioning.
+Sums are correctly rounded (`rounding.exact_sum`), so equal inputs give
+bit-identical results whatever the order of the terms.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import numpy as np
 
 from .arithmetic import MangoldtTable, MobiusTable, b_coefficient
 from .errors import DomainError, ResourceError
+from .rounding import exact_sum
 from .tuples import CoefficientTuple
 
 CHEBYSHEV_UPPER = 1.03883  # psi(x) < 1.03883 x for all x > 0
@@ -210,10 +211,6 @@ def prime_tail_estimate(n_cut: int, sigma: float, m: int) -> float:
     return primes + squares
 
 
-def _fsum(values: np.ndarray) -> float:
-    return math.fsum(values.tolist())
-
-
 def _truncated_view(table: MangoldtTable, n_cut: int):
     idx = int(np.searchsorted(table.prime_powers, n_cut, side="right"))
     return table.base_log[:idx], table.power_index[:idx]
@@ -237,10 +234,10 @@ def _check_domain(s: complex, cfg: SeriesConfig) -> None:
 def _evaluate(weights: np.ndarray, log_n: np.ndarray, s: complex) -> complex:
     amp = weights * np.exp(-s.real * log_n)
     if s.imag == 0.0:
-        return complex(_fsum(amp), 0.0)
+        return complex(exact_sum((amp,)), 0.0)
     phase = s.imag * log_n
-    re = _fsum(amp * np.cos(phase))
-    im = -_fsum(amp * np.sin(phase))
+    re = exact_sum((amp * np.cos(phase),))
+    im = -exact_sum((amp * np.sin(phase),))
     return complex(re, im)
 
 

@@ -43,7 +43,8 @@ class GaussianTriplet:
         x = np.asarray(x, dtype=np.float64)
         c, s = self.center, self.width
         g = lambda u: np.exp(-math.pi * u * u)
-        return g((x - c) / s) + g((x + c) / s) - 2.0 * g(x / s)
+        with np.errstate(over="ignore"):  # a huge u squares to inf, and g to 0
+            return g((x - c) / s) + g((x + c) / s) - 2.0 * g(x / s)
 
     def hat(self, xi) -> np.ndarray:
         """Fourier transform (convention: integral of h(x) e^(-2 pi i x xi))."""

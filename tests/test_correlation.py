@@ -1,11 +1,16 @@
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 import zetacorr as z
+from zetacorr import correlation
 from zetacorr.correlation import ROW, _phase_error, _phase_rows, _simpson
 from zetacorr.series import transform_truncation
+
+from oracles import naive_correlation_sum
 
 CFG = z.SeriesConfig(tolerance=1e-3)
 
@@ -54,7 +59,7 @@ class TestDirectRoute:
 
     def test_naive_matches_bitwise_m3(self, weight_default, tiny_zeros):
         tup = z.coefficient_tuple([1, 1, -2])
-        naive = z.naive_correlation_sum(weight_default, tup, 30.0, tiny_zeros)
+        naive = naive_correlation_sum(weight_default, tup, 30.0, tiny_zeros)
         pruned, _ = z.direct_correlation_sum(
             weight_default, tup, 30.0, tiny_zeros, cutoff=math.inf
         )
@@ -62,7 +67,7 @@ class TestDirectRoute:
 
     def test_default_cutoff_within_claimed(self, weight_default, tiny_zeros):
         tup = z.coefficient_tuple([1, 1, -2])
-        naive = z.naive_correlation_sum(weight_default, tup, 30.0, tiny_zeros)
+        naive = naive_correlation_sum(weight_default, tup, 30.0, tiny_zeros)
         pruned, diag = z.direct_correlation_sum(weight_default, tup, 30.0, tiny_zeros)
         assert abs(naive - pruned) <= diag.claimed_error
 
@@ -105,13 +110,26 @@ class TestDirectRoute:
         )[0]
         assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
-    def test_workers_bit_identical(self, weight_default, zero_table):
+    @pytest.mark.parametrize("prefixes, block", [(1, 1), (7, 3), (300, 50), (5000, 7)])
+    def test_block_size_bit_identical(self, weight_default, zero_table, prefixes, block):
         tup = z.coefficient_tuple([1, 1, -1, -1])
-        solo = z.direct_correlation_sum(weight_default, tup, 80.0, zero_table)[0]
-        multi = z.direct_correlation_sum(
-            weight_default, tup, 80.0, zero_table, workers=4
-        )[0]
-        assert solo == multi
+        value, diag = z.direct_correlation_sum(weight_default, tup, 80.0, zero_table)
+        with patch.object(correlation, "PREFIXES", prefixes), patch.object(
+            correlation, "BLOCK", block
+        ):
+            small = z.direct_correlation_sum(weight_default, tup, 80.0, zero_table)
+        assert small[0] == value and small[1] == diag
+
+    def test_memory_does_not_grow_with_prefixes(self, weight_default, zero_table):
+        tup = z.coefficient_tuple([1, 1, -1, -1])
+        tracemalloc.start()
+        try:
+            _, diag = z.direct_correlation_sum(weight_default, tup, 150.0, zero_table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.tuple_count > 10**6  # 8 bytes a tuple would be 16 MB
+        assert peak < 8e6
 
     def test_data_error_beyond_coverage(self, weight_default, tiny_zeros):
         with pytest.raises(z.DataError):

@@ -1,7 +1,7 @@
 """Paired benchmark runs of two zetacorr checkouts, interleaved.
 
     python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N \
-        [--seconds S] [--seeds 0,5,9] [--out BENCH_4.json]
+        --out BENCH_<n>.json [--seconds S] [--seeds 0,5,9]
 
 PARENT and CHANGE are checkout roots; each runs its own
 ``perfbench/run.py --trace 0`` from its root.  Pair i uses seed
@@ -78,7 +78,7 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--seeds", default="0")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_4.json"))
+    parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("need at least two pairs for quartiles")

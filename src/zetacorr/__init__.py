@@ -53,7 +53,6 @@ from .series import (
     correlation_kernel,
     kernel_expansion_residual,
     kernel_profile,
-    kernel_profile_grid,
     log_derivative_series,
 )
 from .tuples import CoefficientTuple, coefficient_tuple
@@ -102,7 +101,6 @@ __all__ = [
     "kernel_expansion_residual",
     "kernel_pole_expansion",
     "kernel_profile",
-    "kernel_profile_grid",
     "load_zeros",
     "log_derivative_series",
     "main_term",

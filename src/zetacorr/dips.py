@@ -22,7 +22,7 @@ import numpy as np
 
 from .arithmetic import MangoldtTable, MobiusTable, b_coefficient
 from .combinatorics import dip_depth_prediction
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .rounding import exact_sum
 from .series import SeriesConfig, kernel_profile_evaluator
 from .tuples import CoefficientTuple
@@ -30,6 +30,7 @@ from .zeros import ZeroTable
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_SCAN_STEP = 0.05
+MAX_GRID_POINTS = 10**7
 
 
 @dataclass
@@ -64,6 +65,27 @@ def _golden_minimize(f, lo: float, hi: float, tol: float = 1e-4) -> tuple[float,
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+def _t_grid(t_lo: float, t_hi: float, step: float) -> tuple[np.ndarray, float]:
+    """The grid t_lo, t_lo + step, ... through t_hi, and a bound on its |t|.
+
+    Raises:
+        ValueError: t_lo or t_hi not finite, or t_lo > t_hi.
+        BudgetError: more than MAX_GRID_POINTS points (checked before
+            the grid is allocated).
+    """
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
+        raise ValueError("t_lo and t_hi must be finite")
+    if not t_lo <= t_hi:
+        raise ValueError("need t_lo <= t_hi")
+    if not (t_hi - t_lo) / step < MAX_GRID_POINTS:
+        raise BudgetError(
+            f"t grid [{t_lo:g}, {t_hi:g}] at step {step:g} exceeds "
+            f"{MAX_GRID_POINTS} points"
+        )
+    ts = np.arange(t_lo, t_hi + step / 2.0, step)
+    return ts, max(abs(t_lo), abs(t_hi)) + step
+
+
 def scan_minima(
     tup: CoefficientTuple,
     t_lo: float,
@@ -78,17 +100,16 @@ def scan_minima(
     y(t_min - step) >= y_min <= y(t_min + step).
 
     Raises:
-        ValueError: empty range, nonpositive step, or step above 0.05
-            (too coarse to resolve dips at the zero spacing).
+        ValueError: empty or non-finite range, nonpositive step, or step
+            above 0.05 (too coarse to resolve dips at the zero spacing).
+        BudgetError: more than MAX_GRID_POINTS grid points.
     """
-    if not t_lo <= t_hi:
-        raise ValueError("need t_lo <= t_hi")
     if not 0 < step <= MAX_SCAN_STEP:
         raise ValueError(f"step must be in (0, {MAX_SCAN_STEP}]")
+    ts, t_max = _t_grid(t_lo, t_hi, step)
     if t_lo == t_hi:
         return []
-    profile = kernel_profile_evaluator(tup, table, cfg)
-    ts = np.arange(t_lo, t_hi + step / 2.0, step)
+    profile = kernel_profile_evaluator(tup, table, cfg, t_max)
     ys = profile(ts)
     predicted = dip_depth_prediction(tup.m, tup.positive_sum)
     scalar = lambda t: float(profile(np.array([t]))[0])
@@ -227,18 +248,18 @@ def profile_grid(
     Returns the grid and one column per tuple keyed by its display form.
 
     Raises:
-        ValueError: no tuples, bad range, or nonpositive step.
+        ValueError: no tuples, bad or non-finite range, or nonpositive
+            step.
+        BudgetError: more than MAX_GRID_POINTS grid points.
     """
     if not tuples:
         raise ValueError("need at least one tuple")
-    if not t_lo <= t_hi:
-        raise ValueError("need t_lo <= t_hi")
     if not step > 0:
         raise ValueError("step must be positive")
-    ts = np.arange(t_lo, t_hi + step / 2.0, step)
+    ts, t_max = _t_grid(t_lo, t_hi, step)
     columns = {}
     for tup in tuples:
-        columns[f"y_{tup.compact}"] = kernel_profile_evaluator(tup, table, cfg)(ts)
+        columns[f"y_{tup.compact}"] = kernel_profile_evaluator(tup, table, cfg, t_max)(ts)
     return ts, columns
 
 

@@ -72,7 +72,13 @@ def run_identity_suite(
     max_order: int = 6,
     b_limit: int = B_INVERSE_LIMIT,
 ) -> IdentitySuiteResult:
-    """Execute the full randomized suite; collect max residuals and violations."""
+    """Execute the full randomized suite; collect max residuals and violations.
+
+    Raises:
+        ValueError: iterations below 1, which would check no random case.
+    """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     rng = random.Random(seed)
     result = IdentitySuiteResult(seed=seed, iterations=iterations)
     for q in range(2, max_order + 1):

@@ -186,7 +186,8 @@ def weighted_profile_integral(
     The window [-T, T] is chosen from the weight's Gaussian decay so
     that sup|y| times the discarded weight mass is below tol/2; the
     integrand is even, so only [0, T] is integrated and doubled.  The
-    claimed error leaves out the series truncation at cfg.tolerance.
+    claimed error leaves out the series truncation at cfg.tolerance and
+    the profile's proxy error, 1e-3 of that.
 
     Raises:
         ValueError: tuple's positive-part sum below 2.
@@ -203,7 +204,7 @@ def weighted_profile_integral(
         if 2.0 * y_bound * h.tail_weight_bound(t_edge) <= tol / 2.0:
             break
     tail = 2.0 * y_bound * h.tail_weight_bound(t_edge)
-    profile = kernel_profile_evaluator(tup, table, cfg)
+    profile = kernel_profile_evaluator(tup, table, cfg, t_edge)
     inner = adaptive_integrate(
         lambda ts: h.value(ts) * profile(ts), 0.0, t_edge, tol=tol / 4.0
     )

@@ -30,6 +30,9 @@ from .rounding import exact_sum
 from .tuples import CoefficientTuple
 
 CHEBYSHEV_UPPER = 1.03883  # psi(x) < 1.03883 x for all x > 0
+PROXY_SPAN = 2.0  # t_max times the proxy bins' half-width
+PROXY_TOL_SHARE = 1e-3  # the profile's proxy error, as a share of its tolerance
+PROFILE_BLOCK = 256  # t values per profile evaluation block
 
 
 @dataclass(frozen=True)
@@ -293,45 +296,118 @@ def kernel_profile(
     return 2.0 * correlation_kernel(complex(s_plus, t), tup.m, table, cfg).real
 
 
-def kernel_profile_evaluator(
-    tup: CoefficientTuple,
-    table: MangoldtTable,
-    cfg: SeriesConfig,
-    block: int = 256,
-):
-    """Reusable vectorized y(t) evaluator with terms precomputed once.
+def _chebyshev_error(degree: int) -> float:
+    """sup over |u| <= 1, |tau| <= PROXY_SPAN of |e^(i tau u) - I e^(i tau u)|.
 
-    Returns a callable mapping a float64 array of t values to
-    2 sum_n w_n cos(t log n) with w_n = Lambda(n)^m n^(-S).  Work is
-    blocked over t; each grid point uses numpy's deterministic pairwise
-    sum over ascending n.
+    I is the degree-`degree` interpolant in the Chebyshev points of the
+    second kind.  e^(i tau u) is entire, and on the Bernstein ellipse
+    E_rho its modulus is at most M = exp(tau (rho - 1/rho) / 2), since
+    |Im u| <= (rho - 1/rho) / 2 there; ATAP Thm 8.2 (Trefethen 2013)
+    then bounds the error by 4 M rho^(-degree) / (rho - 1) for every
+    rho > 1.  The minimum is taken over a fixed grid of rho, so it is
+    one of those bounds, not an estimate of the optimum.
     """
+    rho = np.geomspace(1.0 + 2.0**-10, 2.0**12, 2048)
+    log_bound = (
+        math.log(4.0)
+        + PROXY_SPAN * (rho - 1.0 / rho) / 2.0
+        - degree * np.log(rho)
+        - np.log(rho - 1.0)
+    )
+    return math.exp(float(log_bound.min()))
+
+
+def profile_proxies(
+    log_n: np.ndarray, w: np.ndarray, t_max: float, tol: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Proxy points X_j and weights W_j for sum_n w_n cos(t x_n), x_n = log_n ascending.
+
+    For every |t| <= t_max, sum_j W_j cos(t X_j) is within the returned
+    bound of sum_n w_n cos(t x_n), and the bound is at most tol.
+
+    The x_n fall into bins of half-width r = PROXY_SPAN / max(t_max, 1),
+    counted from x_0.  A term at x_n = c + r u, c its bin's centre,
+    spreads w_n onto the p Chebyshev points X_j = c + r u_j of the second
+    kind with the barycentric Lagrange weights l_j(u).  As the l_j are
+    real, cos(t x_n) - sum_j l_j(u) cos(t X_j) is the real part of
+    e^(i t c) (e^(i t r u) - I e^(i t r u)), where |t r| <= PROXY_SPAN,
+    so the error is at most sum_n |w_n| `_chebyshev_error`(p - 1); p is
+    the smallest value for which that is at most tol.  When p times the
+    occupied bins would reach the term count, the proxies are the terms
+    themselves and the bound is 0.
+
+    The bound is for exact arithmetic.  In floating point the proxy sum,
+    like the direct one, also carries the rounding of its cosine
+    arguments (about |t X_j| eps each) and of its sums; that is not
+    included.
+    """
+    n = log_n.size
+    weight = exact_sum((np.abs(w),))
+    r = PROXY_SPAN / max(t_max, 1.0)
+    bins = np.floor((log_n - log_n[0]) / (2.0 * r))
+    first = np.flatnonzero(np.diff(bins, prepend=-1.0))
+    occupied = first.size
+    for p in range(2, -(-n // occupied)):
+        bound = weight * _chebyshev_error(p - 1)
+        if bound <= tol:
+            break
+    else:
+        return log_n, w, 0.0
+    centres = log_n[0] + (2.0 * bins[first] + 1.0) * r
+    bin_of = np.repeat(np.arange(occupied), np.diff(np.append(first, n)))
+    u = np.clip((log_n - centres[bin_of]) / r, -1.0, 1.0)
+    nodes = np.cos(np.pi * np.arange(p) / (p - 1))
+    lam = (-1.0) ** np.arange(p)
+    lam[[0, -1]] *= 0.5
+    weights = np.empty((occupied, p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = sum(lam[j] / (u - nodes[j]) for j in range(p))
+        for j in range(p):
+            # a term on node j has l_j = 1 (inf / inf here) and l_k = 0
+            l_j = np.where(u == nodes[j], 1.0, lam[j] / (u - nodes[j]) / denom)
+            weights[:, j] = np.bincount(bin_of, weights=w * l_j, minlength=occupied)
+    return (centres[:, None] + r * nodes).ravel(), weights.ravel(), bound
+
+
+def kernel_profile_evaluator(
+    tup: CoefficientTuple, table: MangoldtTable, cfg: SeriesConfig, t_max: float
+):
+    """Vectorized profile y(t) = 2 sum_n w_n cos(t log n) for |t| <= t_max.
+
+    Here w_n = Lambda(n)^m n^(-S), and n runs over the prime powers up
+    to the certified truncation for cfg.tolerance.  The sum is taken
+    over `profile_proxies`, so it is within PROXY_TOL_SHARE *
+    cfg.tolerance of the sum over the terms at every |t| <= t_max.
+    Returns a callable mapping a float64 array of t values to y; each
+    block of t values is one deterministic numpy sum over the proxies.
+
+    Raises:
+        ValueError: t_max not finite and positive; the callable raises
+            it for any t that is not finite or has |t| > t_max.
+    """
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError("t_max must be finite and positive")
     m, s_plus = tup.m, tup.positive_sum
     _check_domain(complex(s_plus, 0.0), cfg)
     n_cut = choose_truncation(float(s_plus), m, table, cfg)
-    log_n, amp = profile_terms(tup, table, n_cut)
+    log_n, w = profile_terms(tup, table, n_cut)
+    x, amp, _ = profile_proxies(
+        log_n, 2.0 * w, t_max, PROXY_TOL_SHARE * cfg.tolerance
+    )
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=np.float64)
+        if not np.all(np.abs(ts) <= t_max):
+            raise ValueError(f"profile evaluated outside |t| <= {t_max:g}")
         out = np.empty_like(ts)
-        for start in range(0, ts.size, block):
-            tb = ts[start : start + block]
-            out[start : start + block] = 2.0 * (
-                np.cos(tb[:, None] * log_n[None, :]) * amp[None, :]
+        for start in range(0, ts.size, PROFILE_BLOCK):
+            tb = ts[start : start + PROFILE_BLOCK]
+            out[start : start + PROFILE_BLOCK] = (
+                np.cos(tb[:, None] * x[None, :]) * amp[None, :]
             ).sum(axis=1)
         return out
 
     return evaluate
-
-
-def kernel_profile_grid(
-    ts: np.ndarray,
-    tup: CoefficientTuple,
-    table: MangoldtTable,
-    cfg: SeriesConfig,
-) -> np.ndarray:
-    """Vectorized y(t) over a grid (one truncation choice for all points)."""
-    return kernel_profile_evaluator(tup, table, cfg)(ts)
 
 
 def kernel_expansion_residual(

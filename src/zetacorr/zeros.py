@@ -63,8 +63,9 @@ def load_zeros(path) -> ZeroTable:
     """Parse an ordinate table from a text file.
 
     Raises:
-        DataError: unreadable file, unparseable line, non-positive or
-            decreasing ordinate (message carries the line number).
+        DataError: unreadable file, unparseable line, non-finite,
+            non-positive or decreasing ordinate (message carries the
+            line number).
     """
     path = Path(path)
     try:
@@ -83,7 +84,9 @@ def load_zeros(path) -> ZeroTable:
             value = float(line)
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: not a decimal: {line!r}") from exc
-        if not math.isfinite(value) or value <= 0.0:
+        if not math.isfinite(value):
+            raise DataError(f"{path}: line {lineno}: ordinate must be finite")
+        if value <= 0.0:
             raise DataError(f"{path}: line {lineno}: ordinate must be positive")
         if value < prev:
             raise DataError(

@@ -2,7 +2,10 @@
 import math
 from itertools import product
 
+import numpy as np
+
 from zetacorr.correlation import _ordinates_for
+from zetacorr.series import choose_truncation, profile_terms
 
 
 def naive_correlation_sum(h, tup, t_max, zeros) -> float:
@@ -26,3 +29,26 @@ def naive_correlation_sum(h, tup, t_max, zeros) -> float:
         for j in range(n):
             terms.extend(h.value(base + a_mid * gammas[j] + a_last * gammas).tolist())
     return math.fsum(terms)
+
+
+def dense_profile(tup, table, cfg):
+    """y(t) = 2 sum_n w_n cos(t log n) with one cosine per truncation term.
+
+    The same terms as `kernel_profile_evaluator` (w_n = Lambda(n)^m n^(-S),
+    n <= the certified truncation for cfg.tolerance), summed directly at
+    every t in blocks of 256, with numpy's pairwise sum over ascending n.
+    """
+    n_cut = choose_truncation(float(tup.positive_sum), tup.m, table, cfg)
+    log_n, amp = profile_terms(tup, table, n_cut)
+
+    def evaluate(ts):
+        ts = np.asarray(ts, dtype=np.float64)
+        out = np.empty_like(ts)
+        for start in range(0, ts.size, 256):
+            tb = ts[start : start + 256]
+            out[start : start + 256] = 2.0 * (
+                np.cos(tb[:, None] * log_n[None, :]) * amp[None, :]
+            ).sum(axis=1)
+        return out
+
+    return evaluate

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,31 @@ class TestDipsCommand:
         assert records[0]["matched_gamma"] == pytest.approx(14.134725, abs=1e-4)
 
 
+class TestGridRange:
+    @pytest.mark.parametrize(
+        "command, t_hi, code",
+        [
+            ("dips", "1e7", 4),
+            ("kfun", "1e300", 4),
+            ("dips", "nan", 2),
+            ("dips", "inf", 2),
+            ("kfun", "nan", 2),
+            ("kfun", "inf", 2),
+        ],
+    )
+    def test_rejected_before_the_grid_exists(self, capsys, command, t_hi, code):
+        # the rejected grids would take 4 GB (1e7 at step 0.02) or more
+        tracemalloc.start()
+        try:
+            got = main([command, "--tuple", "1,1,-2", "--t-hi", t_hi, "--tolerance", "0.1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == code
+        assert ("budget error" if code == 4 else "finite") in capsys.readouterr().err
+        assert peak < 32 * 2**20
+
+
 class TestValidateZerosCommand:
     def test_bundled_table_passes(self, capsys):
         assert main(["validate-zeros"]) == 0
@@ -196,6 +222,11 @@ class TestIdentitiesCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "max scaled residual" in out
+
+    @pytest.mark.parametrize("iters", ["0", "-5"])
+    def test_no_iterations_exit_2(self, capsys, iters):
+        assert main(["identities", "--iters", iters, "--b-limit", "300"]) == 2
+        assert "iterations" in capsys.readouterr().err
 
 
 class TestConfigParsing:

@@ -40,10 +40,11 @@ class TestScan:
     def test_local_minimum_certificate(self, asym_records, mangoldt_medium):
         from zetacorr.series import kernel_profile_evaluator
 
-        profile = kernel_profile_evaluator(
-            z.coefficient_tuple([1, 1, -2]), mangoldt_medium, CFG
-        )
         step = 0.02
+        # the scan's own evaluator: the range it passes is max |t| + step
+        profile = kernel_profile_evaluator(
+            z.coefficient_tuple([1, 1, -2]), mangoldt_medium, CFG, 40.0 + step
+        )
         for rec in deep_minima(asym_records):
             around = profile(np.array([rec.t_min - step, rec.t_min + step]))
             assert around[0] >= rec.y_min and around[1] >= rec.y_min

@@ -114,8 +114,8 @@ class TestWeightedProfileIntegral:
         )
         from zetacorr.series import kernel_profile_evaluator
 
-        profile = kernel_profile_evaluator(tup, mangoldt_medium, shared)
         span = 34.0
+        profile = kernel_profile_evaluator(tup, mangoldt_medium, shared, span)
         ts = np.linspace(0.0, span, 68_001)
         vals = weight_default.value(ts) * profile(ts)
         weights = np.full(ts.size, 2.0)

@@ -2,16 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zetacorr as z
 from zetacorr.series import (
+    PROXY_TOL_SHARE,
+    _chebyshev_error,
     certified_tail_bound,
     choose_truncation,
     integral_tail_bound,
+    kernel_profile_evaluator,
     prime_tail_estimate,
+    profile_proxies,
+    profile_terms,
     transform_truncation,
     upper_gamma_int,
 )
+
+from oracles import dense_profile
 
 CFG = z.SeriesConfig(tolerance=1e-6)
 LOOSE = z.SeriesConfig(tolerance=1e-3)
@@ -145,13 +153,108 @@ class TestProfile:
         assert y0 > 0.0
 
     def test_grid_matches_scalar(self, mangoldt_medium):
-        tup = z.coefficient_tuple([1, 2, -3])
+        # the evaluator's proxies are certified to PROXY_TOL_SHARE * tolerance;
+        # (1,2,-3) has fewer terms than proxies, (1,1,-2) uses proxies
         ts = np.array([0.0, 3.7, 14.1, 25.0])
-        grid = z.kernel_profile_grid(ts, tup, mangoldt_medium, LOOSE)
-        for t, y in zip(ts, grid):
-            assert y == pytest.approx(
-                z.kernel_profile(float(t), tup, mangoldt_medium, LOOSE), rel=1e-12
+        for entries in ([1, 2, -3], [1, 1, -2]):
+            tup = z.coefficient_tuple(entries)
+            grid = kernel_profile_evaluator(tup, mangoldt_medium, LOOSE, 25.0)(ts)
+            for t, y in zip(ts, grid):
+                scalar = z.kernel_profile(float(t), tup, mangoldt_medium, LOOSE)
+                assert abs(y - scalar) <= PROXY_TOL_SHARE * LOOSE.tolerance
+
+
+T_MAX = 40.0
+_PROFILES = {}
+
+
+def _profiles(entries, tol, table):
+    """Proxy evaluator, dense oracle and certified proxy bound at |t| <= T_MAX."""
+    if (entries, tol) not in _PROFILES:
+        tup = z.coefficient_tuple(list(entries))
+        cfg = z.SeriesConfig(tolerance=tol)
+        n_cut = choose_truncation(float(tup.positive_sum), tup.m, table, cfg)
+        log_n, w = profile_terms(tup, table, n_cut)
+        _, _, bound = profile_proxies(log_n, 2.0 * w, T_MAX, PROXY_TOL_SHARE * tol)
+        _PROFILES[entries, tol] = (
+            kernel_profile_evaluator(tup, table, cfg, T_MAX),
+            dense_profile(tup, table, cfg),
+            bound,
+        )
+    return _PROFILES[entries, tol]
+
+
+class TestProfileProxies:
+    @pytest.mark.parametrize("tol", [1e-2, 1e-3])
+    @pytest.mark.parametrize("entries", [(1, 1, -2), (1, 1, -1, -1), (1, 2, -3)])
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.floats(min_value=-T_MAX, max_value=T_MAX))
+    def test_within_certified_bound_of_dense_sum(self, mangoldt_medium, entries, tol, t):
+        proxy, dense, bound = _profiles(entries, tol, mangoldt_medium)
+        assert bound <= PROXY_TOL_SHARE * tol
+        # the bound is for exact arithmetic; 1e-12 leaves room for rounding
+        ts = np.array([t, -t, T_MAX])
+        assert np.all(np.abs(proxy(ts) - dense(ts)) <= bound + 1e-12)
+
+    def test_rejects_t_outside_range(self, mangoldt_medium):
+        proxy, _, _ = _profiles((1, 1, -2), 1e-2, mangoldt_medium)
+        proxy(np.array([-T_MAX, T_MAX]))
+        for bad in (np.nextafter(T_MAX, np.inf), -41.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="outside"):
+                proxy(np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_range(self, mangoldt_small, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            kernel_profile_evaluator(
+                z.coefficient_tuple([1, 1, -2]), mangoldt_small, LOOSE, t_max
             )
+
+    def test_huge_range_falls_back_to_terms(self, mangoldt_medium):
+        tup = z.coefficient_tuple([1, 1, -2])
+        cfg = z.SeriesConfig(tolerance=1e-2)
+        n_cut = choose_truncation(2.0, 3, mangoldt_medium, cfg)
+        log_n, w = profile_terms(tup, mangoldt_medium, n_cut)
+        nodes, weights, bound = profile_proxies(log_n, 2.0 * w, 1e6, 1e-5)
+        assert bound == 0.0
+        assert np.array_equal(nodes, log_n) and np.array_equal(weights, 2.0 * w)
+        ts = np.array([-1e6, -123456.789, 0.0, 31.4, 999999.5, 1e6])
+        proxy = kernel_profile_evaluator(tup, mangoldt_medium, cfg, 1e6)
+        dense = dense_profile(tup, mangoldt_medium, cfg)
+        assert np.all(np.abs(proxy(ts) - dense(ts)) <= 1e-12)
+
+    def test_degree_is_the_smallest_certified(self):
+        # x in [0, 1] fills one bin at t_max = 1, so every node is one
+        # of that bin's p Chebyshev points
+        x = np.linspace(0.0, 1.0, 1000)
+        w = np.full(x.size, 1e-3)
+        tol = 1e-9
+        nodes, weights, bound = profile_proxies(x, w, 1.0, tol)
+        p = nodes.size
+        weight = math.fsum(w.tolist())
+        assert bound == weight * _chebyshev_error(p - 1) <= tol
+        assert weight * _chebyshev_error(p - 2) > tol
+        centre = 2.0  # bin [0, 4) of half-width PROXY_SPAN / t_max
+        chebyshev = centre + 2.0 * np.cos(np.pi * np.arange(p) / (p - 1))
+        assert np.allclose(nodes, chebyshev, rtol=0.0, atol=1e-15)
+        assert math.fsum(weights.tolist()) == pytest.approx(weight, rel=1e-14)
+        ts = np.linspace(-1.0, 1.0, 201)
+        direct = (np.cos(ts[:, None] * x) * w).sum(axis=1)
+        proxied = (np.cos(ts[:, None] * nodes) * weights).sum(axis=1)
+        assert np.abs(direct - proxied).max() <= bound + 1e-15
+
+    def test_term_on_a_node(self):
+        # x = 0 is the bin's node u = -1, where the barycentric formula is 0/0
+        x = np.repeat([0.0, 1.0], 30)
+        w = np.ones(x.size)
+        nodes, weights, bound = profile_proxies(x, w, 1.0, 1e-3)
+        assert nodes.size < x.size and nodes[-1] == 0.0
+        assert np.all(np.isfinite(weights))
+        assert math.fsum(weights.tolist()) == pytest.approx(60.0, rel=1e-14)
+        ts = np.linspace(-1.0, 1.0, 201)
+        direct = np.cos(ts[:, None] * x).sum(axis=1)
+        proxied = (np.cos(ts[:, None] * nodes) * weights).sum(axis=1)
+        assert np.abs(direct - proxied).max() <= bound + 1e-12
 
 
 class TestKernelExpansion:

@@ -48,6 +48,20 @@ class TestLoad:
         with pytest.raises(z.DataError):
             z.load_zeros(path)
 
+    @pytest.mark.parametrize("text", ["0.0", "-0.0", "-3.5"])
+    def test_nonpositive_message(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"14.1\n{text}\n")
+        with pytest.raises(z.DataError, match="line 2: ordinate must be positive"):
+            z.load_zeros(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "Infinity", "-inf", "-nan"])
+    def test_non_finite_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"14.1\n{text}\n")
+        with pytest.raises(z.DataError, match="line 2: ordinate must be finite"):
+            z.load_zeros(path)
+
     def test_repeated_line_kept_with_warning(self, tmp_path):
         path = tmp_path / "multi.txt"
         path.write_text("14.1\n14.1\n15.0\n")

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 
-from .combinatorics import balanced_coefficient
+from .combinatorics import balanced_coefficient, sinc_product_exact
 from .config import default_zeros_path, load_config
-from .correlation import build_report, parse_tuple_text, routes_agree
-from .quadrature import sinc_product_constant
+from .correlation import build_report, leading_constant, parse_tuple_text, routes_agree
 from .dips import (
     deep_minima,
     match_to_zeros,
@@ -77,11 +75,10 @@ def _cmd_constants(args) -> int:
             print(f"{r}  {c.numerator}/{c.denominator}  {_fmt(float(c))}")
     if args.tuple is not None:
         tup = parse_tuple_text(args.tuple)
-        result = sinc_product_constant(tup, tol=1e-10)
-        d_val = (-1.0) ** tup.m * result.value / (2.0 * math.pi) ** tup.m
+        c = sinc_product_exact(tup.entries)
         print(f"tuple {tup}  m={tup.m}  S={tup.positive_sum}")
-        print(f"C  {_fmt(result.value)}  (claimed error {_fmt(result.total_error)})")
-        print(f"D  {_fmt(d_val)}")
+        print(f"C  {_fmt(float(c))}  (exact {c.numerator}/{c.denominator})")
+        print(f"D  {_fmt(leading_constant(tup))}")
     return EXIT_OK
 
 
@@ -91,10 +88,8 @@ DEFAULT_CURVE_TUPLES = ("1,1,-2", "1,1,-1,-1", "1,2,-3")
 def _cmd_kfun(args) -> int:
     chosen = args.tuple if args.tuple else list(DEFAULT_CURVE_TUPLES)
     tuples = [parse_tuple_text(text) for text in chosen]
-    if not args.step > 0:
-        raise ValueError("step must be positive")
-    table = _sieve_for(tuples, args.tolerance)
     cfg = SeriesConfig(tolerance=args.tolerance)
+    table = _sieve_for(tuples, args.tolerance)
     ts, columns = profile_grid(tuples, args.t_lo, args.t_hi, args.step, table, cfg)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -129,7 +124,6 @@ def _cmd_hsum(args) -> int:
     cfg = load_config(args.config)
     zeros = load_zeros(cfg.zeros_path)
     h = gaussian_triplet(cfg.h_center, cfg.h_width)
-    series_cfg = SeriesConfig()  # only its domain floor and term cap are used
     table = _sieve_for(cfg.tuples, cfg.quadrature_tolerance, h)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -138,13 +132,7 @@ def _cmd_hsum(args) -> int:
     for tup in cfg.tuples:
         for t_max in cfg.t_list:
             report = build_report(
-                h,
-                tup,
-                t_max,
-                zeros,
-                table,
-                series_cfg,
-                tol=cfg.quadrature_tolerance,
+                h, tup, t_max, zeros, table, tol=cfg.quadrature_tolerance
             )
             out = cfg.output_dir / f"report_{tup.compact}_{t_max:g}.json"
             out.write_text(report.to_json(), encoding="utf-8")
@@ -168,8 +156,8 @@ def _cmd_hsum(args) -> int:
 def _cmd_dips(args) -> int:
     tup = parse_tuple_text(args.tuple)
     zeros = load_zeros(args.zeros or default_zeros_path())
-    table = _sieve_for([tup], args.tolerance)
     cfg = SeriesConfig(tolerance=args.tolerance)
+    table = _sieve_for([tup], args.tolerance)
     records = scan_minima(tup, args.t_lo, args.t_hi, args.step, table, cfg)
     if args.deep_only:
         records = deep_minima(records)

@@ -13,12 +13,16 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
+from .errors import BudgetError
+
 COSH_ARG_LIMIT = 30.0
 MAX_CANCELLATION_ORDER = 8  # subset enumeration is exponential beyond this
+MAX_SIGN_CLASSES = 2**20  # sign classes sinc_product_exact may enumerate
 
 
 def multinomial(top: int, parts: list[int] | tuple[int, ...]) -> int:
@@ -222,21 +226,37 @@ def sinc_product_exact(entries: tuple[int, ...]) -> Fraction:
 
         C = sum_eps (prod eps) sgn(eps . a) (eps . a)^(m-1) / (2^m (m-1)! prod |a_k|).
 
-    Depends only on the multiset of |a_k|.  Balanced +-1 tuples give
+    Depends only on the multiset of |a_k|, so the sign vectors are taken
+    by class: for a value v held k times, the comb(k, j) vectors giving
+    j of its copies a plus sign each add (2j - k) v to eps . a and
+    (-1)^(k-j) to prod eps.  That is prod (k + 1) classes, where the
+    vectors number 2^m.  Balanced +-1 tuples give
     :func:`balanced_sinc_constant`.
 
     Raises:
         ValueError: fewer than three entries, or a zero entry.
+        BudgetError: more than MAX_SIGN_CLASSES classes (checked
+            before any is enumerated).
     """
     abs_a = [abs(int(a)) for a in entries]
     m = len(abs_a)
     if m < 3 or 0 in abs_a:
         raise ValueError("need at least three nonzero entries")
-    total = 0
-    for eps in product((1, -1), repeat=m):
-        b = sum(e * a for e, a in zip(eps, abs_a))
-        if b:
-            total += math.prod(eps) * (1 if b > 0 else -1) * b ** (m - 1)
+    counts = Counter(abs_a)
+    classes = math.prod(k + 1 for k in counts.values())
+    if classes > MAX_SIGN_CLASSES:
+        raise BudgetError(
+            f"{classes} sign classes of {len(counts)} distinct |a_k| exceed "
+            f"the budget of {MAX_SIGN_CLASSES}"
+        )
+    signed = {0: 1}  # eps . a -> sum of prod eps over the vectors so far
+    for v, k in counts.items():
+        grown = defaultdict(int)
+        for b, weight in signed.items():
+            for j in range(k + 1):
+                grown[b + (2 * j - k) * v] += weight * math.comb(k, j) * (-1) ** (k - j)
+        signed = grown
+    total = sum(w * (1 if b > 0 else -1) * b ** (m - 1) for b, w in signed.items() if b)
     return Fraction(total, 2**m * math.factorial(m - 1) * math.prod(abs_a))
 
 

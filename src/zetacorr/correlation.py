@@ -33,7 +33,6 @@ from .combinatorics import sinc_product_exact
 from .errors import BudgetError, DataError
 from .quadrature import closed_form_profile_integral
 from .rounding import ELEM_REL, MARGIN, TRIG_ABS, U, exact_sum, gamma
-from .series import SeriesConfig
 from .tuples import CoefficientTuple, coefficient_tuple
 from .weights import TWO_PI, GaussianTriplet
 from .zeros import ZeroTable, zeros_up_to
@@ -43,6 +42,7 @@ DIRECT_PREFIX_BUDGET = 80_000_000
 PREFIXES = 2**11  # (m-1)-prefixes per step
 BLOCK = 2**14  # tuples per call of h.value, plus at most one row
 ROW = 128  # grid points per row of the factored phase sums
+SAMPLES_PER_PERIOD = 16  # spectral grid points per period of the fastest phase
 SQRT2 = math.sqrt(2.0)
 
 
@@ -62,7 +62,6 @@ class SpectralDiagnostics:
     tail_bound: float
     rounding_error: float
     claimed_error: float
-    accuracy_warning: bool = False
 
 
 def _ordinates_for(zeros: ZeroTable, t_max: float) -> np.ndarray:
@@ -201,20 +200,16 @@ def spectral_correlation_sum(
     tup: CoefficientTuple,
     t_max: float,
     zeros: ZeroTable,
-    xi_max: float | None = None,
-    grid: int | None = None,
-    samples_per_period: int = 16,
-    tol_hint: float | None = None,
 ) -> tuple[float, SpectralDiagnostics]:
     """Correlation sum as 2 Re integral of hhat(xi) prod_k Q(a_k xi) dxi.
 
     Q is the geometric sum over ordinates up to T; negative coefficients
-    use its conjugate.  The default grid samples the fastest composite
-    phase (frequency sum|a_k| * T) `samples_per_period` times per
-    period; the default xi_max makes the truncated hhat tail, amplified
-    by the worst-case |Q|^m = N^m, negligible.  The quadrature error is
-    estimated by comparing against the half-resolution grid.  Q comes
-    from `_phase_rows`, streamed one row of ROW grid points at a time.
+    use its conjugate.  The grid samples the fastest composite phase
+    (frequency sum|a_k| * T) SAMPLES_PER_PERIOD times per period; xi_max
+    makes the truncated hhat tail, amplified by the worst-case
+    |Q|^m = N^m, negligible.  The quadrature error is estimated by
+    comparing against the half-resolution grid.  Q comes from
+    `_phase_rows`, streamed one row of ROW grid points at a time.
 
     The claimed error adds `rounding_error`, a bound on |full - S| for
     the exact Simpson sum S over the linspace nodes xi_j, in the
@@ -247,19 +242,12 @@ def spectral_correlation_sum(
     n = gammas.size
     if n == 0:
         return 0.0, SpectralDiagnostics(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    if grid is not None and grid < 2:
-        raise ValueError("grid must be >= 2")
     amp = float(n) ** tup.m
-    if xi_max is None:
-        xi_max = 0.5
-        while 2.0 * amp * h.hat_tail_integral(xi_max) > 1e-10 and xi_max < 50.0:
-            xi_max *= 1.25
+    xi_max = 0.5
+    while 2.0 * amp * h.hat_tail_integral(xi_max) > 1e-10 and xi_max < 50.0:
+        xi_max *= 1.25
     tail = 2.0 * amp * h.hat_tail_integral(xi_max)
-    if grid is None:
-        fastest = tup.abs_sum * t_max
-        points = int(math.ceil(samples_per_period * fastest * xi_max))
-    else:
-        points = grid
+    points = int(math.ceil(SAMPLES_PER_PERIOD * tup.abs_sum * t_max * xi_max))
     points += (-points) % 4 + 1  # next 4k+1, so the half grid stays odd
     xi = np.linspace(0.0, xi_max, points)
     dx = float(xi[1] - xi[0])
@@ -293,17 +281,19 @@ def spectral_correlation_sum(
     half = 2.0 * _simpson(re[::2], 2.0 * dx)
     quad_err = abs(full - half)
     rounding = MARGIN * (2.0 * _simpson(err, dx) + math.expm1(3.0 * U) * abs(full))
-    claimed = quad_err + tail + rounding
-    warn = bool(tol_hint is not None and claimed > tol_hint)
     return full, SpectralDiagnostics(
         grid_points=points,
         xi_max=xi_max,
         quadrature_error=quad_err,
         tail_bound=tail,
         rounding_error=rounding,
-        claimed_error=claimed,
-        accuracy_warning=warn,
+        claimed_error=quad_err + tail + rounding,
     )
+
+
+def leading_constant(tup: CoefficientTuple) -> float:
+    """D = (-1)^m C / (2 pi)^m, C the exact rational `sinc_product_exact`."""
+    return (-1.0) ** tup.m * float(sinc_product_exact(tup.entries)) / TWO_PI**tup.m
 
 
 def main_term(
@@ -311,25 +301,24 @@ def main_term(
     tup: CoefficientTuple,
     t_max: float,
     table,
-    cfg: SeriesConfig,
     tol: float = 1e-6,
-) -> float:
+) -> tuple[float, float, int]:
     """Leading asymptotic D * T^(m-1) * integral of h(t) y(t) dt.
 
-    D = (-1)^m C / (2 pi)^m with C the normalized sinc-product constant,
-    an exact rational (`sinc_product_exact`).  The integral is the
-    closed-form sum 2 sum_n Lambda(n)^m n^(-S) hhat(log n / 2 pi), its
-    truncated tail certified below tol.
+    D is `leading_constant`.  The integral is the closed-form sum
+    2 sum_{n<=N} Lambda(n)^m n^(-S) hhat(log n / 2 pi), its truncated
+    tail certified below tol (`closed_form_profile_integral`).  Returns
+    the value, its claimed error and N.  The claimed error is the sum's
+    tail and rounding bound scaled by |D| T^(m-1), plus the rounding of
+    that scale and of the product: m + 4 roundings and two powers.
     """
-    profile, _ = closed_form_profile_integral(h, tup, table, cfg, tol)
-    return _main_scale(tup, t_max) * profile.value
-
-
-def _main_scale(tup: CoefficientTuple, t_max: float) -> float:
-    """D * T^(m-1); (m + 4) roundings plus two powers, see build_report."""
-    m = tup.m
-    d_val = (-1.0) ** m * float(sinc_product_exact(tup.entries)) / TWO_PI**m
-    return d_val * t_max ** (m - 1)
+    profile, n_cut = closed_form_profile_integral(h, tup, table, tol)
+    scale = leading_constant(tup) * t_max ** (tup.m - 1)
+    value = scale * profile.value
+    claimed = abs(scale) * profile.total_error + math.expm1(
+        (tup.m + 4) * U + 2.0 * ELEM_REL
+    ) * abs(value)
+    return value, MARGIN * claimed, n_cut
 
 
 @dataclass
@@ -375,20 +364,12 @@ def build_report(
     t_max: float,
     zeros: ZeroTable,
     table,
-    cfg: SeriesConfig,
     tol: float = 1e-6,
 ) -> CorrelationReport:
     """Run both routes plus the main term and assemble the report."""
     h_direct, ddiag = direct_correlation_sum(h, tup, t_max, zeros)
     h_spectral, sdiag = spectral_correlation_sum(h, tup, t_max, zeros)
-    main = main_term(h, tup, t_max, table, cfg, tol=tol)
-    # main_term's sum again (under a millisecond) for its certificate:
-    # its tail and rounding, scaled by |D| T^(m-1), plus that scaling's
-    # own rounding
-    profile, n_cut = closed_form_profile_integral(h, tup, table, cfg, tol)
-    main_claimed = abs(_main_scale(tup, t_max)) * profile.total_error + math.expm1(
-        (tup.m + 4) * U + 2.0 * ELEM_REL
-    ) * abs(main)
+    main, main_claimed, n_cut = main_term(h, tup, t_max, table, tol=tol)
     scale = t_max ** (tup.m - 1)
     diagnostics = {
         "tuple_count": ddiag.tuple_count,
@@ -401,11 +382,10 @@ def build_report(
         "h_direct_scaled": h_direct / scale,
         "h_spectral_scaled": h_spectral / scale,
         "main_term_scaled": main / scale,
-        "main_term_claimed_error": MARGIN * main_claimed,
+        "main_term_claimed_error": main_claimed,
         "main_term_terms": n_cut,
         "route_gap": abs(h_direct - h_spectral),
         "spectral_rounding_error": sdiag.rounding_error,
-        "accuracy_warning": sdiag.accuracy_warning,
     }
     return CorrelationReport(
         tuple_entries=tup.entries,

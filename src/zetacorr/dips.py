@@ -131,10 +131,10 @@ def match_to_zeros(
     Records farther than the window from every ordinate stay unmatched.
 
     Raises:
-        ValueError: negative window.
+        ValueError: window negative or not finite.
     """
-    if window < 0:
-        raise ValueError("window must be >= 0")
+    if not (math.isfinite(window) and window >= 0):
+        raise ValueError("window must be finite and >= 0")
     ordinates = zeros.ordinates
     out = []
     for rec in records:

@@ -217,20 +217,16 @@ def weighted_profile_integral(
 
 
 def closed_form_profile_integral(
-    h,
-    tup: CoefficientTuple,
-    table,
-    cfg: SeriesConfig,
-    tol: float,
+    h, tup: CoefficientTuple, table, tol: float
 ) -> tuple[QuadratureResult, int]:
     """integral of h(t) * y(t) over R as 2 sum_{n<=N} w_n hhat(log n / 2 pi).
 
     y(t) = 2 sum_n w_n cos(t log n) with w_n = Lambda(n)^m n^(-S) and h
     is even, so each term integrates to w_n hhat(log n / 2 pi): the
     spectral side of the explicit formula.  N is `transform_truncation`'s
-    for tol, capped at min(table.limit, cfg.max_terms); the terms are
-    summed exactly in ascending n.  Returns the result (tail_bound
-    certifies the truncation; evaluations counts the terms) and N.
+    for tol, capped at table.limit; the terms are summed exactly in
+    ascending n.  Returns the result (tail_bound certifies the
+    truncation; evaluations counts the terms) and N.
 
     error_estimate bounds the rounding, in the model of `rounding`:
     - xi_n = fl(fl(k fl(log p)) / fl(2 pi)) is within relative
@@ -244,15 +240,14 @@ def closed_form_profile_integral(
       plus U |term|, and the correctly rounded sum adds one rounding.
 
     Raises:
-        DomainError: S below 1 + cfg.sigma_margin.
+        DomainError: S below the series' SIGMA_FLOOR.
         ResourceError: N would exceed the cap.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     sigma = float(tup.positive_sum)
-    _check_domain(complex(sigma, 0.0), cfg)
-    cap = min(table.limit, cfg.max_terms)
-    n_cut, tail = transform_truncation(h, sigma, tup.m, tol, cap)
+    _check_domain(complex(sigma, 0.0))
+    n_cut, tail = transform_truncation(h, sigma, tup.m, tol, table.limit)
     log_n, w = profile_terms(tup, table, n_cut)
     xi = log_n / (2.0 * math.pi)
     hat = h.hat(xi)

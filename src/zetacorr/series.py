@@ -33,23 +33,18 @@ CHEBYSHEV_UPPER = 1.03883  # psi(x) < 1.03883 x for all x > 0
 PROXY_SPAN = 2.0  # t_max times the proxy bins' half-width
 PROXY_TOL_SHARE = 1e-3  # the profile's proxy error, as a share of its tolerance
 PROFILE_BLOCK = 256  # t values per profile evaluation block
+SIGMA_FLOOR = 1.5  # smallest Re(s) the series are evaluated at
 
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Evaluation parameters: absolute tail tolerance and term cap."""
+    """Evaluation parameters: the absolute tail tolerance."""
 
     tolerance: float = 1e-6
-    max_terms: int = 10**8
-    sigma_margin: float = 0.5
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_terms < 2:
-            raise ValueError("max_terms must be >= 2")
-        if self.sigma_margin < 0:
-            raise ValueError("sigma_margin must be >= 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
 
 
 def upper_gamma_int(k: int, z: float) -> float:
@@ -161,14 +156,14 @@ def choose_truncation(
     """Smallest N with a certified tail bound below cfg.tolerance.
 
     Raises:
-        ResourceError: no admissible N within the sieve limit and term
-            cap; the message names the limit that would be needed.
+        ResourceError: no admissible N within the sieve limit; the
+            message names the limit that would be needed.
     """
-    cap = min(table.limit, cfg.max_terms)
+    cap = table.limit
     if certified_tail_bound(cap, sigma, m, table) > cfg.tolerance:
         need = required_limit_estimate(sigma, m, cfg.tolerance)
         raise ResourceError(
-            f"tolerance {cfg.tolerance:.3g} at sigma={sigma} needs a sieve/term "
+            f"tolerance {cfg.tolerance:.3g} at sigma={sigma} needs a sieve "
             f"limit of about {need}, but only {cap} is available"
         )
     bound = lambda n: certified_tail_bound(n, sigma, m, table)
@@ -228,10 +223,9 @@ def profile_terms(
     return log_n, base_log**tup.m * np.exp(-float(tup.positive_sum) * log_n)
 
 
-def _check_domain(s: complex, cfg: SeriesConfig) -> None:
-    floor = 1.0 + cfg.sigma_margin
-    if s.real < floor:
-        raise DomainError(f"Re(s)={s.real} below evaluation floor {floor}")
+def _check_domain(s: complex) -> None:
+    if s.real < SIGMA_FLOOR:
+        raise DomainError(f"Re(s)={s.real} below evaluation floor {SIGMA_FLOOR}")
 
 
 def _evaluate(weights: np.ndarray, log_n: np.ndarray, s: complex) -> complex:
@@ -253,13 +247,13 @@ def correlation_kernel(
     from the exact base prime.  Real s gives imaginary part exactly 0.
 
     Raises:
-        DomainError: Re(s) below 1 + sigma_margin.
+        DomainError: Re(s) below SIGMA_FLOOR.
         ResourceError: certified truncation not reachable within limits.
     """
     if m < 2:
         raise ValueError("kernel power m must be >= 2")
     s = complex(s)
-    _check_domain(s, cfg)
+    _check_domain(s)
     n_cut = choose_truncation(s.real, m, table, cfg)
     base_log, k = _truncated_view(table, n_cut)
     return _evaluate(base_log**m, k * base_log, s)
@@ -276,7 +270,7 @@ def log_derivative_series(
     if m < 1:
         raise ValueError("m must be >= 1")
     s = complex(s)
-    _check_domain(s, cfg)
+    _check_domain(s)
     n_cut = choose_truncation(s.real, m, table, cfg)
     base_log, k = _truncated_view(table, n_cut)
     weights = (k ** (m - 1)).astype(np.float64) * base_log**m
@@ -388,7 +382,7 @@ def kernel_profile_evaluator(
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError("t_max must be finite and positive")
     m, s_plus = tup.m, tup.positive_sum
-    _check_domain(complex(s_plus, 0.0), cfg)
+    _check_domain(complex(s_plus, 0.0))
     n_cut = choose_truncation(float(s_plus), m, table, cfg)
     log_n, w = profile_terms(tup, table, n_cut)
     x, amp, _ = profile_proxies(
@@ -437,12 +431,7 @@ def kernel_expansion_residual(
         raise ValueError("delta_max must be >= 2")
     if delta_max > mobius.limit:
         raise ValueError("delta_max exceeds Mobius table limit")
-    cfg_k = SeriesConfig(
-        tolerance=cfg.tolerance / 2.0,
-        max_terms=cfg.max_terms,
-        sigma_margin=cfg.sigma_margin,
-    )
-    kernel = correlation_kernel(s, m, table, cfg_k)
+    kernel = correlation_kernel(s, m, table, SeriesConfig(cfg.tolerance / 2.0))
     acc = complex(0.0)
     for delta in range(1, delta_max + 1):
         b = b_coefficient(delta, m, mobius)
@@ -450,8 +439,5 @@ def kernel_expansion_residual(
             continue
         # geometric split keeps sum_d |b_d| tol_d <= tolerance / 2
         tol_d = cfg.tolerance / (4.0 * abs(b) * 2.0 ** (delta - 1))
-        cfg_d = SeriesConfig(
-            tolerance=tol_d, max_terms=cfg.max_terms, sigma_margin=cfg.sigma_margin
-        )
-        acc += b * log_derivative_series(delta * s, m, table, cfg_d)
+        acc += b * log_derivative_series(delta * s, m, table, SeriesConfig(tol_d))
     return abs(kernel - acc)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_integrate
 from .rounding import ELEM_REL, TRIG_ABS, U
 
 TWO_PI = 2.0 * math.pi
@@ -158,12 +157,17 @@ def gaussian_triplet(center: float, width: float) -> GaussianTriplet:
 
 
 def class_membership_report(tf: GaussianTriplet, a_param: int) -> dict:
-    """Measured decay-class constants for the weight function.
+    """Decay-class constants for the weight function.
 
-    Reports sup over a xi grid of |hhat'(xi)| (1+|xi|)^(a+1) (finite,
-    Gaussian decay dominating), the numeric integral of h (should
-    vanish), and the numeric integral of |x h(x)| plus a Gaussian tail
-    allowance (finite mass).
+    Reports the sup over a xi grid of |hhat'(xi)| (1+|xi|)^(a+1)
+    (finite, Gaussian decay dominating) and the integral of h, which is
+    hhat(0) = 0 exactly.  `integral_abs_xh` is a bound on the integral
+    of |x h(x)|, not its value: by the triangle inequality that integral
+    is at most the three bumps' absolute first moments,
+
+        2 s [c erf(sqrt(pi) c/s) + (s/pi) exp(-pi c^2/s^2)] + 2 s^2/pi,
+
+    which it equals up to the bumps' overlap.
 
     Raises:
         ValueError: a_param < 1.
@@ -174,17 +178,15 @@ def class_membership_report(tf: GaussianTriplet, a_param: int) -> dict:
     decay_constant = float(
         np.max(np.abs(tf.hat_prime(xi)) * (1.0 + xi) ** (a_param + 1))
     )
-    box = tf.center + 10.0 * tf.width
-    integral_h = adaptive_integrate(tf.value, -box, box, tol=1e-12)
-    integral_abs_xh = adaptive_integrate(
-        lambda x: np.abs(x * tf.value(x)), 0.0, box, tol=1e-10
+    c, s = tf.center, tf.width
+    side_moment = c * math.erf(SQRT_PI * c / s) + s / math.pi * math.exp(
+        -math.pi * (c / s) ** 2
     )
-    tail_mass = 2.0 * box * tf.tail_weight_bound(box)
     return {
         "a_param": a_param,
         "decay_constant": decay_constant,
-        "integral_h": integral_h.value,
-        "integral_abs_xh": 2.0 * integral_abs_xh.value + tail_mass,
-        "zero_mean_ok": abs(integral_h.value) < 1e-10,
+        "integral_h": 0.0,
+        "integral_abs_xh": 2.0 * s * side_moment + 2.0 * s * s / math.pi,
+        "zero_mean_ok": True,
         "origin_in_support": True,  # this family does not vanish near 0
     }

@@ -1,5 +1,6 @@
 """Reference computations that the package is tested against."""
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -52,3 +53,15 @@ def dense_profile(tup, table, cfg):
         return out
 
     return evaluate
+
+
+def sinc_product_naive(entries):
+    """C of `sinc_product_exact` summed over all 2^m sign vectors, one by one."""
+    abs_a = [abs(int(a)) for a in entries]
+    m = len(abs_a)
+    total = 0
+    for eps in product((1, -1), repeat=m):
+        b = sum(e * a for e, a in zip(eps, abs_a))
+        if b:
+            total += math.prod(eps) * (1 if b > 0 else -1) * b ** (m - 1)
+    return Fraction(total, 2**m * math.factorial(m - 1) * math.prod(abs_a))

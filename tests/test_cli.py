@@ -10,6 +10,7 @@ import pytest
 import zetacorr as z
 from zetacorr.cli import main
 from zetacorr.config import parse_config_text
+from zetacorr.correlation import leading_constant
 
 
 class TestConstantsCommand:
@@ -20,8 +21,20 @@ class TestConstantsCommand:
 
     def test_tuple_constants(self, capsys):
         assert main(["constants", "--tuple", "1,1,-2"]) == 0
-        out = capsys.readouterr().out
-        assert "C  0.5" in out and "D  -" in out
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "C  0.5  (exact 1/2)"
+        d = leading_constant(z.coefficient_tuple([1, 1, -2]))
+        assert out[2] == f"D  {d:.17g}" and d < 0
+
+    def test_tuple_constants_exact_at_wide_coefficients(self, capsys):
+        assert main(["constants", "--tuple", "1000000,1,-1000001"]) == 0
+        assert "(exact 1/1000001)" in capsys.readouterr().out
+
+    def test_too_many_sign_classes_exit_4(self, capsys):
+        # 21 distinct |a_k|: 2^21 sign classes
+        primes = "1,2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61,67"
+        assert main(["constants", "--tuple", primes + ",-569"]) == 4
+        assert "sign classes" in capsys.readouterr().err
 
     def test_invalid_tuple_exit_2(self, capsys):
         assert main(["constants", "--tuple", "1,1,-1"]) == 2
@@ -70,6 +83,12 @@ class TestKfunCommand:
             ["kfun", "--tuple", "1,1,-2", "--t-lo", "1", "--t-hi", "2", "--step", "0"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1"])
+    def test_bad_tolerance_exit_2(self, capsys, tolerance):
+        code = main(["kfun", "--tuple", "1,1,-2", "--tolerance", tolerance])
+        assert code == 2
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
 
     def test_unreachable_tolerance_exit_4(self, capsys):
         code = main(
@@ -176,6 +195,21 @@ class TestDipsCommand:
         records = json.loads(capsys.readouterr().out)
         assert len(records) == 1
         assert records[0]["matched_gamma"] == pytest.approx(14.134725, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--tolerance", "inf", "tolerance must be finite"),
+            ("--tolerance", "nan", "tolerance must be finite"),
+            ("--window", "nan", "window must be finite"),
+            ("--window", "inf", "window must be finite"),
+            ("--window", "-1", "window must be finite"),
+        ],
+    )
+    def test_bad_tolerance_or_window_exit_2(self, capsys, option, value, message):
+        args = ["dips", "--tuple", "1,1,-2", "--t-lo", "13.5", "--t-hi", "14.8"]
+        assert main(args + ["--tolerance", "0.1", "--deep-only", option, value]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestGridRange:

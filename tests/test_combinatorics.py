@@ -12,6 +12,8 @@ from zetacorr.combinatorics import (
     signed_power_sum_scaled,
 )
 
+from oracles import sinc_product_naive
+
 
 class TestMultinomial:
     def test_hand_values(self):
@@ -162,6 +164,23 @@ class TestSincProductExact:
             z.sinc_product_exact((1, -1))
         with pytest.raises(ValueError):
             z.sinc_product_exact((1, 0, -1))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [(1, 1, -2), (1, 2, -3), (1, 1, 1, -3), (1, 2, 2, -5), (2, 3, 3, -1, -7)],
+    )
+    def test_sign_classes_match_sign_vectors(self, entries):
+        assert z.sinc_product_exact(entries) == sinc_product_naive(entries)
+
+    def test_long_balanced_tuple_by_classes(self):
+        # 2^40 sign vectors, 41 classes
+        entries = (1,) * 20 + (-1,) * 20
+        assert z.sinc_product_exact(entries) == z.balanced_sinc_constant(20)
+
+    def test_class_budget(self):
+        assert z.sinc_product_exact(tuple(range(1, 21))) > 0  # 2^20 classes
+        with pytest.raises(z.BudgetError, match="2097152 sign classes"):
+            z.sinc_product_exact(tuple(range(1, 22)))
 
 
 class TestDipDepth:

@@ -12,8 +12,6 @@ from zetacorr.series import transform_truncation
 
 from oracles import naive_correlation_sum
 
-CFG = z.SeriesConfig(tolerance=1e-3)
-
 
 class TestCoefficientTuple:
     def test_valid_examples(self):
@@ -234,19 +232,12 @@ class TestSpectralRoute:
         )
         assert abs(direct - spectral) <= ddiag.claimed_error + sdiag.claimed_error
 
-    def test_accuracy_warning_on_coarse_grid(self, weight_default, zero_table):
-        tup = z.coefficient_tuple([1, 1, -2])
-        _, diag = z.spectral_correlation_sum(
-            weight_default, tup, 100.0, zero_table, grid=801, tol_hint=1e-9
-        )
-        assert diag.accuracy_warning
-
 
 class TestMainTermAndReport:
     def test_balanced_uses_exact_constant(self, weight_default, mangoldt_medium):
         tup = z.coefficient_tuple([1, 1, -1, -1])
         t_max = 100.0
-        main = z.main_term(weight_default, tup, t_max, mangoldt_medium, CFG)
+        main = z.main_term(weight_default, tup, t_max, mangoldt_medium)[0]
         # the closed-form sum 2 sum_{n<=N} Lambda(n)^4 n^-2 hhat(log n / 2 pi),
         # at the truncation main_term certifies for its default tolerance
         n_cut, _ = transform_truncation(weight_default, 2.0, 4, 1e-6, 10**8)
@@ -261,8 +252,8 @@ class TestMainTermAndReport:
 
     def test_scaling_in_t_exact(self, weight_default, mangoldt_medium):
         tup = z.coefficient_tuple([1, 1, -2])
-        one = z.main_term(weight_default, tup, 100.0, mangoldt_medium, CFG)
-        two = z.main_term(weight_default, tup, 200.0, mangoldt_medium, CFG)
+        one = z.main_term(weight_default, tup, 100.0, mangoldt_medium)[0]
+        two = z.main_term(weight_default, tup, 200.0, mangoldt_medium)[0]
         assert two == pytest.approx(2.0 ** (tup.m - 1) * one, rel=1e-12)
 
     def test_report_roundtrip_and_agreement(
@@ -270,7 +261,7 @@ class TestMainTermAndReport:
     ):
         tup = z.coefficient_tuple([1, 1, -2])
         report = z.build_report(
-            weight_default, tup, 100.0, zero_table, mangoldt_medium, CFG
+            weight_default, tup, 100.0, zero_table, mangoldt_medium
         )
         assert z.routes_agree(report)
         n_zeros = z.zeros_up_to(zero_table, 100.0).size
@@ -286,12 +277,32 @@ class TestMainTermAndReport:
         row = report.csv_row()
         assert row["T"] == 100.0 and row["tuple"] == "+1+1-2"
 
+    def test_report_sums_the_main_term_once(
+        self, weight_default, tiny_zeros, mangoldt_medium, monkeypatch
+    ):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return closed_form(*args, **kwargs)
+
+        closed_form = correlation.closed_form_profile_integral
+        monkeypatch.setattr(correlation, "closed_form_profile_integral", counted)
+        tup = z.coefficient_tuple([1, 1, -2])
+        report = z.build_report(weight_default, tup, 30.0, tiny_zeros, mangoldt_medium)
+        assert len(calls) == 1
+        value, claimed, n_cut = z.main_term(weight_default, tup, 30.0, mangoldt_medium)
+        assert report.main_term == value
+        assert report.diagnostics["main_term_claimed_error"] == claimed
+        assert report.diagnostics["main_term_terms"] == n_cut
+        assert "accuracy_warning" not in report.diagnostics
+
     def test_report_below_first_zero(
         self, weight_default, tiny_zeros, mangoldt_medium
     ):
         tup = z.coefficient_tuple([1, 1, -2])
         report = z.build_report(
-            weight_default, tup, 10.0, tiny_zeros, mangoldt_medium, CFG
+            weight_default, tup, 10.0, tiny_zeros, mangoldt_medium
         )
         assert report.h_direct == 0.0
         assert report.h_spectral == 0.0

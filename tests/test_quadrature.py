@@ -132,7 +132,7 @@ class TestWeightedProfileIntegral:
             weight_default, tup, mangoldt_medium, series_cfg, tol=1e-6
         )
         closed, n_cut = z.closed_form_profile_integral(
-            weight_default, tup, mangoldt_medium, CFG, tol=1e-6
+            weight_default, tup, mangoldt_medium, tol=1e-6
         )
         from zetacorr.series import choose_truncation
 
@@ -153,7 +153,7 @@ class TestWeightedProfileIntegral:
     ):
         tup = z.coefficient_tuple(list(entries))
         closed, n_cut = z.closed_form_profile_integral(
-            weight_default, tup, mangoldt_small, CFG, tol=1e-6
+            weight_default, tup, mangoldt_small, tol=1e-6
         )
         keep = mangoldt_small.prime_powers <= n_cut
         log_n = np.log(mangoldt_small.prime_powers[keep].astype(np.longdouble))
@@ -169,7 +169,7 @@ class TestWeightedProfileIntegral:
     def test_closed_form_rounding_vacuous_at_huge_center(self, mangoldt_small):
         h = z.gaussian_triplet(1e300, 2.0)
         tup = z.coefficient_tuple([1, 1, -2])
-        closed, _ = z.closed_form_profile_integral(h, tup, mangoldt_small, CFG, tol=1e-6)
+        closed, _ = z.closed_form_profile_integral(h, tup, mangoldt_small, tol=1e-6)
         assert closed.error_estimate >= abs(closed.value)
 
     def test_window_tail_accounted(self, mangoldt_medium, weight_default):

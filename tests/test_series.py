@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,16 @@ from oracles import dense_profile
 
 CFG = z.SeriesConfig(tolerance=1e-6)
 LOOSE = z.SeriesConfig(tolerance=1e-3)
+
+
+class TestSeriesConfig:
+    def test_tolerance_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(z.SeriesConfig)] == ["tolerance"]
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            z.SeriesConfig(tolerance=tol)
 
 
 class TestTailBounds:

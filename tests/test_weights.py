@@ -128,6 +128,25 @@ class TestMembershipReport:
     def test_origin_support_flagged(self, h):
         assert z.class_membership_report(h, 4)["origin_in_support"] is True
 
+    @pytest.mark.parametrize("center, width", [(20.0, 2.0), (1.0, 2.0)])
+    def test_absolute_moment_bound_against_quadrature(self, center, width):
+        # the bound is the integral of |x| times the three bumps' absolute
+        # values; the triangle inequality is tight when they are apart
+        tf = z.gaussian_triplet(center, width)
+        g = lambda u: np.exp(-math.pi * u * u)
+        c, s = center, width
+        bumps = lambda x: np.abs(x) * (g((x - c) / s) + g((x + c) / s) + 2.0 * g(x / s))
+        box = c + 10.0 * s  # beyond it both integrands have mass below 1e-100
+        moments = z.adaptive_integrate(bumps, 0.0, box, 1e-10)
+        exact = z.adaptive_integrate(lambda x: np.abs(x * tf.value(x)), 0.0, box, 1e-10)
+        report = z.class_membership_report(tf, 2)
+        assert report["integral_h"] == 0.0
+        bound = report["integral_abs_xh"]
+        assert bound == pytest.approx(2.0 * moments.value, rel=1e-12)
+        assert bound >= 2.0 * (exact.value - exact.error_estimate)
+        if c > 5.0 * s:
+            assert bound == pytest.approx(2.0 * exact.value, rel=1e-12)
+
 
 @needs_extended
 class TestRoundingModel:

@@ -23,10 +23,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .rounding import ELEM_REL, TRIG_ABS, U
 
 TWO_PI = 2.0 * math.pi
 SQRT_PI = math.sqrt(math.pi)
+# exp below this is under 2^-1096, far below half the least subnormal
+# (2^-1075), so it rounds to +0.0 (the tests check numpy's exp there)
+EXP_FLOOR = -760.0
+
+
+def _exp(t: np.ndarray) -> np.ndarray:
+    """np.exp(t) bit for bit, computed only where t >= EXP_FLOOR.
+
+    numpy's exp takes about 16 ns on an argument whose result underflows
+    to 0, against 1 ns in range (2-CPU Xeon), and about 30 % of the side
+    bumps' arguments in the direct route lie below the floor.  The masked
+    ufunc runs the plain loop over each run of kept entries; along a row
+    of the direct route Delta is monotone, so those runs are long.  nan
+    is kept, so it propagates.
+    """
+    return np.exp(t, out=np.zeros_like(t), where=~(t < EXP_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -41,7 +58,7 @@ class GaussianTriplet:
         """h(x), vectorized."""
         x = np.asarray(x, dtype=np.float64)
         c, s = self.center, self.width
-        g = lambda u: np.exp(-math.pi * u * u)
+        g = lambda u: _exp(-math.pi * u * u)
         with np.errstate(over="ignore"):  # a huge u squares to inf, and g to 0
             return g((x - c) / s) + g((x + c) / s) - 2.0 * g(x / s)
 
@@ -102,10 +119,19 @@ class GaussianTriplet:
         """X with |h(x)| <= threshold * sup|h| guaranteed for |x| >= X.
 
         Uses |h(x)| <= 3 exp(-pi ((|x|-c)/s)^2) for |x| >= c.
+
+        Raises:
+            DomainError: the measured sup is not positive: c is so small,
+                or s so large, that the three bumps cancel exactly.
         """
         if not 0 < threshold < 1:
             raise ValueError("threshold must be in (0, 1)")
         sup = self.sup_norm()
+        if not sup > 0.0:
+            raise DomainError(
+                f"the weight h (c={self.center:g}, s={self.width:g}) is 0 everywhere "
+                "in floating point: its three bumps cancel exactly"
+            )
         return self.center + self.width * math.sqrt(
             math.log(3.0 / (threshold * sup)) / math.pi
         )

@@ -32,6 +32,34 @@ def naive_correlation_sum(h, tup, t_max, zeros) -> float:
     return math.fsum(terms)
 
 
+def tuple_count_naive(tup, t_max, zeros, cutoff) -> int:
+    """Number of ordinate m-tuples with |Delta| <= cutoff, from all n^m of them.
+
+    Delta is summed left to right from 0.0, as in the naive loops, on
+    one broadcast array of n^m entries (small tables only).
+    """
+    gammas = _ordinates_for(zeros, t_max)
+    delta = 0.0
+    for axis, a in enumerate(tup.entries):
+        shape = [1] * tup.m
+        shape[axis] = gammas.size
+        delta = delta + a * gammas.reshape(shape)
+    return int(np.count_nonzero(np.abs(delta) <= cutoff))
+
+
+def triplet_value_unmasked(h, x):
+    """h(x) of the Gaussian triplet with np.exp on every argument.
+
+    The formula and order of operations of `GaussianTriplet.value`,
+    which skips the arguments whose exp underflows to 0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    c, s = h.center, h.width
+    g = lambda u: np.exp(-math.pi * u * u)
+    with np.errstate(over="ignore"):
+        return g((x - c) / s) + g((x + c) / s) - 2.0 * g(x / s)
+
+
 def dense_profile(tup, table, cfg):
     """y(t) = 2 sum_n w_n cos(t log n) with one cosine per truncation term.
 

@@ -156,6 +156,14 @@ class TestHsumCommand:
         assert main(["hsum", "--config", str(cfg)]) == 0
         assert "vacuous" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["h_center = 1e-300", "h_width = 1e300"])
+    def test_weight_cancelling_to_zero_exit_3(self, tmp_path, capsys, setting):
+        # the three bumps cancel exactly, so the measured sup |h| is 0
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"tuples = 1,1,-2\nT = 60\n{setting}\noutput_dir = {tmp_path}\n")
+        assert main(["hsum", "--config", str(cfg)]) == 3
+        assert "three bumps cancel" in capsys.readouterr().err
+
     def test_huge_center_finishes(self, tmp_path):
         # the main term once looped forever here: t_edge += width/4 stops
         # moving a float near 1e300; now it finishes and reports that no

@@ -10,7 +10,28 @@ from zetacorr import correlation
 from zetacorr.correlation import ROW, _phase_error, _phase_rows, _simpson
 from zetacorr.series import transform_truncation
 
-from oracles import naive_correlation_sum
+from oracles import naive_correlation_sum, tuple_count_naive
+
+SWAPPABLE = [(1, 1, -2), (-1, -1, 2), (1, 1, -1, -1), (2, 2, -1, -3)]
+UNSWAPPABLE = [(1, 2, -3), (1, -1, 1, -1)]  # a_1 != a_2
+
+
+class Scaled:
+    """h times a factor, counting the points h.value receives."""
+
+    def __init__(self, inner, factor):
+        self.inner, self.factor, self.points = inner, factor, 0
+        self.center, self.width = inner.center, inner.width
+
+    def value(self, x):
+        self.points += np.size(x)
+        return self.factor * self.inner.value(x)
+
+    def support_cutoff(self, threshold=1e-14):
+        return self.inner.support_cutoff(threshold)
+
+    def value_bound_beyond(self, x):
+        return self.factor * self.inner.value_bound_beyond(x)
 
 
 class TestCoefficientTuple:
@@ -63,6 +84,39 @@ class TestDirectRoute:
         )
         assert naive == pruned
 
+    @pytest.mark.parametrize(
+        "entries", [(-1, -1, 2), (2, 2, -1, -3), (1, 1, 1, -3), (1, -1, 1, -1)]
+    )
+    def test_naive_matches_bitwise_more_tuples(self, weight_default, zero_table, entries):
+        tup = z.coefficient_tuple(list(entries))
+        naive = naive_correlation_sum(weight_default, tup, 60.0, zero_table)
+        pruned, diag = z.direct_correlation_sum(
+            weight_default, tup, 60.0, zero_table, cutoff=math.inf
+        )
+        assert naive == pruned
+        assert diag.tuple_count == z.zeros_up_to(zero_table, 60.0).size ** tup.m
+
+    @pytest.mark.parametrize("entries", SWAPPABLE + UNSWAPPABLE)
+    def test_tuple_count_matches_brute_force(self, weight_default, zero_table, entries):
+        tup = z.coefficient_tuple(list(entries))
+        t_max = 100.0 if tup.m == 3 else 80.0
+        _, diag = z.direct_correlation_sum(weight_default, tup, t_max, zero_table)
+        count = tuple_count_naive(tup, t_max, zero_table, diag.cutoff)
+        full = float(z.zeros_up_to(zero_table, t_max).size) ** tup.m
+        assert 0 < diag.tuple_count == count < full
+        assert diag.pruned_fraction == 1.0 - count / full
+
+    @pytest.mark.parametrize("entries", SWAPPABLE + UNSWAPPABLE)
+    def test_swap_symmetry_halves_h_evaluations(self, weight_default, zero_table, entries):
+        tup = z.coefficient_tuple(list(entries))
+        counted = Scaled(weight_default, 1.0)
+        value, diag = z.direct_correlation_sum(counted, tup, 80.0, zero_table)
+        assert value == z.direct_correlation_sum(weight_default, tup, 80.0, zero_table)[0]
+        if entries[0] == entries[1]:
+            assert counted.points <= 0.55 * diag.tuple_count
+        else:
+            assert counted.points == diag.tuple_count
+
     def test_default_cutoff_within_claimed(self, weight_default, tiny_zeros):
         tup = z.coefficient_tuple([1, 1, -2])
         naive = naive_correlation_sum(weight_default, tup, 30.0, tiny_zeros)
@@ -88,21 +142,6 @@ class TestDirectRoute:
     def test_linear_in_weight(self, weight_default, zero_table):
         tup = z.coefficient_tuple([1, 1, -2])
         base = z.direct_correlation_sum(weight_default, tup, 80.0, zero_table)[0]
-
-        class Scaled:
-            def __init__(self, inner, factor):
-                self.inner, self.factor = inner, factor
-                self.center, self.width = inner.center, inner.width
-
-            def value(self, x):
-                return self.factor * self.inner.value(x)
-
-            def support_cutoff(self, threshold=1e-14):
-                return self.inner.support_cutoff(threshold)
-
-            def value_bound_beyond(self, x):
-                return self.factor * self.inner.value_bound_beyond(x)
-
         doubled = z.direct_correlation_sum(
             Scaled(weight_default, 2.0), tup, 80.0, zero_table
         )[0]
@@ -110,13 +149,15 @@ class TestDirectRoute:
 
     @pytest.mark.parametrize("prefixes, block", [(1, 1), (7, 3), (300, 50), (5000, 7)])
     def test_block_size_bit_identical(self, weight_default, zero_table, prefixes, block):
-        tup = z.coefficient_tuple([1, 1, -1, -1])
-        value, diag = z.direct_correlation_sum(weight_default, tup, 80.0, zero_table)
-        with patch.object(correlation, "PREFIXES", prefixes), patch.object(
-            correlation, "BLOCK", block
-        ):
-            small = z.direct_correlation_sum(weight_default, tup, 80.0, zero_table)
-        assert small[0] == value and small[1] == diag
+        # with one prefix a step, the steps of (1,1,-2) with i > j hold no prefix
+        for entries in ([1, 1, -1, -1], [1, 1, -2]):
+            tup = z.coefficient_tuple(entries)
+            value, diag = z.direct_correlation_sum(weight_default, tup, 80.0, zero_table)
+            with patch.object(correlation, "PREFIXES", prefixes), patch.object(
+                correlation, "BLOCK", block
+            ):
+                small = z.direct_correlation_sum(weight_default, tup, 80.0, zero_table)
+            assert small[0] == value and small[1] == diag
 
     def test_memory_does_not_grow_with_prefixes(self, weight_default, zero_table):
         tup = z.coefficient_tuple([1, 1, -1, -1])

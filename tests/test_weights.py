@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import zetacorr as z
 from zetacorr.rounding import ELEM_REL, TRIG_ABS
+from zetacorr.weights import EXP_FLOOR
+
+from oracles import triplet_value_unmasked
 
 LD = np.longdouble
 LD_PI = np.arccos(LD(-1.0))
@@ -39,6 +43,29 @@ class TestConstruction:
             2.0 * math.exp(-math.pi * 100.0) - 2.0
         )
         assert float(h.value(0.0)) < 0.0
+
+
+class TestMaskedValue:
+    @pytest.mark.parametrize("center, width", [(20.0, 2.0), (5.0, 1.0), (1.0, 0.5)])
+    def test_matches_unmasked_formula_bitwise(self, center, width):
+        h = z.gaussian_triplet(center, width)
+        c, s = center, width
+        # x where a bump's exp argument -pi u^2 lies in [-800, -700],
+        # across the floor and the subnormal results
+        u = s * np.sqrt(np.linspace(700.0, 800.0, 20001) / math.pi)
+        near = np.concatenate([shift + sign * u for shift in (c, -c, 0.0) for sign in (1, -1)])
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308]
+        x = np.concatenate([np.linspace(-60.0, 60.0, 240001), near, special])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = h.value(x)
+        want = triplet_value_unmasked(h, x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.isnan(got[-3]) and got[-2] == got[-1] == 0.0
+
+    def test_exp_is_zero_below_floor(self):
+        t = np.concatenate([np.linspace(-2000.0, EXP_FLOOR, 1_000_001), [-1e308, -np.inf]])
+        assert np.array_equal(np.exp(t).view(np.int64), np.zeros(t.size, np.int64))
 
 
 class TestTransformPair:

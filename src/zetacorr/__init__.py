@@ -5,22 +5,13 @@ evaluation routes for the correlation sum, and the repulsion-dip
 analysis of the kernel profile.
 """
 
-from .arithmetic import (
-    MangoldtTable,
-    MobiusTable,
-    b_coefficient,
-    nearest_int,
-    sieve_mangoldt,
-    sieve_mobius,
-)
+from .arithmetic import MangoldtTable, MobiusTable, sieve_mangoldt, sieve_mobius
 from .combinatorics import (
-    alternating_multinomial_sum,
     balanced_coefficient,
     balanced_sinc_constant,
     cosh_product_identity,
     dip_depth_prediction,
     multinomial,
-    signed_power_sum,
     sinc_power_integral,
     sinc_product_exact,
 )
@@ -33,13 +24,7 @@ from .correlation import (
     routes_agree,
     spectral_correlation_sum,
 )
-from .dips import (
-    DipRecord,
-    kernel_pole_expansion,
-    match_to_zeros,
-    profile_grid,
-    scan_minima,
-)
+from .dips import DipRecord, match_to_zeros, profile_grid, scan_minima
 from .errors import BudgetError, DataError, DomainError, ResourceError
 from .quadrature import (
     QuadratureResult,
@@ -48,13 +33,7 @@ from .quadrature import (
     sinc_product_constant,
     weighted_profile_integral,
 )
-from .series import (
-    SeriesConfig,
-    correlation_kernel,
-    kernel_expansion_residual,
-    kernel_profile,
-    log_derivative_series,
-)
+from .series import SeriesConfig, correlation_kernel
 from .tuples import CoefficientTuple, coefficient_tuple
 from .weights import GaussianTriplet, class_membership_report, gaussian_triplet
 from .zeros import (
@@ -84,8 +63,6 @@ __all__ = [
     "SeriesConfig",
     "ZeroTable",
     "adaptive_integrate",
-    "alternating_multinomial_sum",
-    "b_coefficient",
     "balanced_coefficient",
     "balanced_sinc_constant",
     "build_report",
@@ -98,15 +75,10 @@ __all__ = [
     "dip_depth_prediction",
     "direct_correlation_sum",
     "gaussian_triplet",
-    "kernel_expansion_residual",
-    "kernel_pole_expansion",
-    "kernel_profile",
     "load_zeros",
-    "log_derivative_series",
     "main_term",
     "match_to_zeros",
     "multinomial",
-    "nearest_int",
     "parse_tuple_text",
     "profile_grid",
     "riemann_von_mangoldt_count",
@@ -114,7 +86,6 @@ __all__ = [
     "scan_minima",
     "sieve_mangoldt",
     "sieve_mobius",
-    "signed_power_sum",
     "sinc_power_integral",
     "sinc_product_constant",
     "sinc_product_exact",

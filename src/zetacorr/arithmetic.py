@@ -1,4 +1,4 @@
-"""Integer-arithmetic substrate: prime-power and Mobius sieves.
+"""Integer-arithmetic substrate: prime-power and Mobius sieves, and b_m(k).
 
 The von Mangoldt table stores, for every n up to a limit, the base prime
 p when n = p^k and zero otherwise.  Lambda(n) = log(p) is therefore
@@ -67,11 +67,6 @@ class MobiusTable:
     limit: int
     values: np.ndarray
 
-    def mu(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range [1, {self.limit}]")
-        return int(self.values[n])
-
 
 def sieve_mangoldt(limit: int) -> MangoldtTable:
     """Sieve the von Mangoldt base-prime table for all n <= limit.
@@ -130,54 +125,25 @@ def sieve_mobius(limit: int) -> MobiusTable:
     return MobiusTable(limit=limit, values=mu)
 
 
-def divisors(k: int) -> list[int]:
-    """All positive divisors of k, ascending."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    small, large = [], []
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            small.append(d)
-            if d != k // d:
-                large.append(k // d)
-        d += 1
-    return small + large[::-1]
-
-
-def b_coefficient(k: int, m: int, mobius: MobiusTable) -> int:
-    """Exact integer sum of mu(d) * d^(m-1) over the divisors d of k.
+def b_coefficients(m: int, mobius: MobiusTable) -> list[int]:
+    """b[k] = sum of mu(d) * d^(m-1) over the divisors d of k, for k <= mobius.limit.
 
     These are the Dirichlet-inverse coefficients of n^(m-1): convolving
-    them back against d^(m-1) gives the constant 1 (see tests).
+    them back against d^(m-1) gives the constant 1 (see `identities`).
+    One sieve pass in Python integers, exact for every m; b[0] = 0.
 
     Raises:
-        ValueError: k outside the Mobius table.
+        ValueError: m < 2.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    if not 1 <= k <= mobius.limit:
-        raise ValueError(f"k={k} out of range for Mobius table (limit {mobius.limit})")
-    total = 0
-    for d in divisors(k):
+    limit = mobius.limit
+    b = [0] * (limit + 1)
+    for d in range(1, limit + 1):
         mu = int(mobius.values[d])
-        if mu:
-            total += mu * d ** (m - 1)
-    return total
-
-
-def nearest_int(x: float) -> int:
-    """Nearest integer, with exact halves rounding up (also for x < 0).
-
-    nearest_int(2.5) = 3 and nearest_int(-2.5) = -2.
-
-    Raises:
-        ValueError: x is NaN or infinite.
-    """
-    if not math.isfinite(x):
-        raise ValueError("nearest_int requires a finite argument")
-    if abs(x) >= 2.0**52:
-        return int(x)  # every such float is already an integer
-    f = math.floor(x)
-    # x - f is exact: both operands share an exponent window below 2**52
-    return f + 1 if x - f >= 0.5 else f
+        if mu == 0:
+            continue
+        contrib = mu * d ** (m - 1)
+        for k in range(d, limit + 1, d):
+            b[k] += contrib
+    return b

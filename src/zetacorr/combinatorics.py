@@ -54,7 +54,9 @@ def _compositions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def alternating_multinomial_sum(x: list[complex], r: int) -> complex:
+def alternating_multinomial_sum_scaled(
+    x: list[complex], r: int
+) -> tuple[complex, float]:
     """Residual of the alternating subset/multinomial cancellation sum.
 
     Evaluates, literally, the sign-alternating sum over nonempty subsets
@@ -63,20 +65,12 @@ def alternating_multinomial_sum(x: list[complex], r: int) -> complex:
 
         (-1)^(s-1) * (2r)! / ((2 j_{k_1})! ... (2 j_{k_s})!) * prod x_k^(j_k).
 
-    The theoretical value is 0 for 1 <= r < len(x); the return is the
-    floating-point residual left after cancellation.
-    """
-    return alternating_multinomial_sum_scaled(x, r)[0]
-
-
-def alternating_multinomial_sum_scaled(
-    x: list[complex], r: int
-) -> tuple[complex, float]:
-    """Same as :func:`alternating_multinomial_sum` plus the term scale.
+    The theoretical value is 0 for 1 <= r < len(x).
 
     Returns:
-        (residual, scale) where scale is the largest |term| encountered;
-        suitable for asserting |residual| <= tol * scale.
+        (residual, scale): the floating-point residual left after
+        cancellation, and the largest |term| encountered; suitable for
+        asserting |residual| <= tol * scale.
     """
     q = len(x)
     if not 2 <= q <= MAX_CANCELLATION_ORDER:
@@ -104,21 +98,17 @@ def alternating_multinomial_sum_scaled(
     return total, scale
 
 
-def signed_power_sum(alpha: list[complex], r: int) -> complex:
-    """Residual of the signed even-power cancellation sum.
+def signed_power_sum_scaled(alpha: list[complex], r: int) -> tuple[complex, float]:
+    """Residual of the signed even-power cancellation sum, and its term scale.
 
     Evaluates the sum over nonempty subsets {k_1 < ... < k_s} and sign
     vectors (eps_2, ..., eps_s) in {-1,+1} of
 
         2^(q-s) * (-1)^(s-1) * (a_{k_1} + eps_2 a_{k_2} + ... + eps_s a_{k_s})^(2r),
 
-    which is 0 in exact arithmetic for 1 <= r < q.
+    which is 0 in exact arithmetic for 1 <= r < q.  Returns the residual
+    and the largest |term|, as `alternating_multinomial_sum_scaled`.
     """
-    return signed_power_sum_scaled(alpha, r)[0]
-
-
-def signed_power_sum_scaled(alpha: list[complex], r: int) -> tuple[complex, float]:
-    """Same as :func:`signed_power_sum` plus the largest-term scale."""
     q = len(alpha)
     if not 2 <= q <= MAX_CANCELLATION_ORDER:
         raise ValueError(f"need 2 <= len(alpha) <= {MAX_CANCELLATION_ORDER}")

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .combinatorics import sinc_product_exact
-from .errors import BudgetError, DataError
+from .errors import BudgetError, DataError, DomainError
 from .quadrature import closed_form_profile_integral
 from .rounding import ELEM_REL, MARGIN, TRIG_ABS, U, exact_sum, gamma
 from .tuples import CoefficientTuple, coefficient_tuple
@@ -67,21 +67,20 @@ class SpectralDiagnostics:
 
 
 def _ordinates_for(zeros: ZeroTable, t_max: float) -> np.ndarray:
+    if len(zeros) == 0:
+        return zeros.ordinates
     # A complete initial segment still covers a little beyond its last
     # entry; allow ~1.5 mean gaps of slack before calling it a gap in
     # the data.
     top = zeros.max_ordinate
-    if top > 0.0:
-        mean_gap = 2.0 * math.pi / math.log(max(top / (2.0 * math.pi), 2.0))
-        covered = top + 1.5 * mean_gap
-    else:
-        covered = 0.0
-    if t_max > covered and len(zeros) > 0:
+    mean_gap = 2.0 * math.pi / math.log(max(top / (2.0 * math.pi), 2.0))
+    covered = top + 1.5 * mean_gap
+    if t_max > covered:
         raise DataError(
             f"zero table covers ordinates up to about {covered:.3f}, "
             f"below requested T={t_max}"
         )
-    return zeros_up_to(zeros, t_max) if len(zeros) else zeros.ordinates
+    return zeros_up_to(zeros, t_max)
 
 
 def direct_correlation_sum(
@@ -355,17 +354,9 @@ class CorrelationReport:
         payload["tuple_entries"] = list(self.tuple_entries)
         return json.dumps(payload, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CorrelationReport":
-        data = json.loads(text)
-        data["tuple_entries"] = tuple(data["tuple_entries"])
-        return cls(**data)
-
     def csv_row(self) -> dict:
         return {
-            "tuple": "".join(
-                ("+" if a > 0 else "") + str(a) for a in self.tuple_entries
-            ),
+            "tuple": CoefficientTuple(self.tuple_entries).compact,
             "T": self.t_max,
             "H_direct": self.h_direct,
             "H_spectral": self.h_spectral,
@@ -383,7 +374,13 @@ def build_report(
     table,
     tol: float = 1e-6,
 ) -> CorrelationReport:
-    """Run both routes plus the main term and assemble the report."""
+    """Run both routes plus the main term and assemble the report.
+
+    Raises:
+        DomainError: a value of the report is nan or infinite, which
+            strict JSON cannot hold (a weight too wide or too far out
+            for double precision).
+    """
     h_direct, ddiag = direct_correlation_sum(h, tup, t_max, zeros)
     h_spectral, sdiag = spectral_correlation_sum(h, tup, t_max, zeros)
     main, main_claimed, n_cut = main_term(h, tup, t_max, table, tol=tol)
@@ -404,7 +401,7 @@ def build_report(
         "route_gap": abs(h_direct - h_spectral),
         "spectral_rounding_error": sdiag.rounding_error,
     }
-    return CorrelationReport(
+    report = CorrelationReport(
         tuple_entries=tup.entries,
         t_max=t_max,
         h_params=h.to_config_dict(),
@@ -413,6 +410,24 @@ def build_report(
         main_term=main,
         diagnostics=diagnostics,
     )
+    bad = _non_finite(asdict(report))
+    if bad:
+        raise DomainError(
+            f"{tup} at T={t_max:g} with c={h.center:g}, s={h.width:g}: "
+            f"not finite: {', '.join(bad)}"
+        )
+    return report
+
+
+def _non_finite(values: dict, prefix: str = "") -> list[str]:
+    """Dotted keys of the floats in a nested dict that are nan or infinite."""
+    found = []
+    for key, value in values.items():
+        if isinstance(value, dict):
+            found += _non_finite(value, f"{prefix}{key}.")
+        elif isinstance(value, float) and not math.isfinite(value):
+            found.append(prefix + key)
+    return found
 
 
 def routes_agree(report: CorrelationReport) -> bool:

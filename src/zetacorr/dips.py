@@ -6,24 +6,23 @@ close to -2 (m-1)! / (S - 1/2)^m.  Scanning samples y on a uniform grid
 minima, and refines each by golden-section search; minima are then
 matched to the nearest ordinate within a window.
 
-An independent evaluation route for the kernel is also provided: the
-truncated pole expansion over dilation index, sharing nothing with the
-prime-power series except the integer weights.
+The truncated pole expansion of the kernel over the zeros, an
+independent route to the same values, is a test cross-check in
+tests/oracles.py.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .arithmetic import MangoldtTable, MobiusTable, b_coefficient
+from .arithmetic import MangoldtTable
 from .combinatorics import dip_depth_prediction
-from .errors import BudgetError, DomainError
-from .rounding import exact_sum
+from .errors import BudgetError
 from .series import SeriesConfig, kernel_profile_evaluator
 from .tuples import CoefficientTuple
 from .zeros import ZeroTable
@@ -42,9 +41,6 @@ class DipRecord:
     predicted_depth: float
     matched_gamma: Optional[float] = None
     distance: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _golden_minimize(f, lo: float, hi: float, tol: float = 1e-4) -> tuple[float, float]:
@@ -135,29 +131,14 @@ def match_to_zeros(
     """
     if not (math.isfinite(window) and window >= 0):
         raise ValueError("window must be finite and >= 0")
-    ordinates = zeros.ordinates
     out = []
     for rec in records:
-        matched, dist = None, None
-        if ordinates.size:
-            j = int(np.searchsorted(ordinates, rec.t_min))
-            best = None
-            for cand in (j - 1, j):
-                if 0 <= cand < ordinates.size:
-                    d = abs(rec.t_min - float(ordinates[cand]))
-                    if best is None or d < best[1]:
-                        best = (float(ordinates[cand]), d)
-            if best is not None and best[1] < window:
-                matched, dist = best
-        out.append(
-            DipRecord(
-                t_min=rec.t_min,
-                y_min=rec.y_min,
-                predicted_depth=rec.predicted_depth,
-                matched_gamma=matched,
-                distance=dist,
-            )
-        )
+        j = int(np.searchsorted(zeros.ordinates, rec.t_min))
+        neighbours = zeros.ordinates[max(j - 1, 0) : j + 1]
+        # (distance, ordinate) of the nearer neighbour, the lower one on a tie
+        near = min(((abs(rec.t_min - float(g)), float(g)) for g in neighbours), default=None)
+        dist, matched = near if near and near[0] < window else (None, None)
+        out.append(replace(rec, matched_gamma=matched, distance=dist))
     return out
 
 
@@ -171,68 +152,7 @@ def deep_minima(records: Iterable[DipRecord]) -> list[DipRecord]:
 
 
 def records_json(records: Iterable[DipRecord]) -> str:
-    return json.dumps([r.to_dict() for r in records], indent=2)
-
-
-def kernel_pole_expansion(
-    s: complex,
-    m: int,
-    expansion_order: int,
-    zeros: ZeroTable,
-    mobius: MobiusTable,
-    trivial_cutoff: int = 50,
-) -> complex:
-    """Kernel value from the truncated pole expansion over dilations.
-
-    Evaluates
-
-        (m-1)! sum_{d <= order} b_m(d)/d^m [ (s - 1/d)^(-m)
-            - sum_rho (s - rho/d)^(-m) ]
-
-    with rho running over 1/2 +- i gamma for every tabulated ordinate
-    plus the real points -2k, k <= trivial_cutoff.  The free constant of
-    the underlying logarithmic-derivative expansion is annihilated by
-    the (m-1)-fold differentiation, so none remains for m >= 2.
-
-    Raises:
-        DomainError: m < 2 (the free constant would survive) or
-            Re(s) < 2.
-        ValueError: empty zero table or expansion_order < 2.
-    """
-    if m < 2:
-        raise DomainError("pole expansion needs m >= 2")
-    s = complex(s)
-    if s.real < 2.0:
-        raise DomainError("pole expansion evaluated only for Re(s) >= 2")
-    if expansion_order < 2:
-        raise ValueError("expansion_order must be >= 2")
-    if len(zeros) == 0:
-        raise ValueError("pole expansion needs a nonempty zero table")
-    gammas = zeros.ordinates
-    trivial = -2.0 * np.arange(1, trivial_cutoff + 1, dtype=np.float64)
-    prefactor = float(math.factorial(m - 1))
-    total = complex(0.0)
-    for d in range(1, expansion_order + 1):
-        b = b_coefficient(d, m, mobius)
-        if b == 0:
-            continue
-        pole = (s - 1.0 / d) ** (-m)
-        zu = s - (0.5 + 1j * gammas) / d
-        zl = s - (0.5 - 1j * gammas) / d
-        zt = s - trivial / d
-        powers = [zu**-m, zl**-m, zt**-m]
-        rho_sum = complex(
-            exact_sum(p.real for p in powers), exact_sum(p.imag for p in powers)
-        )
-        # midpoint-rule tail of the trivial-zero sum; the dilation packs
-        # those poles toward s, so the fixed cutoff alone is too crude
-        rho_sum += (
-            (d / 2.0)
-            * (s + (2.0 * trivial_cutoff + 1.0) / d) ** (1 - m)
-            / (m - 1)
-        )
-        total += (b / float(d) ** m) * (pole - rho_sum)
-    return prefactor * total
+    return json.dumps([asdict(r) for r in records], indent=2)
 
 
 def profile_grid(

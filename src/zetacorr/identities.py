@@ -11,17 +11,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .arithmetic import sieve_mobius
+from .arithmetic import b_coefficients, sieve_mobius
 from .combinatorics import (
     alternating_multinomial_sum_scaled,
     cosh_product_identity,
     signed_power_sum_scaled,
 )
+from .errors import BudgetError
 
 SCALED_RESIDUAL_TOL = 1e-9
 COSH_RELATIVE_TOL = 1e-12
 B_INVERSE_LIMIT = 10**4
 B_INVERSE_MAX_POWER = 6
+# the largest b_limit checked; its run takes about 25 s (2-CPU Xeon),
+# and each of its Python-integer lists holds limit + 1 entries
+B_INVERSE_BUDGET = 5 * 10**5
 
 
 @dataclass
@@ -46,18 +50,11 @@ def _random_complex(rng: random.Random) -> complex:
 def b_inverse_convolution(limit: int, m: int) -> list[int]:
     """sum_{d e = k} d^(m-1) b_m(e) for every k <= limit, exactly.
 
-    The expected value is 1 for all k; computed by two sieve-style
-    convolution passes in Python integers.
+    The expected value is 1 for all k; b_m comes from
+    `arithmetic.b_coefficients`, and the convolution is a second
+    sieve-style pass in Python integers.
     """
-    mobius = sieve_mobius(limit)
-    b = [0] * (limit + 1)
-    for d in range(1, limit + 1):
-        mu = int(mobius.values[d])
-        if mu == 0:
-            continue
-        contrib = mu * d ** (m - 1)
-        for k in range(d, limit + 1, d):
-            b[k] += contrib
+    b = b_coefficients(m, sieve_mobius(limit))
     acc = [0] * (limit + 1)
     for d in range(1, limit + 1):
         weight = d ** (m - 1)
@@ -76,34 +73,30 @@ def run_identity_suite(
 
     Raises:
         ValueError: iterations below 1, which would check no random case.
+        BudgetError: b_limit above B_INVERSE_BUDGET (checked before
+            anything is sieved).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if b_limit > B_INVERSE_BUDGET:
+        raise BudgetError(f"b_limit {b_limit} exceeds the budget of {B_INVERSE_BUDGET}")
     rng = random.Random(seed)
     result = IdentitySuiteResult(seed=seed, iterations=iterations)
+    sums = (
+        ("multinomial", alternating_multinomial_sum_scaled, "max_scaled_residual_multinomial"),
+        ("signed-power", signed_power_sum_scaled, "max_scaled_residual_power"),
+    )
     for q in range(2, max_order + 1):
         for r in range(1, q):
             for _ in range(iterations):
-                xs = [_random_complex(rng) for _ in range(q)]
-                residual, scale = alternating_multinomial_sum_scaled(xs, r)
-                scaled = abs(residual) / max(scale, 1.0)
-                result.max_scaled_residual_multinomial = max(
-                    result.max_scaled_residual_multinomial, scaled
-                )
-                if scaled > SCALED_RESIDUAL_TOL:
-                    result.violations.append(
-                        f"multinomial q={q} r={r}: scaled residual {scaled:.3e}"
-                    )
-                alphas = [_random_complex(rng) for _ in range(q)]
-                residual, scale = signed_power_sum_scaled(alphas, r)
-                scaled = abs(residual) / max(scale, 1.0)
-                result.max_scaled_residual_power = max(
-                    result.max_scaled_residual_power, scaled
-                )
-                if scaled > SCALED_RESIDUAL_TOL:
-                    result.violations.append(
-                        f"signed-power q={q} r={r}: scaled residual {scaled:.3e}"
-                    )
+                for label, evaluate, worst in sums:
+                    residual, scale = evaluate([_random_complex(rng) for _ in range(q)], r)
+                    scaled = abs(residual) / max(scale, 1.0)
+                    setattr(result, worst, max(getattr(result, worst), scaled))
+                    if scaled > SCALED_RESIDUAL_TOL:
+                        result.violations.append(
+                            f"{label} q={q} r={r}: scaled residual {scaled:.3e}"
+                        )
     for s in range(2, max_order + 1):
         for _ in range(iterations):
             a_vals = [rng.uniform(-3.0, 3.0) for _ in range(s)]

@@ -1,10 +1,10 @@
-"""Dirichlet series over prime powers with certified truncation error.
+"""The correlation kernel's Dirichlet series, with certified truncation error.
 
-Two families are evaluated for Re s > 1: the m-th power series
-sum Lambda(n)^m / n^s (the correlation kernel) and the log-weighted
-series sum Lambda(n) (log n)^(m-1) / n^s.  Truncation points are chosen
-so a rigorous tail bound falls below the configured tolerance; two
-bounds are available and the smaller certificate wins:
+The kernel K(s) = sum Lambda(n)^m / n^s (Re s > 1) and its profile
+y(t) = 2 Re K(S + it) are evaluated over the prime powers up to a
+truncation point chosen so a rigorous tail bound falls below the
+configured tolerance; two bounds are available and the smaller
+certificate wins:
 
 * the all-integer majorant  sum_{n>N} (log n)^m n^(-sigma), bounded by
   the closed-form incomplete gamma  Gamma(m+1, (sigma-1) log N) /
@@ -13,6 +13,10 @@ bounds are available and the smaller certificate wins:
   the sieve together with psi(x) < 1.03883 x (valid for all x > 0),
   which tracks the prime-power density and is roughly log N / (sigma-1)
   times sharper.
+
+The log-weighted series sum Lambda(n) (log n)^(m-1) / n^s, the
+expansion of K over it, and the density estimate of the tail are test
+cross-checks in tests/oracles.py.
 
 Sums are correctly rounded (`rounding.exact_sum`), so equal inputs give
 bit-identical results whatever the order of the terms.
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import MangoldtTable, MobiusTable, b_coefficient
+from .arithmetic import MangoldtTable
 from .errors import DomainError, ResourceError
 from .rounding import exact_sum
 from .tuples import CoefficientTuple
@@ -195,20 +199,6 @@ def transform_truncation(
     return n_cut, tail(n_cut)
 
 
-def prime_tail_estimate(n_cut: int, sigma: float, m: int) -> float:
-    """Density estimate (not a bound) of the tail sum_{n>N} Lambda(n)^m n^(-sigma).
-
-    Integrates (log x)^(m-1) x^(-sigma) for the primes plus the square
-    prime-power correction; accurate to prime-counting quality, which is
-    far below the rigorous bounds at the truncation points in use.
-    """
-    z = (sigma - 1.0) * math.log(n_cut)
-    primes = upper_gamma_int(m, z) / (sigma - 1.0) ** m
-    z2 = (2.0 * sigma - 1.0) * 0.5 * math.log(n_cut)
-    squares = upper_gamma_int(m, z2) / (2.0 * sigma - 1.0) ** m
-    return primes + squares
-
-
 def _truncated_view(table: MangoldtTable, n_cut: int):
     idx = int(np.searchsorted(table.prime_powers, n_cut, side="right"))
     return table.base_log[:idx], table.power_index[:idx]
@@ -257,37 +247,6 @@ def correlation_kernel(
     n_cut = choose_truncation(s.real, m, table, cfg)
     base_log, k = _truncated_view(table, n_cut)
     return _evaluate(base_log**m, k * base_log, s)
-
-
-def log_derivative_series(
-    s: complex, m: int, table: MangoldtTable, cfg: SeriesConfig
-) -> complex:
-    """Truncated sum of Lambda(n) (log n)^(m-1) / n^s, certified as above.
-
-    For m = 1 this is the logarithmic-derivative series of the zeta
-    function (with positive sign); higher m are its derivative family.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    s = complex(s)
-    _check_domain(s)
-    n_cut = choose_truncation(s.real, m, table, cfg)
-    base_log, k = _truncated_view(table, n_cut)
-    weights = (k ** (m - 1)).astype(np.float64) * base_log**m
-    return _evaluate(weights, k * base_log, s)
-
-
-def kernel_profile(
-    t: float, tup: CoefficientTuple, table: MangoldtTable, cfg: SeriesConfig
-) -> float:
-    """Symmetrized kernel section y(t) = 2 Re K(S + it) for the tuple.
-
-    S is the tuple's positive-part sum; by conjugate symmetry of the
-    real-coefficient series this equals K(S+it) + K(S-it), and is even
-    in t by construction.
-    """
-    s_plus = tup.positive_sum
-    return 2.0 * correlation_kernel(complex(s_plus, t), tup.m, table, cfg).real
 
 
 def _chebyshev_error(degree: int) -> float:
@@ -402,42 +361,3 @@ def kernel_profile_evaluator(
         return out
 
     return evaluate
-
-
-def kernel_expansion_residual(
-    s: complex,
-    m: int,
-    delta_max: int,
-    table: MangoldtTable,
-    mobius: MobiusTable,
-    cfg: SeriesConfig,
-) -> float:
-    """|K_m(s) - sum_{d <= delta_max} b_m(d) K-expansion term| as a cross-check.
-
-    The kernel expands over the log-weighted series at dilated arguments
-    d*s with integer weights b_m(d); the infinite expansion is an exact
-    identity, so the residual measures only truncation and roundoff.
-    Per-d tolerances shrink geometrically so the weighted error sum
-    stays below cfg.tolerance.
-
-    Raises:
-        DomainError: Re(s) < 2 (dilated-argument convergence floor).
-        ValueError: delta_max < 2 or beyond the Mobius table.
-    """
-    s = complex(s)
-    if s.real < 2.0:
-        raise DomainError("expansion cross-check requires Re(s) >= 2")
-    if delta_max < 2:
-        raise ValueError("delta_max must be >= 2")
-    if delta_max > mobius.limit:
-        raise ValueError("delta_max exceeds Mobius table limit")
-    kernel = correlation_kernel(s, m, table, SeriesConfig(cfg.tolerance / 2.0))
-    acc = complex(0.0)
-    for delta in range(1, delta_max + 1):
-        b = b_coefficient(delta, m, mobius)
-        if b == 0:
-            continue
-        # geometric split keeps sum_d |b_d| tol_d <= tolerance / 2
-        tol_d = cfg.tolerance / (4.0 * abs(b) * 2.0 ** (delta - 1))
-        acc += b * log_derivative_series(delta * s, m, table, SeriesConfig(tol_d))
-    return abs(kernel - acc)

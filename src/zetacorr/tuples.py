@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -63,11 +64,7 @@ def coefficient_tuple(entries) -> CoefficientTuple:
         raise ValueError("tuple entries must be nonzero")
     if sum(tup) != 0:
         raise ValueError(f"tuple entries must sum to 0, got {sum(tup)}")
-    distinct = sorted(set(tup))
-    for i, a in enumerate(distinct):
-        for b in distinct[i + 1 :]:
-            if math.gcd(abs(a), abs(b)) != 1:
-                raise ValueError(
-                    f"distinct tuple values {a} and {b} must be coprime"
-                )
+    for a, b in combinations(sorted(set(tup)), 2):
+        if math.gcd(a, b) != 1:
+            raise ValueError(f"distinct tuple values {a} and {b} must be coprime")
     return CoefficientTuple(entries=tup)

@@ -66,12 +66,15 @@ class GaussianTriplet:
         """Fourier transform (convention: integral of h(x) e^(-2 pi i x xi))."""
         xi = np.asarray(xi, dtype=np.float64)
         c, s = self.center, self.width
-        return (
-            2.0
-            * s
-            * np.exp(-math.pi * s * s * xi * xi)
-            * (np.cos(TWO_PI * c * xi) - 1.0)
-        )
+        # s * s overflows for s > 1e154, and inf * 0 is nan at xi = 0;
+        # the report rejects such values (`correlation.build_report`)
+        with np.errstate(invalid="ignore"):
+            return (
+                2.0
+                * s
+                * np.exp(-math.pi * s * s * xi * xi)
+                * (np.cos(TWO_PI * c * xi) - 1.0)
+            )
 
     def hat_rounding_bound(self, xi, xi_rel: float = 0.0) -> np.ndarray:
         """Bound on |hat(xi~) - hhat(xi)| for a float xi~ = xi (1 + d), |d| <= xi_rel.
@@ -92,12 +95,15 @@ class GaussianTriplet:
         """
         xi = np.abs(np.asarray(xi, dtype=np.float64))
         c, s = self.center, self.width
-        x = math.pi * s * s * xi * xi
-        alpha = np.expm1(math.expm1(2.0 * xi_rel + 5.0 * U) * x + ELEM_REL + 2.0 * U)
-        arg_err = math.expm1(xi_rel + 3.0 * U) * (TWO_PI * c * xi)
-        beta = np.minimum(2.0, arg_err) + TRIG_ABS + 2.0 * U
-        envelope = 2.0 * s * np.exp(-x) / (1.0 - alpha)
-        bound = envelope * (2.0 * alpha + (1.0 + alpha) * beta)
+        # an overflow (or the nan of s * s = inf at xi = 0) leaves alpha
+        # not below 0.5, where the bound is inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = math.pi * s * s * xi * xi
+            alpha = np.expm1(math.expm1(2.0 * xi_rel + 5.0 * U) * x + ELEM_REL + 2.0 * U)
+            arg_err = math.expm1(xi_rel + 3.0 * U) * (TWO_PI * c * xi)
+            beta = np.minimum(2.0, arg_err) + TRIG_ABS + 2.0 * U
+            envelope = 2.0 * s * np.exp(-x) / (1.0 - alpha)
+            bound = envelope * (2.0 * alpha + (1.0 + alpha) * beta)
         return np.where(alpha < 0.5, bound, np.inf)
 
     def hat_prime(self, xi) -> np.ndarray:

@@ -157,15 +157,9 @@ def validate_zero_table(
     """
     if len(table) == 0:
         raise ValueError("cannot validate an empty table")
-    points = []
-    past_end = False
-    for t in sorted(checkpoints):
-        if t <= table.max_ordinate:
-            points.append(t)
-        elif not past_end:
-            points.append(t)
-            past_end = True
-    points.append(table.max_ordinate)
+    inside = [t for t in sorted(checkpoints) if t <= table.max_ordinate]
+    beyond = [t for t in sorted(checkpoints) if t > table.max_ordinate]
+    points = inside + beyond[:1] + [table.max_ordinate]
     report = ValidationReport(source=table.source)
     for t in points:
         count = int(zeros_up_to(table, t).size)

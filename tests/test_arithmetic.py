@@ -1,11 +1,12 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
 
 import zetacorr as z
+from zetacorr.arithmetic import b_coefficients
+
+from oracles import b_coefficient_naive, divisors
 
 
 def trial_factor_lambda(n: int) -> float:
@@ -44,7 +45,7 @@ class TestMangoldtSieve:
         # sum of Lambda over divisors of n recovers log n
         for n in range(2, 1001):
             acc = math.fsum(
-                mangoldt_small.lambda_value(d) for d in z.arithmetic.divisors(n)
+                mangoldt_small.lambda_value(d) for d in divisors(n)
             )
             assert acc == pytest.approx(math.log(n), rel=1e-12)
 
@@ -68,73 +69,52 @@ class TestMobius:
             z.sieve_mobius(0)
 
     def test_small_values(self, mobius_table):
-        assert mobius_table.mu(1) == 1
-        assert mobius_table.mu(2) == -1
-        assert mobius_table.mu(4) == 0
-        assert mobius_table.mu(6) == 1
-        assert mobius_table.mu(30) == -1
+        assert mobius_table.values[1] == 1
+        assert mobius_table.values[2] == -1
+        assert mobius_table.values[4] == 0
+        assert mobius_table.values[6] == 1
+        assert mobius_table.values[30] == -1
 
     def test_squarefull_vanish(self, mobius_table):
         for n in range(1, 101):
             vanish = any(n % (p * p) == 0 for p in range(2, int(n**0.5) + 1))
-            assert (mobius_table.mu(n) == 0) == vanish
+            assert (mobius_table.values[n] == 0) == vanish
 
     def test_multiplicative_on_coprime_pairs(self, mobius_table):
         pairs = [(4, 9), (3, 8), (5, 6), (7, 10), (9, 10), (11, 12)]
         for a, b in pairs:
             assert math.gcd(a, b) == 1
-            assert mobius_table.mu(a * b) == mobius_table.mu(a) * mobius_table.mu(b)
+            assert mobius_table.values[a * b] == mobius_table.values[a] * mobius_table.values[b]
 
 
 class TestBCoefficient:
     def test_unit_argument(self, mobius_table):
         for m in range(2, 7):
-            assert z.b_coefficient(1, m, mobius_table) == 1
+            assert b_coefficients(m, mobius_table)[1] == 1
 
     def test_hand_value(self, mobius_table):
+        b = b_coefficients(3, mobius_table)
         # divisor sum over {1, 2}: 1 - 2^2
-        assert z.b_coefficient(2, 3, mobius_table) == -3
+        assert b[2] == -3
         # over {1, 2, 3, 6}: 1 - 4 - 9 + 36
-        assert z.b_coefficient(6, 3, mobius_table) == 24
+        assert b[6] == 24
 
     def test_out_of_range(self, mobius_table):
+        b = b_coefficients(3, mobius_table)
+        assert len(b) == mobius_table.limit + 1
+        with pytest.raises(IndexError):
+            b[mobius_table.limit + 1]
         with pytest.raises(ValueError):
-            z.b_coefficient(mobius_table.limit + 1, 3, mobius_table)
+            b_coefficients(1, mobius_table)
 
     def test_magnitude_bound(self, mobius_table):
-        for k in range(1, 200):
-            for m in (2, 3, 4):
-                assert abs(z.b_coefficient(k, m, mobius_table)) <= k ** (m - 1)
+        for m in (2, 3, 4):
+            b = b_coefficients(m, mobius_table)
+            for k in range(1, 200):
+                assert abs(b[k]) <= k ** (m - 1)
 
-
-class TestNearestInt:
-    def test_half_rounds_up(self):
-        assert z.nearest_int(2.5) == 3
-        assert z.nearest_int(-2.5) == -2
-        assert z.nearest_int(0.5) == 1
-        assert z.nearest_int(-0.5) == 0
-
-    def test_plain_cases(self):
-        assert z.nearest_int(2.49) == 2
-        assert z.nearest_int(2.51) == 3
-        assert z.nearest_int(-7.2) == -7
-
-    def test_rejects_non_finite(self):
-        for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError):
-                z.nearest_int(bad)
-
-    @given(st.floats(min_value=-1e9, max_value=1e9))
-    def test_shift_by_one(self, x):
-        # only meaningful when x + 1 incurs no float rounding
-        assume(Fraction(x) + 1 == Fraction(x + 1.0))
-        assert z.nearest_int(x + 1.0) == z.nearest_int(x) + 1
-
-    @given(st.integers(min_value=-10**12, max_value=10**12))
-    def test_fixed_on_integers(self, n):
-        assert z.nearest_int(float(n)) == n
-
-    @given(st.floats(min_value=-1e6, max_value=1e6))
-    def test_distance_at_most_half(self, x):
-        n = z.nearest_int(x)
-        assert abs(x - n) <= 0.5
+    def test_matches_divisor_sum(self, mobius_table):
+        sieved = {m: b_coefficients(m, mobius_table) for m in range(2, 7)}
+        for k in range(1, mobius_table.limit + 1):
+            for m, b in sieved.items():
+                assert b[k] == b_coefficient_naive(k, m, mobius_table), (k, m)

@@ -1,12 +1,18 @@
-"""The benchmark's traced child process runs against this source tree.
+"""The benchmark's traced child process and reference maker run against this tree.
 
-perfbench/spans.py wraps zetacorr functions by name; a rename that it
-does not follow fails the traced benchmark runs, and these tests first.
+perfbench/spans.py wraps zetacorr functions by name, and
+perfbench/make_reference.py imports some; a rename or removal that they
+do not follow fails the benchmark, and these tests first.
 """
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from zetacorr.correlation import leading_constant, parse_tuple_text
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,3 +52,17 @@ def test_traced_dips(tmp_path):
     argv = ["dips", "--tuple", "1,1,-2", "--t-lo", "13.5", "--t-hi", "14.8"]
     names = _traced_spans(tmp_path, argv + ["--tolerance", "0.01"])
     assert {"series.profile_grid", "dips.scan"} <= names
+
+
+def test_reference_maker_factors(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    make_reference = importlib.import_module("make_reference")
+    workloads = importlib.import_module("workloads")
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    for w in workloads.WORKLOADS.values():
+        for text in w.tuples:
+            d = make_reference.tuple_factor(text)
+            assert d == pytest.approx(leading_constant(parse_tuple_text(text)), rel=1e-9)
+            for key, entry in reference[w.name].items():
+                if w.kind == "hsum" and key.startswith(f"{text}@"):
+                    assert entry["d"] == d

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,25 @@ class TestHsumCommand:
         assert any(line.startswith("vacuous certificate") and "H_direct" in line for line in lines)
         assert "RuntimeWarning" not in done.stderr.decode()
 
+    @pytest.mark.parametrize("width", ["1e200", "1e150"])
+    def test_non_finite_report_exit_3(self, tmp_path, capsys, width):
+        # s = 1e200 makes hhat(0) nan (s * s = inf, times 0); s = 1e150 makes
+        # the spectral and main-term rounding bounds infinite
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"tuples = 1,1,-2\nT = 60\nh_center = 1e200\nh_width = {width}\n"
+            f"output_dir = {out}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["hsum", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert any(line.startswith("domain error:") for line in err.splitlines())
+        assert "not finite" in err
+        for written in out.rglob("*.json"):
+            json.loads(written.read_text(), parse_constant=pytest.fail)
+
 
 class TestDipsCommand:
     def test_json_output(self, capsys):
@@ -269,6 +289,18 @@ class TestIdentitiesCommand:
     def test_no_iterations_exit_2(self, capsys, iters):
         assert main(["identities", "--iters", iters, "--b-limit", "300"]) == 2
         assert "iterations" in capsys.readouterr().err
+
+    def test_b_limit_over_budget_exit_4(self, capsys):
+        # refused before the sieve: 1e8 would hold lists of 1e8 + 1 big ints
+        tracemalloc.start()
+        try:
+            got = main(["identities", "--iters", "1", "--b-limit", "100000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 4
+        assert "budget error" in capsys.readouterr().err
+        assert peak < 32 * 2**20
 
 
 class TestConfigParsing:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from unittest.mock import patch
@@ -313,7 +314,8 @@ class TestMainTermAndReport:
         claimed = report.diagnostics["main_term_claimed_error"]
         assert 0.0 < claimed <= 1.01e-6 * d_abs * 100.0**2
         assert report.diagnostics["main_term_terms"] >= 3
-        clone = z.CorrelationReport.from_json(report.to_json())
+        data = json.loads(report.to_json())
+        clone = z.CorrelationReport(**{**data, "tuple_entries": tuple(data["tuple_entries"])})
         assert clone == report
         row = report.csv_row()
         assert row["T"] == 100.0 and row["tuple"] == "+1+1-2"

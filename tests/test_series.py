@@ -13,14 +13,18 @@ from zetacorr.series import (
     choose_truncation,
     integral_tail_bound,
     kernel_profile_evaluator,
-    prime_tail_estimate,
     profile_proxies,
     profile_terms,
     transform_truncation,
     upper_gamma_int,
 )
 
-from oracles import dense_profile
+from oracles import (
+    dense_profile,
+    kernel_expansion_residual,
+    log_derivative_series,
+    prime_tail_estimate,
+)
 
 CFG = z.SeriesConfig(tolerance=1e-6)
 LOOSE = z.SeriesConfig(tolerance=1e-3)
@@ -134,17 +138,17 @@ class TestLogDerivativeSeries:
     def test_matches_zeta_log_derivative_at_2(self, mangoldt_large):
         # frozen high-precision reference for the series value at s = 2
         cfg = z.SeriesConfig(tolerance=1e-7)
-        val = z.log_derivative_series(2.0, 1, mangoldt_large, cfg).real
+        val = log_derivative_series(2.0, 1, mangoldt_large, cfg).real
         reference = 0.5699609930945328
         # truncation sits below the limit value by at most the tolerance
         assert reference - cfg.tolerance <= val <= reference + 1e-12
 
     def test_real_for_real_sigma(self, mangoldt_small):
-        assert z.log_derivative_series(4.0, 3, mangoldt_small, CFG).imag == 0.0
+        assert log_derivative_series(4.0, 3, mangoldt_small, CFG).imag == 0.0
 
     def test_dominated_by_first_term_at_large_sigma(self, mangoldt_small):
         sigma = 40.0
-        val = z.log_derivative_series(sigma, 2, mangoldt_small, CFG).real
+        val = log_derivative_series(sigma, 2, mangoldt_small, CFG).real
         first = math.log(2) ** 2 * 2.0**-sigma
         assert val == pytest.approx(first, rel=1e-5)
 
@@ -152,13 +156,12 @@ class TestLogDerivativeSeries:
 class TestProfile:
     def test_even_in_t(self, mangoldt_medium):
         tup = z.coefficient_tuple([1, 1, -2])
-        left = z.kernel_profile(-17.3, tup, mangoldt_medium, LOOSE)
-        right = z.kernel_profile(17.3, tup, mangoldt_medium, LOOSE)
+        left, right = dense_profile(tup, mangoldt_medium, LOOSE)(np.array([-17.3, 17.3]))
         assert left == right
 
     def test_positive_at_origin(self, mangoldt_medium):
         tup = z.coefficient_tuple([1, 1, -2])
-        y0 = z.kernel_profile(0.0, tup, mangoldt_medium, LOOSE)
+        y0 = dense_profile(tup, mangoldt_medium, LOOSE)(np.array([0.0]))[0]
         k0 = z.correlation_kernel(2.0, 3, mangoldt_medium, LOOSE).real
         assert y0 == pytest.approx(2.0 * k0, rel=1e-14)
         assert y0 > 0.0
@@ -170,9 +173,8 @@ class TestProfile:
         for entries in ([1, 2, -3], [1, 1, -2]):
             tup = z.coefficient_tuple(entries)
             grid = kernel_profile_evaluator(tup, mangoldt_medium, LOOSE, 25.0)(ts)
-            for t, y in zip(ts, grid):
-                scalar = z.kernel_profile(float(t), tup, mangoldt_medium, LOOSE)
-                assert abs(y - scalar) <= PROXY_TOL_SHARE * LOOSE.tolerance
+            dense = dense_profile(tup, mangoldt_medium, LOOSE)(ts)
+            assert np.all(np.abs(grid - dense) <= PROXY_TOL_SHARE * LOOSE.tolerance)
 
 
 T_MAX = 40.0
@@ -270,13 +272,13 @@ class TestProfileProxies:
 
 class TestKernelExpansion:
     def test_identity_residual_moderate(self, mangoldt_medium, mobius_table):
-        res = z.kernel_expansion_residual(
+        res = kernel_expansion_residual(
             2.5, 3, 40, mangoldt_medium, mobius_table, z.SeriesConfig(tolerance=1e-4)
         )
         assert res <= 1e-4
 
     def test_identity_residual_fourth_power(self, mangoldt_medium, mobius_table):
-        res = z.kernel_expansion_residual(
+        res = kernel_expansion_residual(
             3.0, 4, 40, mangoldt_medium, mobius_table, z.SeriesConfig(tolerance=1e-8)
         )
         assert res <= 1e-8
@@ -285,16 +287,16 @@ class TestKernelExpansion:
         cfg = z.SeriesConfig(tolerance=1e-5)
         coarse = abs(
             z.correlation_kernel(2.5, 3, mangoldt_medium, cfg)
-            - z.log_derivative_series(2.5, 3, mangoldt_medium, cfg)
+            - log_derivative_series(2.5, 3, mangoldt_medium, cfg)
         )
-        fine = z.kernel_expansion_residual(
+        fine = kernel_expansion_residual(
             2.5, 3, 40, mangoldt_medium, mobius_table, cfg
         )
         assert coarse > fine
 
     def test_domain_floor(self, mangoldt_small, mobius_table):
         with pytest.raises(z.DomainError):
-            z.kernel_expansion_residual(1.8, 3, 10, mangoldt_small, mobius_table, CFG)
+            kernel_expansion_residual(1.8, 3, 10, mangoldt_small, mobius_table, CFG)
 
 
 class TestPrimeTailEstimate:

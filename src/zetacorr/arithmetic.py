@@ -45,13 +45,6 @@ class MangoldtTable:
     power_index: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
 
-    def lambda_value(self, n: int) -> float:
-        """Lambda(n): log of the base prime when n is a prime power, else 0."""
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range [1, {self.limit}]")
-        p = int(self.base_prime[n])
-        return math.log(p) if p else 0.0
-
     def psi_at(self, x: float) -> float:
         """Chebyshev psi(x) = sum of Lambda(n) for n <= x, exact from the table."""
         if x > self.limit:

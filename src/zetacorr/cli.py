@@ -125,29 +125,28 @@ def _cmd_hsum(args) -> int:
     zeros = load_zeros(cfg.zeros_path)
     h = gaussian_triplet(cfg.h_center, cfg.h_width)
     table = _sieve_for(cfg.tuples, cfg.quadrature_tolerance, h)
+    # build every report first, so that an error (exit 3 or 4) writes nothing
+    runs = [
+        (tup, t_max, build_report(h, tup, t_max, zeros, table, tol=cfg.quadrature_tolerance))
+        for tup in cfg.tuples
+        for t_max in cfg.t_list
+    ]
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    agree = True
     vacuous = []
-    for tup in cfg.tuples:
-        for t_max in cfg.t_list:
-            report = build_report(
-                h, tup, t_max, zeros, table, tol=cfg.quadrature_tolerance
-            )
-            out = cfg.output_dir / f"report_{tup.compact}_{t_max:g}.json"
-            out.write_text(report.to_json(), encoding="utf-8")
-            print(out)
-            rows.append(report.csv_row())
-            agree = agree and routes_agree(report)
-            vacuous.extend(f"{tup} at T={t_max:g}: {v}" for v in _vacuous_claims(report))
+    for tup, t_max, report in runs:
+        out = cfg.output_dir / f"report_{tup.compact}_{t_max:g}.json"
+        out.write_text(report.to_json(), encoding="utf-8")
+        print(out)
+        vacuous.extend(f"{tup} at T={t_max:g}: {v}" for v in _vacuous_claims(report))
     csv_path = cfg.output_dir / "reports.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=list(runs[0][2].csv_row().keys()))
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(report.csv_row() for _, _, report in runs)
     print(csv_path)
     for line in vacuous:
         print(f"vacuous certificate: {line}", file=sys.stderr)
+    agree = all(routes_agree(report) for _, _, report in runs)
     if not agree:
         print("route agreement violated", file=sys.stderr)
     return EXIT_VIOLATION if vacuous or not agree else EXIT_OK

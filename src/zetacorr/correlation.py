@@ -5,22 +5,17 @@ ordinates up to T.  The first m-1 coordinates are enumerated; for each
 prefix only the window of last ordinates where |Delta| stays below the
 weight's support cutoff contributes, located by binary search.  Skipped
 tuples are covered by an analytic bound added to the claimed error.
-When a_1 = a_2, the tuples (i, j, ...) and (j, i, ...) have the same
-Delta bit for bit, so only i <= j is walked and the terms with i < j
-are doubled, exactly.  The result is the correctly rounded sum of all
-terms (`rounding.exact_sum`), which depends on neither their order nor
-their grouping into blocks.
+The result is the correctly rounded sum of all terms
+(`rounding.exact_sum`), which depends on neither their order nor their
+grouping into blocks.
 
 Spectral route: the same sum as 2 Re of the integral over [0, xi_max]
-of hhat(xi) times the product of geometric zero sums Q(a_k xi), with
-the conjugate used for negative coefficients, on a uniform grid fine
-enough to sample the fastest composite phase (frequency
-sum|a_k| * T) several times per period.  The grid is uniform, so each
-phase factors into a per-row and a per-column exponential (the blocked
-sums of Dutt and Rokhlin, 1993, with no approximation).  The Simpson
-sums are correctly rounded (`exact_sum`), and the claimed error carries
-a bound on every rounding of the computation alongside the quadrature
-and tail terms; it runs in one thread and is deterministic.
+of hhat(xi) times the product of geometric zero sums Q(a_k xi), on a
+uniform grid.  Each phase factors into a per-row and a per-column
+exponential (the blocked sums of Dutt and Rokhlin, 1993, with no
+approximation), contracted by one dot product per grid point in chunks
+of rows.  The claimed error bounds every rounding, for any order of
+those dot products, and the result is deterministic.
 """
 from __future__ import annotations
 
@@ -44,6 +39,8 @@ DIRECT_PREFIX_BUDGET = 80_000_000
 PREFIXES = 2**11  # (m-1)-prefixes per step
 BLOCK = 2**14  # tuples per call of h.value, plus at most one row
 ROW = 128  # grid points per row of the factored phase sums
+CHUNK = 32  # rows per contraction of the phase sums
+PIECE = 8192  # ordinates per np.vecdot: OpenBLAS threads zdotc above 10,000
 SAMPLES_PER_PERIOD = 16  # spectral grid points per period of the fastest phase
 SQRT2 = math.sqrt(2.0)
 
@@ -180,33 +177,37 @@ def _simpson(values: np.ndarray, dx: float) -> float:
     return exact_sum((weighted,)) * (dx / 3.0)
 
 
-def _phase_rows(gammas: np.ndarray, a: int, dx: float, rows: int):
-    """Q(a j dx) = sum over ordinates of e^(2 pi i a j dx gamma), row by row.
+def _phase_chunks(gammas: np.ndarray, a: int, dx: float, rows: int):
+    """Q(a j dx) = sum over ordinates of e^(2 pi i a j dx gamma), in chunks.
 
     Grid index j = r ROW + q splits the phase into e^(2 pi i a r ROW dx
     gamma) e^(2 pi i a q dx gamma).  The (ROW x n) block of the second
-    factor is computed once; each row then costs n exponentials, one
-    elementwise product and a row sum.  Yields ROW values per row r < rows.
+    factor is computed once; each chunk of CHUNK rows r < rows takes n
+    cosines and sines per row and np.vecdot, which conjugates its first
+    argument, and yields CHUNK * ROW values (fewer at the end).
     """
     g = (TWO_PI * a * dx) * gammas
     block = np.exp(1j * (np.arange(ROW, dtype=np.float64)[:, None] * g))
-    buf = np.empty_like(block)
-    for r in range(rows):
-        np.multiply(block, np.exp(1j * (float(r * ROW) * g)), out=buf)
-        yield buf.sum(axis=1)
+    for r0 in range(0, rows, CHUNK):
+        theta = np.multiply.outer(np.arange(r0, min(rows, r0 + CHUNK)) * -float(ROW), g)
+        conj = np.empty(theta.shape, np.complex128)
+        np.cos(theta, out=conj.real)
+        np.sin(theta, out=conj.imag)
+        yield sum(
+            np.vecdot(conj[:, None, k : k + PIECE], block[None, :, k : k + PIECE])
+            for k in range(0, g.size, PIECE)
+        ).ravel()
 
 
 def _phase_error(
     n: int, gamma_sum: float, a: int, jdx: np.ndarray, gap: np.ndarray
 ) -> np.ndarray:
-    """Bound on |_phase_rows at j - Q(a xi_j)|; see spectral_correlation_sum.
+    """Bound on |_phase_chunks at j - Q(a xi_j)|; see spectral_correlation_sum.
 
     jdx is fl(j dx) and gap bounds |xi_j - j dx|; gamma_sum is sum gamma.
     """
     eta = SQRT2 * TRIG_ABS
-    per_term = 2.0 * eta * (1.0 + eta) + (1.0 + eta) ** 2 * SQRT2 * (
-        gamma(2) + gamma(n - 1) * (1.0 + SQRT2 * gamma(2))
-    )
+    per_term = 2.0 * eta * (1.0 + eta) + (1.0 + eta) ** 2 * SQRT2 * gamma(2 * n)
     arg_rel = (1.0 + eta) * math.expm1(6.0 * U)
     return n * per_term + (TWO_PI * abs(a) * gamma_sum) * (arg_rel * jdx + gap)
 
@@ -223,9 +224,8 @@ def spectral_correlation_sum(
     use its conjugate.  The grid samples the fastest composite phase
     (frequency sum|a_k| * T) SAMPLES_PER_PERIOD times per period; xi_max
     makes the truncated hhat tail, amplified by the worst-case
-    |Q|^m = N^m, negligible.  The quadrature error is estimated by
-    comparing against the half-resolution grid.  Q comes from
-    `_phase_rows`, streamed one row of ROW grid points at a time.
+    |Q|^m = N^m, negligible.  The quadrature error is estimated from the
+    half-resolution grid.  Q comes from `_phase_chunks`, chunk by chunk.
 
     The claimed error adds `rounding_error`, a bound on |full - S| for
     the exact Simpson sum S over the linspace nodes xi_j, in the
@@ -237,13 +237,19 @@ def spectral_correlation_sum(
       with j;
     - grid: j dx differs from the linspace value xi_j; every phase moves
       by at most 2 pi |a| gamma gap_j, gap_j >= |xi_j - j dx|;
-    - each exponential is off by eta = sqrt2 TRIG_ABS, so the block and
-      row factors are within eta + |theta~ - theta| of e^(i theta) and of
-      modulus <= 1 + eta; their complex product adds Higham's sqrt2
-      gamma_2 (which also covers the fused multiply-add variant's 2U) and
-      the n-term row sum sqrt2 gamma_(n-1) sum |terms| (Higham's bound,
-      for any summation order, on real and imaginary parts).  This gives
-      the per-point bound e_k of `_phase_error`;
+    - each cosine and sine is off by TRIG_ABS, so the block and row
+      factors x, y are within eta = sqrt2 TRIG_ABS of e^(i theta~), of
+      modulus <= 1 + eta, and x y is within 2 eta (1 + eta) of the exact
+      e^(i(theta~_r + theta~_q));
+    - contraction: Re and Im of sum x y over the n ordinates are dot
+      products of 2n real terms (x_r y_r - x_i y_i, x_r y_i + x_i y_r),
+      summed by np.vecdot in an order it does not fix, with or without
+      fused multiply-adds.  Each term passes at most 2n roundings, so
+      each part is within gamma_(2n) times the sum of its terms' moduli
+      (Higham, section 3.1), and per ordinate those add up to at most
+      |x| |y| <= (1 + eta)^2.  The complex error is thus at most sqrt2
+      gamma_(2n) n (1 + eta)^2, and with the phases this gives the
+      per-point bound e_k of `_phase_error`, evaluated per chunk;
     - product: with U_l = |Q~_l| + e_l >= |Q_l|, telescoping gives
       |prod Q~ - prod Q| <= sum_k e_k prod_(l!=k) U_l, and the m - 1
       complex products and the final real product by hhat add
@@ -267,15 +273,14 @@ def spectral_correlation_sum(
     points += (-points) % 4 + 1  # next 4k+1, so the half grid stays odd
     xi = np.linspace(0.0, xi_max, points)
     dx = float(xi[1] - xi[0])
-    rows = -(-points // ROW)
     gamma_sum = exact_sum((gammas,))
     counts = Counter(sorted(abs(a) for a in tup.entries))
-    phases = {a: _phase_rows(gammas, a, dx, rows) for a in counts}
+    phases = {a: _phase_chunks(gammas, a, dx, -(-points // ROW)) for a in counts}
     product_rel = math.expm1((tup.m - 1) * SQRT2 * gamma(2) + U)
-    re = h.hat(xi)  # becomes Re(integrand), row by row
+    re = h.hat(xi)  # becomes Re(integrand), chunk by chunk
     err = h.hat_rounding_bound(xi)  # becomes the integrand's rounding bound
-    for r in range(rows):
-        j0, j1 = r * ROW, min(points, (r + 1) * ROW)
+    for j0 in range(0, points, CHUNK * ROW):
+        j1 = min(points, j0 + CHUNK * ROW)
         jdx = np.arange(j0, j1, dtype=np.float64) * dx
         gap = np.abs(xi[j0:j1] - jdx) + U * jdx
         q, abs_prod, upper, spread = {}, 1.0, 1.0, 0.0
@@ -286,10 +291,7 @@ def spectral_correlation_sum(
             abs_prod = abs_prod * mag**count
             upper = upper * (mag + e) ** count
             spread = spread + count * e / (mag + e)
-        prod = None
-        for a in tup.entries:
-            factor = q[a] if a > 0 else np.conj(q[-a])
-            prod = factor if prod is None else prod * factor
+        prod = math.prod(q[a] if a > 0 else np.conj(q[-a]) for a in tup.entries)
         hat_abs = np.abs(re[j0:j1])
         err[j0:j1] = hat_abs * (product_rel * abs_prod + upper * spread) + err[j0:j1] * upper
         re[j0:j1] *= prod.real

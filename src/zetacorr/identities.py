@@ -26,6 +26,7 @@ B_INVERSE_MAX_POWER = 6
 # the largest b_limit checked; its run takes about 25 s (2-CPU Xeon),
 # and each of its Python-integer lists holds limit + 1 entries
 B_INVERSE_BUDGET = 5 * 10**5
+ITERATIONS_BUDGET = 2000  # the most iterations run, about 0.035 s each (2-CPU Xeon)
 
 
 @dataclass
@@ -73,11 +74,16 @@ def run_identity_suite(
 
     Raises:
         ValueError: iterations below 1, which would check no random case.
-        BudgetError: b_limit above B_INVERSE_BUDGET (checked before
-            anything is sieved).
+        BudgetError: b_limit above B_INVERSE_BUDGET, or iterations above
+            ITERATIONS_BUDGET (checked before any work).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if iterations > ITERATIONS_BUDGET:
+        raise BudgetError(
+            f"iterations {iterations} exceed the budget of {ITERATIONS_BUDGET}; "
+            f"each takes about 0.035 s, so {ITERATIONS_BUDGET} run for about 70 s"
+        )
     if b_limit > B_INVERSE_BUDGET:
         raise BudgetError(f"b_limit {b_limit} exceeds the budget of {B_INVERSE_BUDGET}")
     rng = random.Random(seed)

@@ -107,6 +107,14 @@ def sinc_product_naive(entries):
     return Fraction(total, 2**m * math.factorial(m - 1) * math.prod(abs_a))
 
 
+def lambda_value(table, n: int) -> float:
+    """Lambda(n) read off a Mangoldt table: log of n's base prime, or 0."""
+    if not 1 <= n <= table.limit:
+        raise ValueError(f"n={n} outside table range [1, {table.limit}]")
+    p = int(table.base_prime[n])
+    return math.log(p) if p else 0.0
+
+
 def divisors(k: int) -> list[int]:
     """All positive divisors of k, ascending, by trial division up to sqrt(k)."""
     small, large = [], []

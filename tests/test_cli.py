@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import zetacorr as z
+from zetacorr import cli, identities
 from zetacorr.cli import main
 from zetacorr.config import parse_config_text
 from zetacorr.correlation import leading_constant
@@ -209,6 +210,42 @@ class TestHsumCommand:
         for written in out.rglob("*.json"):
             json.loads(written.read_text(), parse_constant=pytest.fail)
 
+    def test_huge_weight_leaves_no_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"tuples = 1,1,-2\nT = 60\nh_center = 1e200\nh_width = 1e200\noutput_dir = {out}\n"
+        )
+        assert main(["hsum", "--config", str(cfg)]) == 3
+        assert not out.exists()
+
+    def test_error_at_second_t_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        build = cli.build_report
+
+        def failing_at_60(h, tup, t_max, *args, **kwargs):
+            if t_max == 60.0:
+                raise z.DomainError("refused at T=60")
+            return build(h, tup, t_max, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_report", failing_at_60)
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"tuples = 1,1,-2\nT = 40, 60\noutput_dir = {out}\n")
+        assert main(["hsum", "--config", str(cfg)]) == 3
+        assert "refused at T=60" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_violation_still_writes_every_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "routes_agree", lambda report: report.t_max != 40.0)
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"tuples = 1,1,-2\nT = 40, 60\noutput_dir = {out}\n")
+        assert main(["hsum", "--config", str(cfg)]) == 1
+        assert "route agreement violated" in capsys.readouterr().err
+        names = {"report_+1+1-2_40.json", "report_+1+1-2_60.json", "reports.csv"}
+        assert {path.name for path in out.iterdir()} == names
+        assert len((out / "reports.csv").read_text().splitlines()) == 3
+
 
 class TestDipsCommand:
     def test_json_output(self, capsys):
@@ -289,6 +326,18 @@ class TestIdentitiesCommand:
     def test_no_iterations_exit_2(self, capsys, iters):
         assert main(["identities", "--iters", iters, "--b-limit", "300"]) == 2
         assert "iterations" in capsys.readouterr().err
+
+    def test_iterations_over_budget_exit_4(self, capsys, monkeypatch):
+        # refused before any work: the suite's first step would raise here
+        def unreachable(*args):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(identities, "alternating_multinomial_sum_scaled", unreachable)
+        monkeypatch.setattr(identities, "b_coefficients", unreachable)
+        limit = identities.ITERATIONS_BUDGET
+        assert main(["identities", "--iters", str(limit + 1), "--b-limit", "300"]) == 4
+        err = capsys.readouterr().err
+        assert f"budget of {limit}" in err and "about 0.035 s" in err
 
     def test_b_limit_over_budget_exit_4(self, capsys):
         # refused before the sieve: 1e8 would hold lists of 1e8 + 1 big ints

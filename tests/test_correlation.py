@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -8,7 +12,7 @@ import pytest
 
 import zetacorr as z
 from zetacorr import correlation
-from zetacorr.correlation import ROW, _phase_error, _phase_rows, _simpson
+from zetacorr.correlation import ROW, _phase_chunks, _phase_error, _simpson
 from zetacorr.series import transform_truncation
 
 from oracles import naive_correlation_sum, tuple_count_naive
@@ -214,8 +218,27 @@ def _spectral_oracle(h, tup, gammas, diag):
 
 
 def _rows(gammas, a, dx, points):
-    rows = list(_phase_rows(gammas, a, dx, -(-points // ROW)))
-    return np.concatenate(rows)[:points]
+    chunks = list(_phase_chunks(gammas, a, dx, -(-points // ROW)))
+    return np.concatenate(chunks)[:points]
+
+
+# runs the spectral route in a fresh interpreter and prints its bits, and
+# a digest of one chunk of phase sums over 12,000 ordinates, more than
+# OpenBLAS's zdotc takes in one thread
+SPECTRAL_BITS = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import zetacorr as z
+from zetacorr.correlation import _phase_chunks
+value, diag = z.spectral_correlation_sum(
+    z.gaussian_triplet(20.0, 2.0), z.coefficient_tuple([1, 1, -2]), 100.0,
+    z.load_zeros(z.bundled_zeros_path()),
+)
+gammas = np.sort(np.random.default_rng(0).uniform(14.0, 5000.0, 12_000))
+chunk = next(_phase_chunks(gammas, 1, 1e-3, 2))
+print(value.hex(), diag.rounding_error.hex(), hashlib.sha256(chunk.tobytes()).hexdigest())
+"""
 
 
 class TestSpectralRoute:
@@ -225,7 +248,7 @@ class TestSpectralRoute:
 
     def test_zero_phase_sum_at_origin(self, zero_table):
         gammas = z.zeros_up_to(zero_table, 100.0)
-        q0 = next(_phase_rows(gammas, 1, 0.01, 1))[0]
+        q0 = next(_phase_chunks(gammas, 1, 0.01, 1))[0]
         assert q0 == complex(29.0, 0.0)
 
     def test_conjugate_reflection(self, zero_table):
@@ -240,15 +263,77 @@ class TestSpectralRoute:
         gammas = z.zeros_up_to(zero_table, 500.0)
         xi = np.linspace(0.0, 1.9, 1001)
         dx = float(xi[1] - xi[0])
-        got = _rows(gammas, a, dx, xi.size)
         exact = _zero_phase_sum_oracle(gammas, a, xi)
         jdx = np.arange(xi.size) * dx
         gap = np.abs(xi - jdx) + 2.0**-53 * jdx
         bound = _phase_error(gammas.size, math.fsum(gammas), a, jdx, gap)
+        # PIECE 50 splits each dot product into six, summed in one more order
+        for piece in (correlation.PIECE, 50):
+            with patch.object(correlation, "PIECE", piece):
+                got = _rows(gammas, a, dx, xi.size)
+            miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
+            assert np.all(miss <= bound)
+            # a worst case, but within three orders of the realised error
+            assert np.max(bound) <= 1e3 * np.max(miss)
+
+    @needs_extended
+    @pytest.mark.parametrize("stretch", [0.0, 1e-12])
+    def test_rows_within_bound_at_shifted_nodes(self, zero_table, stretch):
+        # nodes j dx (1 + stretch), exact in long double: at stretch 0 only
+        # the argument term covers the phases' rounding, at 1e-12 only the
+        # gap term covers the nodes' offset from j dx
+        gammas = z.zeros_up_to(zero_table, 500.0)
+        a, dx, j = 3, 0.005, np.arange(4000)
+        jdx = j * dx
+        xi = j.astype(LD) * LD(dx) * (1 + LD(stretch))
+        gap = np.abs(xi - j.astype(LD) * LD(dx)).astype(np.float64) + 2.0**-62 * jdx
+        bound = _phase_error(gammas.size, math.fsum(gammas), a, jdx, gap)
+        got = _rows(gammas, a, dx, j.size)
+        exact = _zero_phase_sum_oracle(gammas, a, xi)
         miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
         assert np.all(miss <= bound)
-        # a worst case, but within three orders of the realised error
         assert np.max(bound) <= 1e3 * np.max(miss)
+
+    @needs_extended
+    def test_bound_holds_for_a_sequential_contraction(self, zero_table):
+        # np.vecdot's blocked sums stay far below the worst case of its
+        # 2n-term dot products; a left-to-right sum of the same factors is
+        # one more order the bound must cover, and at phases this small
+        # only its gamma_(2n) term does
+        gammas = z.zeros_up_to(zero_table, 1400.0)
+        a, dx, j = 1, 1e-7, np.arange(ROW, 2 * ROW)
+        g = (correlation.TWO_PI * a * dx) * gammas
+        block = np.exp(1j * (np.arange(ROW, dtype=np.float64)[:, None] * g))
+        sequential = np.cumsum(np.exp(1j * (float(ROW) * g)) * block, axis=1)[:, -1]
+        xi = j.astype(LD) * LD(dx)
+        exact = _zero_phase_sum_oracle(gammas, a, xi)
+        miss = np.abs(sequential.astype(np.clongdouble) - exact).astype(np.float64)
+        jdx = j * dx
+        bound = _phase_error(gammas.size, math.fsum(gammas), a, jdx, 2.0**-62 * jdx)
+        assert np.all(miss <= bound)
+        assert np.max(bound) <= 1e3 * np.max(miss)
+
+    @needs_extended
+    def test_route_gap_covers_node_offsets(self, weight_default, zero_table, monkeypatch):
+        calls = []
+
+        def recorded(n, gamma_sum, a, jdx, gap):
+            calls.append((a, jdx, gap))
+            return phase_error(n, gamma_sum, a, jdx, gap)
+
+        phase_error = correlation._phase_error
+        monkeypatch.setattr(correlation, "_phase_error", recorded)
+        tup = z.coefficient_tuple([1, 2, -3])
+        _, diag = z.spectral_correlation_sum(weight_default, tup, 100.0, zero_table)
+        xi = np.linspace(0.0, diag.xi_max, diag.grid_points)
+        j = np.arange(xi.size)
+        offset = np.abs(xi.astype(LD) - j.astype(LD) * LD(xi[1] - xi[0])).astype(np.float64)
+        assert np.count_nonzero(offset) > xi.size // 2
+        for a in (1, 2, 3):
+            jdx = np.concatenate([c[1] for c in calls if c[0] == a])
+            gap = np.concatenate([c[2] for c in calls if c[0] == a])
+            assert np.array_equal(jdx, j * (xi[1] - xi[0]))
+            assert np.all(offset <= gap)
 
     @needs_extended
     @pytest.mark.parametrize("entries", [(1, 1, -2), (1, 1, -1, -1)])
@@ -263,6 +348,26 @@ class TestSpectralRoute:
         assert diag.claimed_error >= diag.quadrature_error + diag.tail_bound + diag.rounding_error
         _, ddiag = z.direct_correlation_sum(weight_default, tup, 100.0, zero_table)
         assert diag.rounding_error <= 0.5 * ddiag.claimed_error
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1000])
+    def test_chunk_size_bit_identical(self, weight_default, zero_table, chunk):
+        tup = z.coefficient_tuple([1, 2, -3])
+        value, diag = z.spectral_correlation_sum(weight_default, tup, 100.0, zero_table)
+        with patch.object(correlation, "CHUNK", chunk):
+            small = z.spectral_correlation_sum(weight_default, tup, 100.0, zero_table)
+        assert small[0] == value and small[1] == diag
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        src = str(Path(z.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-I", "-c", SPECTRAL_BITS, src],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            )
+            outputs.append(done.stdout.split())
+        assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
 
     def test_matches_direct_on_tiny_instance(self, weight_default, tiny_zeros):
         tup = z.coefficient_tuple([1, 1, -2])

@@ -9,13 +9,13 @@ The result is the correctly rounded sum of all terms
 (`rounding.exact_sum`), which depends on neither their order nor their
 grouping into blocks.
 
-Spectral route: the same sum as 2 Re of the integral over [0, xi_max]
-of hhat(xi) times the product of geometric zero sums Q(a_k xi), on a
-uniform grid.  Each phase factors into a per-row and a per-column
-exponential (the blocked sums of Dutt and Rokhlin, 1993, with no
-approximation), contracted by one dot product per grid point in chunks
-of rows.  The claimed error bounds every rounding, for any order of
-those dot products, and the result is deterministic.
+Spectral route: the same sum as a trapezoid sum of hhat(xi) times the
+product of geometric zero sums Q(a_k xi), at exact nodes j dx just
+finer than the aliasing limit, whose error Poisson summation bounds in
+closed form.  Each phase factors into a per-row and a per-column
+exponential (Dutt and Rokhlin, 1993, with no approximation), contracted
+by one dot product per node in chunks of rows.  The claimed error bounds
+the aliases, the tail and every rounding, and the result is deterministic.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,17 +32,18 @@ from .errors import BudgetError, DataError, DomainError
 from .quadrature import closed_form_profile_integral
 from .rounding import ELEM_REL, MARGIN, TRIG_ABS, U, exact_sum, gamma
 from .tuples import CoefficientTuple, coefficient_tuple
-from .weights import TWO_PI, GaussianTriplet
+from .weights import SQRT_PI, TWO_PI, GaussianTriplet
 from .zeros import ZeroTable, zeros_up_to
 
 DIRECT_PREFIX_BUDGET = 80_000_000
 # the direct route's steps; small, so that its arrays do not raise peak memory
 PREFIXES = 2**11  # (m-1)-prefixes per step
 BLOCK = 2**14  # tuples per call of h.value, plus at most one row
-ROW = 128  # grid points per row of the factored phase sums
+ROW = 64  # grid points per row of the factored phase sums
 CHUNK = 32  # rows per contraction of the phase sums
 PIECE = 8192  # ordinates per np.vecdot: OpenBLAS threads zdotc above 10,000
-SAMPLES_PER_PERIOD = 16  # spectral grid points per period of the fastest phase
+SAMPLES_PER_PERIOD = 16  # cap on the spectral rate, per period of the fastest phase
+ALIAS_TARGET = 1e-16  # the alias bound the spectral rate aims for
 SQRT2 = math.sqrt(2.0)
 
 
@@ -57,7 +59,8 @@ class DirectDiagnostics:
 class SpectralDiagnostics:
     grid_points: int
     xi_max: float
-    quadrature_error: float
+    dx: float
+    alias_error: float
     tail_bound: float
     rounding_error: float
     claimed_error: float
@@ -167,16 +170,6 @@ def direct_correlation_sum(
     )
 
 
-def _simpson(values: np.ndarray, dx: float) -> float:
-    """Composite Simpson on an odd-length uniform grid (correctly rounded sum)."""
-    if values.size % 2 == 0 or values.size < 3:
-        raise ValueError("Simpson needs an odd number of points >= 3")
-    weighted = 2.0 * values
-    weighted[1::2] *= 2.0
-    weighted[0], weighted[-1] = values[0], values[-1]
-    return exact_sum((weighted,)) * (dx / 3.0)
-
-
 def _phase_chunks(gammas: np.ndarray, a: int, dx: float, rows: int):
     """Q(a j dx) = sum over ordinates of e^(2 pi i a j dx gamma), in chunks.
 
@@ -199,17 +192,26 @@ def _phase_chunks(gammas: np.ndarray, a: int, dx: float, rows: int):
         ).ravel()
 
 
-def _phase_error(
-    n: int, gamma_sum: float, a: int, jdx: np.ndarray, gap: np.ndarray
-) -> np.ndarray:
-    """Bound on |_phase_chunks at j - Q(a xi_j)|; see spectral_correlation_sum.
-
-    jdx is fl(j dx) and gap bounds |xi_j - j dx|; gamma_sum is sum gamma.
-    """
+def _phase_error(n: int, gamma_sum: float, a: int, jdx: np.ndarray) -> np.ndarray:
+    """Bound on |_phase_chunks at j - Q(a jdx)|, jdx = j dx; see spectral_correlation_sum."""
     eta = SQRT2 * TRIG_ABS
     per_term = 2.0 * eta * (1.0 + eta) + (1.0 + eta) ** 2 * SQRT2 * gamma(2 * n)
     arg_rel = (1.0 + eta) * math.expm1(6.0 * U)
-    return n * per_term + (TWO_PI * abs(a) * gamma_sum) * (arg_rel * jdx + gap)
+    return n * per_term + (TWO_PI * abs(a) * gamma_sum * arg_rel) * jdx
+
+
+def _alias_bound(h: GaussianTriplet, amp: float, delta_max: float, rate: float) -> float:
+    """Bound on the sum over k != 0 and amp tuples of |h(Delta - k rate)|.
+
+    |Delta - k rate| >= |k| rate - delta_max: below k0, |h| <= 3; beyond x0
+    >= c, `value_bound_beyond` decreases, so its sum over k >= k0 is at most
+    its value at x0 plus its integral beyond x0 over rate.  8U covers roundings.
+    """
+    c, s = h.center, h.width
+    k0 = max(1.0, float(np.ceil((delta_max + c) * (1.0 + 8.0 * U) / rate)))
+    x0 = max(c, (k0 * rate - delta_max) - 8.0 * U * (k0 * rate + delta_max))
+    tail = 1.5 * s / rate * math.erfc(SQRT_PI * (x0 - c) / s)
+    return 2.0 * amp * (3.0 * (k0 - 1.0) + h.value_bound_beyond(x0) + tail)
 
 
 def spectral_correlation_sum(
@@ -218,76 +220,69 @@ def spectral_correlation_sum(
     t_max: float,
     zeros: ZeroTable,
 ) -> tuple[float, SpectralDiagnostics]:
-    """Correlation sum as 2 Re integral of hhat(xi) prod_k Q(a_k xi) dxi.
+    """Correlation sum as the trapezoid sum 2 dx Re sum_(j >= 0) F(j dx).
 
-    Q is the geometric sum over ordinates up to T; negative coefficients
-    use its conjugate.  The grid samples the fastest composite phase
-    (frequency sum|a_k| * T) SAMPLES_PER_PERIOD times per period; xi_max
-    makes the truncated hhat tail, amplified by the worst-case
-    |Q|^m = N^m, negligible.  The quadrature error is estimated from the
-    half-resolution grid.  Q comes from `_phase_chunks`, chunk by chunk.
+    F(xi) = hhat(xi) prod_k Q(a_k xi), Q the geometric sum over ordinates
+    up to T (its conjugate for a_k < 0); F(-xi) = conj F(xi), and F(0) = 0
+    makes the weight 1/2 of j = 0 moot.  By Poisson summation the sum over
+    all j is H plus the aliases h(Delta - k / dx), k != 0 (`_alias_bound`).
+    With the a_k summing to 0, |Delta| <= Delta_max = (sum of positive a_k)
+    (gamma_n - gamma_1), and the rate 1/dx = min(Delta_max + X,
+    SAMPLES_PER_PERIOD sum|a_k| T), X = c + s sqrt(ln(6 N^m / ALIAS_TARGET)
+    / pi), keeps them near ALIAS_TARGET (Trefethen and Weideman, SIAM
+    Review 56, 2014).  J dx >= xi_max, and as |hhat|'s envelope decreases,
+    the terms beyond J, amplified by |Q|^m <= N^m, stay below `tail_bound`.
 
-    The claimed error adds `rounding_error`, a bound on |full - S| for
-    the exact Simpson sum S over the linspace nodes xi_j, in the
-    floating-point model of `rounding`:
-    - phases: theta = 2 pi a j dx gamma is computed from TWO_PI, a, dx,
-      gamma and q or r ROW in five roundings, so |theta~ - theta| <=
-      expm1(5U) |theta|; summed over gamma, and with fl(j dx) standing
-      for j dx, that is expm1(6U) 2 pi |a| fl(j dx) sum gamma, growing
-      with j;
-    - grid: j dx differs from the linspace value xi_j; every phase moves
-      by at most 2 pi |a| gamma gap_j, gap_j >= |xi_j - j dx|;
-    - each cosine and sine is off by TRIG_ABS, so the block and row
-      factors x, y are within eta = sqrt2 TRIG_ABS of e^(i theta~), of
-      modulus <= 1 + eta, and x y is within 2 eta (1 + eta) of the exact
-      e^(i(theta~_r + theta~_q));
-    - contraction: Re and Im of sum x y over the n ordinates are dot
-      products of 2n real terms (x_r y_r - x_i y_i, x_r y_i + x_i y_r),
-      summed by np.vecdot in an order it does not fix, with or without
-      fused multiply-adds.  Each term passes at most 2n roundings, so
-      each part is within gamma_(2n) times the sum of its terms' moduli
-      (Higham, section 3.1), and per ordinate those add up to at most
-      |x| |y| <= (1 + eta)^2.  The complex error is thus at most sqrt2
-      gamma_(2n) n (1 + eta)^2, and with the phases this gives the
-      per-point bound e_k of `_phase_error`, evaluated per chunk;
-    - product: with U_l = |Q~_l| + e_l >= |Q_l|, telescoping gives
-      |prod Q~ - prod Q| <= sum_k e_k prod_(l!=k) U_l, and the m - 1
-      complex products and the final real product by hhat add
-      expm1((m-1) sqrt2 gamma_2 + U) |hhat~| prod |Q~|;
-    - hhat: its own value, cos(2 pi c xi) included, is off by at most
-      `GaussianTriplet.hat_rounding_bound`, amplified by prod U_l;
-    - Simpson: the per-point bounds enter with the Simpson weights, and
-      the correctly rounded sum plus the scaling by dx/3 add
-      expm1(3U) |full|.
+    The claimed error adds `rounding_error`, a bound on |full - S| for the
+    exact trapezoid sum S, in the floating-point model of `rounding`:
+    - phases: theta = 2 pi a j dx gamma takes five roundings, so summed
+      over gamma, with one U of slack, it is off by expm1(6U) 2 pi |a| j dx
+      sum gamma; cos and sin are off by TRIG_ABS, so the factors x, y are
+      within eta = sqrt2 TRIG_ABS of e^(i theta~), |x|, |y| <= 1 + eta, and
+      x y is within 2 eta (1 + eta) of e^(i(theta~_r + theta~_q));
+    - contraction: Re and Im of sum x y are dot products of 2n real terms
+      (x_r y_r - x_i y_i, x_r y_i + x_i y_r), summed by np.vecdot in an order
+      it does not fix, with or without fused multiply-adds: each part is
+      within gamma_(2n) of the sum of its terms' moduli (Higham, section
+      3.1), at most (1 + eta)^2 per ordinate, so the complex error is at most
+      sqrt2 gamma_(2n) n (1 + eta)^2; with the phases, this is `_phase_error`;
+    - product: with U_l = |Q~_l| + e_l >= |Q_l|, |prod Q~ - prod Q| <= sum_k
+      e_k prod_(l!=k) U_l (telescoping), and the m - 1 complex products and
+      the real product by hhat add expm1((m-1) sqrt2 gamma_2 + U) |hhat~| prod |Q~|;
+    - hhat: off by `GaussianTriplet.hat_rounding_bound`, times prod U_l;
+    - sum: exact_sum and the scaling by 2 dx add expm1(2U) |full|.
     """
     gammas = _ordinates_for(zeros, t_max)
     n = gammas.size
     if n == 0:
-        return 0.0, SpectralDiagnostics(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return 0.0, SpectralDiagnostics(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     amp = float(n) ** tup.m
     xi_max = 0.5
     while 2.0 * amp * h.hat_tail_integral(xi_max) > 1e-10 and xi_max < 50.0:
         xi_max *= 1.25
     tail = 2.0 * amp * h.hat_tail_integral(xi_max)
-    points = int(math.ceil(SAMPLES_PER_PERIOD * tup.abs_sum * t_max * xi_max))
-    points += (-points) % 4 + 1  # next 4k+1, so the half grid stays odd
-    xi = np.linspace(0.0, xi_max, points)
-    dx = float(xi[1] - xi[0])
+    delta_max = tup.positive_sum * float(gammas[-1] - gammas[0])
+    reach = h.center + h.width * math.sqrt(math.log(6.0 * amp / ALIAS_TARGET) / math.pi)
+    rate = min(delta_max + reach, SAMPLES_PER_PERIOD * tup.abs_sum * t_max)
+    # dx >= 1/rate, rounded up to so few bits that every node j dx is exact
+    top = math.ceil(xi_max * rate) + 1  # J = ceil(xi_max / dx) <= top
+    exp = math.frexp(1.0 / rate)[1] - (53 - top.bit_length())
+    dx = math.ldexp(math.ceil(1 / (Fraction(rate) * Fraction(2) ** exp)), exp)
+    points = math.ceil(Fraction(xi_max) / Fraction(dx)) + 1
+    xi = np.arange(points, dtype=np.float64) * dx
     gamma_sum = exact_sum((gammas,))
     counts = Counter(sorted(abs(a) for a in tup.entries))
     phases = {a: _phase_chunks(gammas, a, dx, -(-points // ROW)) for a in counts}
     product_rel = math.expm1((tup.m - 1) * SQRT2 * gamma(2) + U)
-    re = h.hat(xi)  # becomes Re(integrand), chunk by chunk
-    err = h.hat_rounding_bound(xi)  # becomes the integrand's rounding bound
+    re = h.hat(xi)  # becomes Re F(j dx), chunk by chunk
+    err = h.hat_rounding_bound(xi)  # becomes the bound on its rounding
     for j0 in range(0, points, CHUNK * ROW):
         j1 = min(points, j0 + CHUNK * ROW)
-        jdx = np.arange(j0, j1, dtype=np.float64) * dx
-        gap = np.abs(xi[j0:j1] - jdx) + U * jdx
         q, abs_prod, upper, spread = {}, 1.0, 1.0, 0.0
         for a, count in counts.items():
             q[a] = next(phases[a])[: j1 - j0]
             mag = np.abs(q[a])
-            e = _phase_error(n, gamma_sum, a, jdx, gap)
+            e = _phase_error(n, gamma_sum, a, xi[j0:j1])
             abs_prod = abs_prod * mag**count
             upper = upper * (mag + e) ** count
             spread = spread + count * e / (mag + e)
@@ -295,17 +290,17 @@ def spectral_correlation_sum(
         hat_abs = np.abs(re[j0:j1])
         err[j0:j1] = hat_abs * (product_rel * abs_prod + upper * spread) + err[j0:j1] * upper
         re[j0:j1] *= prod.real
-    full = 2.0 * _simpson(re, dx)
-    half = 2.0 * _simpson(re[::2], 2.0 * dx)
-    quad_err = abs(full - half)
-    rounding = MARGIN * (2.0 * _simpson(err, dx) + math.expm1(3.0 * U) * abs(full))
+    full = 2.0 * dx * exact_sum((re,))
+    alias = _alias_bound(h, amp, delta_max, 1.0 / dx)
+    rounding = MARGIN * (2.0 * dx * exact_sum((err,)) + math.expm1(2.0 * U) * abs(full))
     return full, SpectralDiagnostics(
         grid_points=points,
         xi_max=xi_max,
-        quadrature_error=quad_err,
+        dx=dx,
+        alias_error=alias,
         tail_bound=tail,
         rounding_error=rounding,
-        claimed_error=quad_err + tail + rounding,
+        claimed_error=alias + tail + rounding,
     )
 
 
@@ -401,7 +396,10 @@ def build_report(
         "main_term_claimed_error": main_claimed,
         "main_term_terms": n_cut,
         "route_gap": abs(h_direct - h_spectral),
+        "spectral_alias_error": sdiag.alias_error,
+        "spectral_tail_bound": sdiag.tail_bound,
         "spectral_rounding_error": sdiag.rounding_error,
+        "spectral_xi_max": sdiag.xi_max,
     }
     report = CorrelationReport(
         tuple_entries=tup.entries,

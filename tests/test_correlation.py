@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
 
@@ -12,7 +13,7 @@ import pytest
 
 import zetacorr as z
 from zetacorr import correlation
-from zetacorr.correlation import ROW, _phase_chunks, _phase_error, _simpson
+from zetacorr.correlation import ROW, _phase_chunks, _phase_error
 from zetacorr.series import transform_truncation
 
 from oracles import naive_correlation_sum, tuple_count_naive
@@ -201,20 +202,18 @@ def _zero_phase_sum_oracle(gammas, scale, xi):
 
 
 def _spectral_oracle(h, tup, gammas, diag):
-    """Simpson sum of the spectral integrand on the route's grid, in long double."""
-    xi = np.linspace(0.0, diag.xi_max, diag.grid_points)
-    x = xi.astype(LD)
+    """Trapezoid sum of the spectral integrand at the route's nodes, in long double."""
+    x = np.arange(diag.grid_points).astype(LD) * LD(diag.dx)
     c, s = LD(h.center), LD(h.width)
     f = (2 * s * np.exp(-LD_PI * s * s * x * x) * (np.cos(2 * LD_PI * c * x) - 1)).astype(
         np.clongdouble
     )
-    factors = {a: _zero_phase_sum_oracle(gammas, a, xi) for a in {abs(a) for a in tup.entries}}
+    factors = {a: _zero_phase_sum_oracle(gammas, a, x) for a in {abs(a) for a in tup.entries}}
     for a in tup.entries:
         f = f * (factors[a] if a > 0 else np.conj(factors[-a]))
-    w = np.full(x.size, LD(2.0))
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return 2 * (LD(xi[1] - xi[0]) / 3) * np.sum(w * f.real)
+    w = np.ones(x.size, dtype=LD)
+    w[0] = 0.5
+    return 2 * LD(diag.dx) * np.sum(w * f.real)
 
 
 def _rows(gammas, a, dx, points):
@@ -242,10 +241,6 @@ print(value.hex(), diag.rounding_error.hex(), hashlib.sha256(chunk.tobytes()).he
 
 
 class TestSpectralRoute:
-    def test_simpson_on_parabola(self):
-        xs = np.linspace(0.0, 1.0, 5)
-        assert _simpson(xs * xs, xs[1] - xs[0]) == pytest.approx(1.0 / 3.0)
-
     def test_zero_phase_sum_at_origin(self, zero_table):
         gammas = z.zeros_up_to(zero_table, 100.0)
         q0 = next(_phase_chunks(gammas, 1, 0.01, 1))[0]
@@ -261,35 +256,27 @@ class TestSpectralRoute:
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_rows_within_bound_of_oracle(self, zero_table, a):
         gammas = z.zeros_up_to(zero_table, 500.0)
-        xi = np.linspace(0.0, 1.9, 1001)
-        dx = float(xi[1] - xi[0])
-        exact = _zero_phase_sum_oracle(gammas, a, xi)
-        jdx = np.arange(xi.size) * dx
-        gap = np.abs(xi - jdx) + 2.0**-53 * jdx
-        bound = _phase_error(gammas.size, math.fsum(gammas), a, jdx, gap)
+        dx, j = 1.9 / 1000, np.arange(1001)
+        exact = _zero_phase_sum_oracle(gammas, a, j.astype(LD) * LD(dx))
+        bound = _phase_error(gammas.size, math.fsum(gammas), a, j * dx)
         # PIECE 50 splits each dot product into six, summed in one more order
         for piece in (correlation.PIECE, 50):
             with patch.object(correlation, "PIECE", piece):
-                got = _rows(gammas, a, dx, xi.size)
+                got = _rows(gammas, a, dx, j.size)
             miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
             assert np.all(miss <= bound)
             # a worst case, but within three orders of the realised error
             assert np.max(bound) <= 1e3 * np.max(miss)
 
     @needs_extended
-    @pytest.mark.parametrize("stretch", [0.0, 1e-12])
-    def test_rows_within_bound_at_shifted_nodes(self, zero_table, stretch):
-        # nodes j dx (1 + stretch), exact in long double: at stretch 0 only
-        # the argument term covers the phases' rounding, at 1e-12 only the
-        # gap term covers the nodes' offset from j dx
+    def test_rows_within_bound_at_far_nodes(self, zero_table):
+        # at j up to 4000 the phases' rounding, bounded by the argument
+        # term, grows with j dx and dominates the bound
         gammas = z.zeros_up_to(zero_table, 500.0)
         a, dx, j = 3, 0.005, np.arange(4000)
-        jdx = j * dx
-        xi = j.astype(LD) * LD(dx) * (1 + LD(stretch))
-        gap = np.abs(xi - j.astype(LD) * LD(dx)).astype(np.float64) + 2.0**-62 * jdx
-        bound = _phase_error(gammas.size, math.fsum(gammas), a, jdx, gap)
+        bound = _phase_error(gammas.size, math.fsum(gammas), a, j * dx)
         got = _rows(gammas, a, dx, j.size)
-        exact = _zero_phase_sum_oracle(gammas, a, xi)
+        exact = _zero_phase_sum_oracle(gammas, a, j.astype(LD) * LD(dx))
         miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
         assert np.all(miss <= bound)
         assert np.max(bound) <= 1e3 * np.max(miss)
@@ -308,32 +295,28 @@ class TestSpectralRoute:
         xi = j.astype(LD) * LD(dx)
         exact = _zero_phase_sum_oracle(gammas, a, xi)
         miss = np.abs(sequential.astype(np.clongdouble) - exact).astype(np.float64)
-        jdx = j * dx
-        bound = _phase_error(gammas.size, math.fsum(gammas), a, jdx, 2.0**-62 * jdx)
+        bound = _phase_error(gammas.size, math.fsum(gammas), a, j * dx)
         assert np.all(miss <= bound)
         assert np.max(bound) <= 1e3 * np.max(miss)
 
-    @needs_extended
-    def test_route_gap_covers_node_offsets(self, weight_default, zero_table, monkeypatch):
+    def test_nodes_are_exact_multiples(self, weight_default, zero_table, monkeypatch):
         calls = []
 
-        def recorded(n, gamma_sum, a, jdx, gap):
-            calls.append((a, jdx, gap))
-            return phase_error(n, gamma_sum, a, jdx, gap)
+        def recorded(n, gamma_sum, a, jdx):
+            calls.append((a, jdx))
+            return phase_error(n, gamma_sum, a, jdx)
 
         phase_error = correlation._phase_error
         monkeypatch.setattr(correlation, "_phase_error", recorded)
         tup = z.coefficient_tuple([1, 2, -3])
         _, diag = z.spectral_correlation_sum(weight_default, tup, 100.0, zero_table)
-        xi = np.linspace(0.0, diag.xi_max, diag.grid_points)
-        j = np.arange(xi.size)
-        offset = np.abs(xi.astype(LD) - j.astype(LD) * LD(xi[1] - xi[0])).astype(np.float64)
-        assert np.count_nonzero(offset) > xi.size // 2
+        step = Fraction(diag.dx)
         for a in (1, 2, 3):
-            jdx = np.concatenate([c[1] for c in calls if c[0] == a])
-            gap = np.concatenate([c[2] for c in calls if c[0] == a])
-            assert np.array_equal(jdx, j * (xi[1] - xi[0]))
-            assert np.all(offset <= gap)
+            nodes = np.concatenate([jdx for b, jdx in calls if b == a])
+            assert nodes.size == diag.grid_points
+            assert all(Fraction(x) == j * step for j, x in enumerate(nodes.tolist()))
+        # the last node is the first at or beyond xi_max
+        assert nodes[-2] < diag.xi_max <= nodes[-1]
 
     @needs_extended
     @pytest.mark.parametrize("entries", [(1, 1, -2), (1, 1, -1, -1)])
@@ -345,9 +328,49 @@ class TestSpectralRoute:
         gammas = z.zeros_up_to(zero_table, 100.0)
         reference = _spectral_oracle(weight_default, tup, gammas, diag)
         assert float(abs(LD(value) - reference)) <= diag.rounding_error
-        assert diag.claimed_error >= diag.quadrature_error + diag.tail_bound + diag.rounding_error
+        assert diag.claimed_error >= diag.alias_error + diag.tail_bound + diag.rounding_error
         _, ddiag = z.direct_correlation_sum(weight_default, tup, 100.0, zero_table)
         assert diag.rounding_error <= 0.5 * ddiag.claimed_error
+
+    def test_alias_bound_covers_undersampling(self, weight_default, zero_table, monkeypatch):
+        # at the rate Delta_max + c/2, aliases h(Delta - k / dx) land on
+        # the weight's bumps: the routes then differ by more than every
+        # other claim, and only the alias bound covers the gap
+        tup = z.coefficient_tuple([1, 1, -2])
+        gammas = z.zeros_up_to(zero_table, 100.0)
+        slow = tup.positive_sum * float(gammas[-1] - gammas[0]) + weight_default.center / 2
+        monkeypatch.setattr(correlation, "SAMPLES_PER_PERIOD", slow / (tup.abs_sum * 100.0))
+        spectral, sdiag = z.spectral_correlation_sum(weight_default, tup, 100.0, zero_table)
+        direct, ddiag = z.direct_correlation_sum(weight_default, tup, 100.0, zero_table)
+        gap = abs(spectral - direct)
+        assert gap > sdiag.tail_bound + sdiag.rounding_error + ddiag.claimed_error
+        assert gap <= sdiag.claimed_error + ddiag.claimed_error
+
+    @pytest.mark.parametrize("center, width", [(20.0, 2.0), (1.0, 5.0), (2.0, 8.0)])
+    def test_alias_bound_covers_every_alias(self, zero_table, center, width):
+        # sum over k != 0 and all 27 tuples at T = 30 of |h(Delta - k R)|,
+        # at rates from well below the aliasing limit to just above it;
+        # at R = Delta_max + c + s/2 the bound needs its value_bound_beyond term
+        h = z.gaussian_triplet(center, width)
+        tup = z.coefficient_tuple([1, 1, -2])
+        gammas = z.zeros_up_to(zero_table, 30.0)
+        grids = np.meshgrid(*[gammas] * 3, indexing="ij")
+        deltas = sum(a * g for a, g in zip(tup.entries, grids)).ravel()
+        delta_max = tup.positive_sum * float(gammas[-1] - gammas[0])
+        ks = np.concatenate([np.arange(-2000, 0), np.arange(1, 2001)])
+        for rate in (2.0, 5.0, (delta_max + center) / 1.5, delta_max + center + width / 2):
+            aliases = np.abs(h.value(deltas[:, None] - ks * rate)).sum()
+            bound = correlation._alias_bound(h, float(deltas.size), delta_max, rate)
+            assert aliases <= bound
+
+    @pytest.mark.parametrize("center, width, t_max", [(1e300, 2.0, 40.0), (1e200, 1e150, 60.0)])
+    def test_grid_never_exceeds_sixteen_per_period(self, zero_table, center, width, t_max):
+        # a huge center caps the rate at SAMPLES_PER_PERIOD sum|a| T; dx is
+        # rounded up, so the nodes j dx <= xi_max stay within that rate
+        tup = z.coefficient_tuple([1, 1, -2])
+        h = z.gaussian_triplet(center, width)
+        _, diag = z.spectral_correlation_sum(h, tup, t_max, zero_table)
+        assert diag.grid_points <= math.ceil(16 * tup.abs_sum * t_max * diag.xi_max) + 1
 
     @pytest.mark.parametrize("chunk", [1, 5, 1000])
     def test_chunk_size_bit_identical(self, weight_default, zero_table, chunk):
@@ -414,6 +437,11 @@ class TestMainTermAndReport:
         n_zeros = z.zeros_up_to(zero_table, 100.0).size
         assert report.diagnostics["tuple_count"] <= n_zeros**tup.m
         assert all(v >= 0.0 for v in report.diagnostics["claimed_errors"].values())
+        parts = ("spectral_alias_error", "spectral_tail_bound", "spectral_rounding_error")
+        assert report.diagnostics["claimed_errors"]["spectral"] == sum(
+            report.diagnostics[key] for key in parts
+        )
+        assert report.diagnostics["spectral_xi_max"] > 0.0
         # main-term certificate: tail bound <= tol, scaled by |D| T^(m-1)
         d_abs = 0.5 / (2.0 * math.pi) ** 3
         claimed = report.diagnostics["main_term_claimed_error"]

@@ -11,7 +11,8 @@ end-to-end metrics of every run, their medians and quartiles per side,
 and the number of pairs each side won are written to the workload's
 entry of the output JSON (other workloads' entries are kept), with the
 machine's CPU count.  A metric's direction comes from CHANGE's
-BENCHMARK.json.
+BENCHMARK.json.  The entry is rewritten after every pair, so a run that
+fails (which stops the script) keeps the pairs before it.
 """
 from __future__ import annotations
 
@@ -45,6 +46,8 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
@@ -88,6 +91,8 @@ def main() -> int:
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     seeds = [int(s) for s in args.seeds.split(",")]
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
+    record["nproc"] = os.cpu_count()
     pairs = []
     for i in range(args.pairs):
         seed = seeds[i % len(seeds)]
@@ -100,18 +105,15 @@ def main() -> int:
         pairs.append(pair)
         wall = {side: pair[side]["metrics"].get("wall_s") for side in roots}
         print(f"pair {i} seed {seed} first {order[0]}: wall_s {wall}", flush=True)
-
-    record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
-    record["nproc"] = os.cpu_count()
-    record.setdefault("workloads", {})[args.workload] = {
-        "seconds": seconds,
-        "seeds": seeds,
-        "cpu_model": env["cpu_model"],
-        "all_correct": all(p[s]["correct"] for p in pairs for s in roots),
-        "summary": summarize(pairs, better),
-        "pairs": pairs,
-    }
-    args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+        record.setdefault("workloads", {})[args.workload] = {
+            "seconds": seconds,
+            "seeds": seeds,
+            "cpu_model": env["cpu_model"],
+            "all_correct": all(p[s]["correct"] for p in pairs for s in roots),
+            "summary": summarize(pairs, better),
+            "pairs": pairs,
+        }
+        args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(record["workloads"][args.workload]["summary"], indent=2))
     return 0
 

@@ -26,14 +26,7 @@ from .correlation import (
 )
 from .dips import DipRecord, match_to_zeros, profile_grid, scan_minima
 from .errors import BudgetError, DataError, DomainError, ResourceError
-from .quadrature import (
-    QuadratureResult,
-    adaptive_integrate,
-    closed_form_profile_integral,
-    sinc_product_constant,
-    weighted_profile_integral,
-)
-from .series import SeriesConfig, correlation_kernel
+from .series import SeriesConfig, closed_form_profile_integral, correlation_kernel
 from .tuples import CoefficientTuple, coefficient_tuple
 from .weights import GaussianTriplet, class_membership_report, gaussian_triplet
 from .zeros import (
@@ -58,11 +51,9 @@ __all__ = [
     "GaussianTriplet",
     "MangoldtTable",
     "MobiusTable",
-    "QuadratureResult",
     "ResourceError",
     "SeriesConfig",
     "ZeroTable",
-    "adaptive_integrate",
     "balanced_coefficient",
     "balanced_sinc_constant",
     "build_report",
@@ -87,11 +78,9 @@ __all__ = [
     "sieve_mangoldt",
     "sieve_mobius",
     "sinc_power_integral",
-    "sinc_product_constant",
     "sinc_product_exact",
     "spectral_correlation_sum",
     "validate_zero_table",
-    "weighted_profile_integral",
     "write_zeros",
     "zeros_up_to",
 ]

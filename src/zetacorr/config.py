@@ -8,8 +8,8 @@ Format: UTF-8 text, one `key = value` per line, '#' comments.  Keys:
                          ``1,1,-2; 1,1,-1,-1``
     T                    comma-separated list of cutoffs
     h_center, h_width    weight-function parameters (default 20, 2)
-    series_tolerance     certified series tail tolerance (default 1e-3);
-                         accepted and validated, but hsum does not read it
+    series_tolerance     accepted and validated, but not stored: hsum
+                         reads no series tolerance
     quadrature_tolerance certified tail tolerance of the closed-form
                          main-term sum, which also sizes the sieve
                          (default 1e-6)
@@ -45,7 +45,6 @@ class ExperimentConfig:
     t_list: list[float]
     h_center: float = 20.0
     h_width: float = 2.0
-    series_tolerance: float = 1e-3
     quadrature_tolerance: float = 1e-6
     output_dir: Path = field(default_factory=lambda: Path("."))
 
@@ -90,6 +89,8 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         ]
         if not t_list:
             raise ValueError("config must list at least one T")
+        if "series_tolerance" in raw:
+            _positive("series_tolerance", raw["series_tolerance"])
         zeros_path = Path(raw["zeros"]) if "zeros" in raw else default_zeros_path()
         return ExperimentConfig(
             zeros_path=zeros_path,
@@ -97,9 +98,6 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             t_list=t_list,
             h_center=_positive("h_center", raw.get("h_center", "20")),
             h_width=_positive("h_width", raw.get("h_width", "2")),
-            series_tolerance=_positive(
-                "series_tolerance", raw.get("series_tolerance", "1e-3")
-            ),
             quadrature_tolerance=_positive(
                 "quadrature_tolerance", raw.get("quadrature_tolerance", "1e-6")
             ),

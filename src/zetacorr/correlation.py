@@ -29,8 +29,8 @@ import numpy as np
 
 from .combinatorics import sinc_product_exact
 from .errors import BudgetError, DataError, DomainError
-from .quadrature import closed_form_profile_integral
 from .rounding import ELEM_REL, MARGIN, TRIG_ABS, U, exact_sum, gamma
+from .series import closed_form_profile_integral
 from .tuples import CoefficientTuple, coefficient_tuple
 from .weights import SQRT_PI, TWO_PI, GaussianTriplet
 from .zeros import ZeroTable, zeros_up_to
@@ -325,10 +325,10 @@ def main_term(
     tail and rounding bound scaled by |D| T^(m-1), plus the rounding of
     that scale and of the product: m + 4 roundings and two powers.
     """
-    profile, n_cut = closed_form_profile_integral(h, tup, table, tol)
+    integral, rounding, tail, n_cut = closed_form_profile_integral(h, tup, table, tol)
     scale = leading_constant(tup) * t_max ** (tup.m - 1)
-    value = scale * profile.value
-    claimed = abs(scale) * profile.total_error + math.expm1(
+    value = scale * integral
+    claimed = abs(scale) * (rounding + tail) + math.expm1(
         (tup.m + 4) * U + 2.0 * ELEM_REL
     ) * abs(value)
     return value, MARGIN * claimed, n_cut

@@ -1,4 +1,7 @@
-"""Adaptive integration plus the two specific integrals of the pipeline.
+"""Adaptive integration and the integrals computed with it: test oracles.
+
+No command imports this module: the tests check exact and closed forms
+against it, and perfbench's tracer and reference maker name its functions.
 
 The engine subdivides panels and estimates per-panel error from a
 10-point/21-point Gauss pair (nodes from numpy's Legendre machinery, so
@@ -15,16 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, ResourceError
-from .rounding import ELEM_REL, MARGIN, U, exact_sum
-from .series import (
-    SeriesConfig,
-    _check_domain,
-    correlation_kernel,
-    kernel_profile_evaluator,
-    profile_terms,
-    transform_truncation,
-)
+from .errors import BudgetError, DomainError
+from .series import SeriesConfig, correlation_kernel, kernel_profile_evaluator
 from .tuples import CoefficientTuple
 
 _GAUSS_LO = np.polynomial.legendre.leggauss(10)
@@ -45,10 +40,6 @@ class QuadratureResult:
     error_estimate: float
     evaluations: int
     tail_bound: float = 0.0
-
-    @property
-    def total_error(self) -> float:
-        return self.error_estimate + self.tail_bound
 
 
 def adaptive_integrate(
@@ -214,57 +205,3 @@ def weighted_profile_integral(
         evaluations=inner.evaluations,
         tail_bound=tail,
     )
-
-
-def closed_form_profile_integral(
-    h, tup: CoefficientTuple, table, tol: float
-) -> tuple[QuadratureResult, int]:
-    """integral of h(t) * y(t) over R as 2 sum_{n<=N} w_n hhat(log n / 2 pi).
-
-    y(t) = 2 sum_n w_n cos(t log n) with w_n = Lambda(n)^m n^(-S) and h
-    is even, so each term integrates to w_n hhat(log n / 2 pi): the
-    spectral side of the explicit formula.  N is `transform_truncation`'s
-    for tol, capped at table.limit; the terms are summed exactly in
-    ascending n.  Returns the result (tail_bound certifies the
-    truncation; evaluations counts the terms) and N.
-
-    error_estimate bounds the rounding, in the model of `rounding`:
-    - xi_n = fl(fl(k fl(log p)) / fl(2 pi)) is within relative
-      xi_rel = expm1(ELEM_REL + 3U) of log n / 2 pi, and hhat(xi_n) within
-      `hat_rounding_bound(xi_n, xi_rel)` of hhat(log n / 2 pi); its cos
-      argument error grows like c log n U, so a large center c makes
-      this bound, and the certificate, vacuous;
-    - w_n = fl(log p)^m exp(-S fl(k fl(log p))) is within relative
-      w_rel = expm1((m + 2) ELEM_REL + S log n expm1(ELEM_REL + 2U) + U);
-    - a term w~ hhat~ is off by w~/(1 - w_rel) (w_rel |hhat~| + hat bound)
-      plus U |term|, and the correctly rounded sum adds one rounding.
-
-    Raises:
-        DomainError: S below the series' SIGMA_FLOOR.
-        ResourceError: N would exceed the cap.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    sigma = float(tup.positive_sum)
-    _check_domain(complex(sigma, 0.0))
-    n_cut, tail = transform_truncation(h, sigma, tup.m, tol, table.limit)
-    log_n, w = profile_terms(tup, table, n_cut)
-    xi = log_n / (2.0 * math.pi)
-    hat = h.hat(xi)
-    terms = w * hat
-    total = exact_sum((terms,))
-    xi_rel = math.expm1(ELEM_REL + 3.0 * U)
-    w_rel = np.expm1(
-        (tup.m + 2) * ELEM_REL + sigma * log_n * math.expm1(ELEM_REL + 2.0 * U) + U
-    )
-    per_term = w / (1.0 - w_rel) * (
-        w_rel * np.abs(hat) + h.hat_rounding_bound(xi, xi_rel)
-    ) + U * np.abs(terms)
-    rounding = 2.0 * MARGIN * (exact_sum((per_term,)) + U * abs(total))
-    result = QuadratureResult(
-        value=2.0 * total,
-        error_estimate=rounding,
-        evaluations=int(terms.size),
-        tail_bound=tail,
-    )
-    return result, n_cut

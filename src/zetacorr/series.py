@@ -14,6 +14,9 @@ certificate wins:
   which tracks the prime-power density and is roughly log N / (sigma-1)
   times sharper.
 
+The main term's integral of h(t) y(t) is a closed-form sum over the same
+terms (`closed_form_profile_integral`, truncated by `transform_truncation`).
+
 The log-weighted series sum Lambda(n) (log n)^(m-1) / n^s, the
 expansion of K over it, and the density estimate of the tail are test
 cross-checks in tests/oracles.py.
@@ -30,7 +33,7 @@ import numpy as np
 
 from .arithmetic import MangoldtTable
 from .errors import DomainError, ResourceError
-from .rounding import exact_sum
+from .rounding import ELEM_REL, MARGIN, U, exact_sum
 from .tuples import CoefficientTuple
 
 CHEBYSHEV_UPPER = 1.03883  # psi(x) < 1.03883 x for all x > 0
@@ -216,6 +219,54 @@ def profile_terms(
 def _check_domain(s: complex) -> None:
     if s.real < SIGMA_FLOOR:
         raise DomainError(f"Re(s)={s.real} below evaluation floor {SIGMA_FLOOR}")
+
+
+def closed_form_profile_integral(
+    h, tup: CoefficientTuple, table: MangoldtTable, tol: float
+) -> tuple[float, float, float, int]:
+    """integral of h(t) * y(t) over R as 2 sum_{n<=N} w_n hhat(log n / 2 pi).
+
+    y(t) = 2 sum_n w_n cos(t log n) with w_n = Lambda(n)^m n^(-S) and h
+    is even, so each term integrates to w_n hhat(log n / 2 pi): the
+    spectral side of the explicit formula.  N is `transform_truncation`'s
+    for tol, capped at table.limit; the terms are summed exactly in
+    ascending n.  Returns (value, rounding, tail, N): tail certifies the
+    truncation at N, and rounding bounds the rounding of the value.
+
+    rounding is in the model of `rounding`:
+    - xi_n = fl(fl(k fl(log p)) / fl(2 pi)) is within relative
+      xi_rel = expm1(ELEM_REL + 3U) of log n / 2 pi, and hhat(xi_n) within
+      `hat_rounding_bound(xi_n, xi_rel)` of hhat(log n / 2 pi); its cos
+      argument error grows like c log n U, so a large center c makes
+      this bound, and the certificate, vacuous;
+    - w_n = fl(log p)^m exp(-S fl(k fl(log p))) is within relative
+      w_rel = expm1((m + 2) ELEM_REL + S log n expm1(ELEM_REL + 2U) + U);
+    - a term w~ hhat~ is off by w~/(1 - w_rel) (w_rel |hhat~| + hat bound)
+      plus U |term|, and the correctly rounded sum adds one rounding.
+
+    Raises:
+        DomainError: S below SIGMA_FLOOR.
+        ResourceError: N would exceed the cap.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    sigma = float(tup.positive_sum)
+    _check_domain(complex(sigma, 0.0))
+    n_cut, tail = transform_truncation(h, sigma, tup.m, tol, table.limit)
+    log_n, w = profile_terms(tup, table, n_cut)
+    xi = log_n / (2.0 * math.pi)
+    hat = h.hat(xi)
+    terms = w * hat
+    total = exact_sum((terms,))
+    xi_rel = math.expm1(ELEM_REL + 3.0 * U)
+    w_rel = np.expm1(
+        (tup.m + 2) * ELEM_REL + sigma * log_n * math.expm1(ELEM_REL + 2.0 * U) + U
+    )
+    per_term = w / (1.0 - w_rel) * (
+        w_rel * np.abs(hat) + h.hat_rounding_bound(xi, xi_rel)
+    ) + U * np.abs(terms)
+    rounding = 2.0 * MARGIN * (exact_sum((per_term,)) + U * abs(total))
+    return 2.0 * total, rounding, tail, n_cut
 
 
 def _evaluate(weights: np.ndarray, log_n: np.ndarray, s: complex) -> complex:

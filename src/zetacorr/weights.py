@@ -31,6 +31,8 @@ SQRT_PI = math.sqrt(math.pi)
 # exp below this is under 2^-1096, far below half the least subnormal
 # (2^-1075), so it rounds to +0.0 (the tests check numpy's exp there)
 EXP_FLOOR = -760.0
+# |h| beyond the support cutoff, as a share of sup|h|
+SUPPORT_THRESHOLD = 1e-14
 
 
 def _exp(t: np.ndarray) -> np.ndarray:
@@ -121,8 +123,8 @@ class GaussianTriplet:
         xs = np.linspace(0.0, self.center + 6.0 * self.width, 20001)
         return float(np.max(np.abs(self.value(xs))))
 
-    def support_cutoff(self, threshold: float = 1e-14) -> float:
-        """X with |h(x)| <= threshold * sup|h| guaranteed for |x| >= X.
+    def support_cutoff(self) -> float:
+        """X with |h(x)| <= SUPPORT_THRESHOLD * sup|h| guaranteed for |x| >= X.
 
         Uses |h(x)| <= 3 exp(-pi ((|x|-c)/s)^2) for |x| >= c.
 
@@ -130,8 +132,6 @@ class GaussianTriplet:
             DomainError: the measured sup is not positive: c is so small,
                 or s so large, that the three bumps cancel exactly.
         """
-        if not 0 < threshold < 1:
-            raise ValueError("threshold must be in (0, 1)")
         sup = self.sup_norm()
         if not sup > 0.0:
             raise DomainError(
@@ -139,7 +139,7 @@ class GaussianTriplet:
                 "in floating point: its three bumps cancel exactly"
             )
         return self.center + self.width * math.sqrt(
-            math.log(3.0 / (threshold * sup)) / math.pi
+            math.log(3.0 / (SUPPORT_THRESHOLD * sup)) / math.pi
         )
 
     def value_bound_beyond(self, x_cut: float) -> float:

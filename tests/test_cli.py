@@ -7,11 +7,12 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zetacorr as z
 from zetacorr import cli, identities
 from zetacorr.cli import main
-from zetacorr.config import parse_config_text
+from zetacorr.config import KEYS, ExperimentConfig, parse_config_text
 from zetacorr.correlation import leading_constant
 
 
@@ -364,7 +365,6 @@ class TestConfigParsing:
         assert [t.entries for t in cfg.tuples] == [(1, 1, -2), (1, 1, -1, -1)]
         assert cfg.t_list == [100.0, 250.0]
         assert cfg.h_center == 10.0 and cfg.h_width == 3.0
-        assert cfg.series_tolerance == 1e-4
 
     def test_missing_tuples_rejected(self):
         with pytest.raises(z.DataError):
@@ -387,6 +387,36 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(z.DataError, match="h_widht"):
             parse_config_text("tuples = 1,1,-2\nT = 40\nh_widht = 2\n")
+
+    @staticmethod
+    def _config_or_data_error(text):
+        try:
+            cfg = parse_config_text(text)
+        except z.DataError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
+
+    # every code point but surrogates, as st.text(), without its slow first build
+    CHARS = st.characters(exclude_categories=["Cs"])
+
+    @settings(max_examples=75, deadline=None)
+    @given(st.text(CHARS))
+    def test_fuzz_arbitrary_text(self, text):
+        self._config_or_data_error(text)
+
+    VALUES = st.one_of(
+        st.text(CHARS, max_size=30),
+        st.floats().map(repr),
+        st.lists(st.integers(-4, 4), max_size=6).map(lambda xs: ",".join(map(str, xs))),
+        st.sampled_from(["1,1,-2", "1,1,-1,-1; 1,2,-3", "40", "100, 1e3"]),
+    )
+
+    @settings(max_examples=75, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(KEYS)), VALUES), max_size=8))
+    def test_fuzz_known_keys(self, pairs):
+        # over a valid base, so that some inputs parse: a later line overrides
+        lines = "".join(f"{k} = {v}\n" for k, v in pairs)
+        self._config_or_data_error("tuples = 1,1,-2\nT = 40\n" + lines)
 
     def test_env_fallback(self, monkeypatch, tmp_path):
         fake = tmp_path / "alt.txt"

@@ -33,8 +33,8 @@ class Scaled:
         self.points += np.size(x)
         return self.factor * self.inner.value(x)
 
-    def support_cutoff(self, threshold=1e-14):
-        return self.inner.support_cutoff(threshold)
+    def support_cutoff(self):
+        return self.inner.support_cutoff()
 
     def value_bound_beyond(self, x):
         return self.factor * self.inner.value_bound_beyond(x)

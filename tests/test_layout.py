@@ -1,0 +1,147 @@
+"""What the commands load and reach: the import path and a name walk over src/."""
+import ast
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "zetacorr"
+
+# defs that nothing reachable from cli.main names, each with its reason;
+# what an entry names in turn is covered by that reason
+UNREACHED = {
+    "quadrature.weighted_profile_integral": "perfbench/spans.py patches it",
+    "quadrature.sinc_product_constant": "perfbench/spans.py patches it, make_reference.py calls it",
+    "quadrature.adaptive_integrate": "the integrator of the two perfbench-pinned oracles",
+    "quadrature.sinc_product": "the integrand of the perfbench-pinned sinc constant",
+    "series.correlation_kernel": "perfbench/spans.py patches it",
+    "combinatorics.balanced_sinc_constant": "perfbench/make_reference.py calls it",
+    "tuples.CoefficientTuple.is_balanced": "perfbench/make_reference.py reads it",
+    "weights.class_membership_report": "documented library API (README)",
+    "zeros.write_zeros": "documented library API (README)",
+}
+
+
+def test_cli_import_leaves_out_the_oracles():
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import zetacorr.cli; "
+        "print(sorted(m for m in ('zetacorr.quadrature', 'numpy.polynomial') "
+        "if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
+class _Names(ast.NodeVisitor):
+    """Names a piece of code loads or reads as attributes, annotations left out."""
+
+    def __init__(self):
+        self.found = set()
+
+    def visit_Name(self, node):
+        self.found.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.found.add(node.attr)
+        self.visit(node.value)
+
+    def visit_arg(self, node):
+        pass
+
+    def visit_AnnAssign(self, node):
+        if node.value is not None:
+            self.visit(node.value)
+
+    def visit_FunctionDef(self, node):
+        for part in (*node.decorator_list, *node.args.defaults, *node.args.kw_defaults):
+            if part is not None:
+                self.visit(part)
+        for stmt in node.body:
+            self.visit(stmt)
+
+
+def _names(nodes) -> set[str]:
+    walker = _Names()
+    for node in nodes:
+        walker.visit(node)
+    return walker.found
+
+
+def _definitions():
+    """Every module-level def and class and every method, with what each names.
+
+    Returns (defs, module_code, imports): defs maps "module.Name" and
+    "module.Class.method" to the names their code uses (a class's own code
+    is its decorators, bases and body outside its methods); module_code maps
+    each module to the names its top-level statements use; imports maps it
+    to the package modules it imports.
+    """
+    defs, module_code, imports = {}, {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        mod = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top, imports[mod] = [], set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imports[mod].add(node.module or "__init__")
+            elif isinstance(node, ast.FunctionDef):
+                defs[f"{mod}.{node.name}"] = _names([node])
+            elif isinstance(node, ast.ClassDef):
+                own = [*node.decorator_list, *node.bases]
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs[f"{mod}.{node.name}.{item.name}"] = _names([item])
+                    else:
+                        own.append(item)
+                defs[f"{mod}.{node.name}"] = _names(own)
+            elif not isinstance(node, ast.Import):
+                top.append(node)
+        module_code[mod] = _names(top)
+    return defs, module_code, imports
+
+
+def _reach(defs, roots, names) -> set[str]:
+    """Defs reached from roots, a def reaching every def named like a name it uses.
+
+    A dunder method is reached with its class.
+    """
+    reached, used = set(), set(names)
+    pending = list(roots)
+    while pending:
+        key = pending.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        used |= defs[key]
+        for other in defs:
+            if other in reached:
+                continue
+            owner, _, name = other.rpartition(".")
+            dunder = "." in owner and name.startswith("__") and name.endswith("__")
+            if name in used or (dunder and owner in reached):
+                pending.append(other)
+    return reached
+
+
+def test_every_def_is_reached_from_cli_main():
+    start = time.perf_counter()
+    defs, module_code, imports = _definitions()
+    # the modules importing zetacorr.cli runs, the package's __init__ first
+    loaded, pending = set(), ["__init__", "cli"]
+    while pending:
+        mod = pending.pop()
+        if mod not in loaded:
+            loaded.add(mod)
+            pending.extend(imports[mod])
+    top = set().union(*(module_code[mod] for mod in loaded))
+    from_cli = _reach(defs, ["cli.main"], top)
+    from_allowed = _reach(defs, [k for k in UNREACHED if k in defs], set())
+
+    assert sorted(k for k in UNREACHED if k not in defs) == []  # gone: drop the entry
+    assert sorted(k for k in UNREACHED if k in from_cli) == []  # reached: drop the entry
+    unexplained = sorted(set(defs) - from_cli - from_allowed)
+    assert unexplained == []
+    assert time.perf_counter() - start <= 0.5

@@ -12,7 +12,6 @@ from .combinatorics import (
     cosh_product_identity,
     dip_depth_prediction,
     multinomial,
-    sinc_power_integral,
     sinc_product_exact,
 )
 from .correlation import (
@@ -77,7 +76,6 @@ __all__ = [
     "scan_minima",
     "sieve_mangoldt",
     "sieve_mobius",
-    "sinc_power_integral",
     "sinc_product_exact",
     "spectral_correlation_sum",
     "validate_zero_table",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from .combinatorics import balanced_coefficient, sinc_product_exact
@@ -35,6 +36,11 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
+# constants prints exact fractions, and Python converts no int of more than
+# 4,300 digits to text (sys.get_int_max_str_digits).  Row 717 of the table is
+# the first beyond that; the table to row 716 takes about 29 s on a 2-CPU Xeon.
+MAX_PRINTED_DIGITS = 4300
+MAX_TABLE_R = 716
 
 
 def _fmt(x: float) -> str:
@@ -68,17 +74,29 @@ def _cmd_constants(args) -> int:
     if args.tuple is None and args.r_max is None:
         print("constants: provide --r-max or --tuple", file=sys.stderr)
         return EXIT_INPUT
+    if args.r_max is not None and args.r_max < 1:
+        raise ValueError("--r-max must be at least 1")
+    if args.r_max is not None and args.r_max > MAX_TABLE_R:
+        raise BudgetError(f"--r-max {args.r_max} exceeds the budget of {MAX_TABLE_R}")
+    if args.tuple is not None:
+        tup = parse_tuple_text(args.tuple)
+        # |C| <= 1, and its denominator divides 2^m (m-1)! prod |a_k|
+        log_den = math.lgamma(tup.m) + sum(math.log(2 * abs(a)) for a in tup.entries)
+        if log_den >= MAX_PRINTED_DIGITS * math.log(10):
+            raise BudgetError(
+                f"the exact C of a tuple of {tup.m} entries may have more than "
+                f"{MAX_PRINTED_DIGITS} digits"
+            )
+        c, d = sinc_product_exact(tup.entries), leading_constant(tup)
     if args.r_max is not None:
         print("r  c_pi_power  value")
         for r in range(1, args.r_max + 1):
-            c = balanced_coefficient(r)
-            print(f"{r}  {c.numerator}/{c.denominator}  {_fmt(float(c))}")
+            c_r = balanced_coefficient(r)
+            print(f"{r}  {c_r.numerator}/{c_r.denominator}  {_fmt(float(c_r))}")
     if args.tuple is not None:
-        tup = parse_tuple_text(args.tuple)
-        c = sinc_product_exact(tup.entries)
         print(f"tuple {tup}  m={tup.m}  S={tup.positive_sum}")
         print(f"C  {_fmt(float(c))}  (exact {c.numerator}/{c.denominator})")
-        print(f"D  {_fmt(leading_constant(tup))}")
+        print(f"D  {_fmt(d)}")
     return EXIT_OK
 
 

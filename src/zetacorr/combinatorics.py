@@ -156,55 +156,31 @@ def cosh_product_identity(a_values: list[float]) -> tuple[float, float]:
     return lhs, rhs
 
 
-def sinc_power_integral(n: int) -> Fraction:
-    """Exact rational Q(n) with integral of (sin t / t)^(2n) over R = pi * Q(n).
-
-    Computed entirely in rational arithmetic as
-
-        Q(n) = n * sum_{k=1..n} k^(2n-3) * prod_{l != k} 1/(k^2 - l^2).
-
-    Raises:
-        ValueError: n < 1.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        term = Fraction(k) ** (2 * n - 3)
-        for ell in range(1, n + 1):
-            if ell != k:
-                term /= k * k - ell * ell
-        total += term
-    return n * total
-
-
 def balanced_coefficient(r: int) -> Fraction:
     """Exact value of c(r) * pi^(2r) for the balanced +-1 tuple of length 2r.
 
     c(r) is the leading coefficient of the correlation asymptotic for the
     tuple of r entries +1 and r entries -1; the pi power is folded in so
-    the result is rational: c(r) * pi^(2r) = Q(r) / 4^r.
+    the result is rational: c(r) * pi^(2r) = C / 4^r, with C the
+    :func:`sinc_product_exact` of that tuple.
 
     Raises:
         ValueError: r < 1.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    return sinc_power_integral(r) / Fraction(4) ** r
+    return sinc_product_exact((1,) * r + (-1,) * r) / 4**r
 
 
 def balanced_sinc_constant(r: int) -> Fraction:
     """Exact C constant for the balanced +-1 tuple of length m = 2r.
-
-    Equals (1/pi) * integral of sinc^(2r), i.e. Q(r) from
-    :func:`sinc_power_integral`.
 
     Raises:
         ValueError: r < 2 (the balanced tuple needs m = 2r >= 4).
     """
     if r < 2:
         raise ValueError("balanced tuple needs r >= 2")
-    return sinc_power_integral(r)
+    return sinc_product_exact((1,) * r + (-1,) * r)
 
 
 def sinc_product_exact(entries: tuple[int, ...]) -> Fraction:
@@ -220,18 +196,17 @@ def sinc_product_exact(entries: tuple[int, ...]) -> Fraction:
     by class: for a value v held k times, the comb(k, j) vectors giving
     j of its copies a plus sign each add (2j - k) v to eps . a and
     (-1)^(k-j) to prod eps.  That is prod (k + 1) classes, where the
-    vectors number 2^m.  Balanced +-1 tuples give
-    :func:`balanced_sinc_constant`.
+    vectors number 2^m.
 
     Raises:
-        ValueError: fewer than three entries, or a zero entry.
+        ValueError: fewer than two entries, or a zero entry.
         BudgetError: more than MAX_SIGN_CLASSES classes (checked
             before any is enumerated).
     """
     abs_a = [abs(int(a)) for a in entries]
     m = len(abs_a)
-    if m < 3 or 0 in abs_a:
-        raise ValueError("need at least three nonzero entries")
+    if m < 2 or 0 in abs_a:
+        raise ValueError("need at least two nonzero entries")
     counts = Counter(abs_a)
     classes = math.prod(k + 1 for k in counts.values())
     if classes > MAX_SIGN_CLASSES:

@@ -170,34 +170,34 @@ def direct_correlation_sum(
     )
 
 
-def _phase_chunks(gammas: np.ndarray, a: int, dx: float, rows: int):
-    """Q(a j dx) = sum over ordinates of e^(2 pi i a j dx gamma), in chunks.
+def _zero_sums(gammas: np.ndarray, a: int, dx: float, points: int):
+    """Q(a j dx) = sum over ordinates of e^(2 pi i a j dx gamma) for j < points, and a bound.
 
     Grid index j = r ROW + q splits the phase into e^(2 pi i a r ROW dx
     gamma) e^(2 pi i a q dx gamma).  The (ROW x n) block of the second
-    factor is computed once; each chunk of CHUNK rows r < rows takes n
-    cosines and sines per row and np.vecdot, which conjugates its first
-    argument, and yields CHUNK * ROW values (fewer at the end).
+    factor is computed once; each chunk of CHUNK rows takes n cosines and
+    sines per row and np.vecdot, which conjugates its first argument.
+    The bound covers the phases and the contraction, as derived in
+    `spectral_correlation_sum`.
     """
     g = (TWO_PI * a * dx) * gammas
     block = np.exp(1j * (np.arange(ROW, dtype=np.float64)[:, None] * g))
+    rows = -(-points // ROW)
+    q = np.empty(rows * ROW, np.complex128)
     for r0 in range(0, rows, CHUNK):
         theta = np.multiply.outer(np.arange(r0, min(rows, r0 + CHUNK)) * -float(ROW), g)
         conj = np.empty(theta.shape, np.complex128)
         np.cos(theta, out=conj.real)
         np.sin(theta, out=conj.imag)
-        yield sum(
+        q[r0 * ROW : (r0 + CHUNK) * ROW] = sum(
             np.vecdot(conj[:, None, k : k + PIECE], block[None, :, k : k + PIECE])
             for k in range(0, g.size, PIECE)
         ).ravel()
-
-
-def _phase_error(n: int, gamma_sum: float, a: int, jdx: np.ndarray) -> np.ndarray:
-    """Bound on |_phase_chunks at j - Q(a jdx)|, jdx = j dx; see spectral_correlation_sum."""
     eta = SQRT2 * TRIG_ABS
-    per_term = 2.0 * eta * (1.0 + eta) + (1.0 + eta) ** 2 * SQRT2 * gamma(2 * n)
+    per_term = 2.0 * eta * (1.0 + eta) + (1.0 + eta) ** 2 * SQRT2 * gamma(2 * g.size)
     arg_rel = (1.0 + eta) * math.expm1(6.0 * U)
-    return n * per_term + (TWO_PI * abs(a) * gamma_sum * arg_rel) * jdx
+    jdx = np.arange(points, dtype=np.float64) * dx
+    return q[:points], g.size * per_term + (TWO_PI * abs(a) * exact_sum((gammas,)) * arg_rel) * jdx
 
 
 def _alias_bound(h: GaussianTriplet, amp: float, delta_max: float, rate: float) -> float:
@@ -245,7 +245,8 @@ def spectral_correlation_sum(
       it does not fix, with or without fused multiply-adds: each part is
       within gamma_(2n) of the sum of its terms' moduli (Higham, section
       3.1), at most (1 + eta)^2 per ordinate, so the complex error is at most
-      sqrt2 gamma_(2n) n (1 + eta)^2; with the phases, this is `_phase_error`;
+      sqrt2 gamma_(2n) n (1 + eta)^2; with the phases, this is the bound of
+      `_zero_sums`;
     - product: with U_l = |Q~_l| + e_l >= |Q_l|, |prod Q~ - prod Q| <= sum_k
       e_k prod_(l!=k) U_l (telescoping), and the m - 1 complex products and
       the real product by hhat add expm1((m-1) sqrt2 gamma_2 + U) |hhat~| prod |Q~|;
@@ -270,27 +271,19 @@ def spectral_correlation_sum(
     dx = math.ldexp(math.ceil(1 / (Fraction(rate) * Fraction(2) ** exp)), exp)
     points = math.ceil(Fraction(xi_max) / Fraction(dx)) + 1
     xi = np.arange(points, dtype=np.float64) * dx
-    gamma_sum = exact_sum((gammas,))
     counts = Counter(sorted(abs(a) for a in tup.entries))
-    phases = {a: _phase_chunks(gammas, a, dx, -(-points // ROW)) for a in counts}
+    q, abs_prod, upper, spread = {}, 1.0, 1.0, 0.0
+    for a, count in counts.items():
+        q[a], e = _zero_sums(gammas, a, dx, points)
+        mag = np.abs(q[a])
+        abs_prod = abs_prod * mag**count
+        upper = upper * (mag + e) ** count
+        spread = spread + count * e / (mag + e)
+    prod = math.prod(q[a] if a > 0 else np.conj(q[-a]) for a in tup.entries)
+    hat = h.hat(xi)
     product_rel = math.expm1((tup.m - 1) * SQRT2 * gamma(2) + U)
-    re = h.hat(xi)  # becomes Re F(j dx), chunk by chunk
-    err = h.hat_rounding_bound(xi)  # becomes the bound on its rounding
-    for j0 in range(0, points, CHUNK * ROW):
-        j1 = min(points, j0 + CHUNK * ROW)
-        q, abs_prod, upper, spread = {}, 1.0, 1.0, 0.0
-        for a, count in counts.items():
-            q[a] = next(phases[a])[: j1 - j0]
-            mag = np.abs(q[a])
-            e = _phase_error(n, gamma_sum, a, xi[j0:j1])
-            abs_prod = abs_prod * mag**count
-            upper = upper * (mag + e) ** count
-            spread = spread + count * e / (mag + e)
-        prod = math.prod(q[a] if a > 0 else np.conj(q[-a]) for a in tup.entries)
-        hat_abs = np.abs(re[j0:j1])
-        err[j0:j1] = hat_abs * (product_rel * abs_prod + upper * spread) + err[j0:j1] * upper
-        re[j0:j1] *= prod.real
-    full = 2.0 * dx * exact_sum((re,))
+    err = np.abs(hat) * (product_rel * abs_prod + upper * spread) + h.hat_rounding_bound(xi) * upper
+    full = 2.0 * dx * exact_sum((hat * prod.real,))
     alias = _alias_bound(h, amp, delta_max, 1.0 / dx)
     rounding = MARGIN * (2.0 * dx * exact_sum((err,)) + math.expm1(2.0 * U) * abs(full))
     return full, SpectralDiagnostics(
@@ -305,8 +298,16 @@ def spectral_correlation_sum(
 
 
 def leading_constant(tup: CoefficientTuple) -> float:
-    """D = (-1)^m C / (2 pi)^m, C the exact rational `sinc_product_exact`."""
-    return (-1.0) ** tup.m * float(sinc_product_exact(tup.entries)) / TWO_PI**tup.m
+    """D = (-1)^m C / (2 pi)^m, C the exact rational `sinc_product_exact`.
+
+    Raises:
+        DomainError: (2 pi)^m overflows float64 (m above 386).
+    """
+    try:
+        scale = TWO_PI**tup.m
+    except OverflowError:
+        raise DomainError(f"(2 pi)^{tup.m} overflows float64") from None
+    return (-1.0) ** tup.m * float(sinc_product_exact(tup.entries)) / scale
 
 
 def main_term(

@@ -65,7 +65,9 @@ def _t_grid(t_lo: float, t_hi: float, step: float) -> tuple[np.ndarray, float]:
     """The grid t_lo, t_lo + step, ... through t_hi, and a bound on its |t|.
 
     Raises:
-        ValueError: t_lo or t_hi not finite, or t_lo > t_hi.
+        ValueError: t_lo or t_hi not finite, t_lo > t_hi, or a step too
+            small for float64 at the grid's magnitude (the grid is empty
+            or does not increase).
         BudgetError: more than MAX_GRID_POINTS points (checked before
             the grid is allocated).
     """
@@ -79,6 +81,8 @@ def _t_grid(t_lo: float, t_hi: float, step: float) -> tuple[np.ndarray, float]:
             f"{MAX_GRID_POINTS} points"
         )
     ts = np.arange(t_lo, t_hi + step / 2.0, step)
+    if ts.size == 0 or not np.all(ts[1:] > ts[:-1]):
+        raise ValueError(f"step {step:g} does not advance a float64 grid at t = {t_lo:g}")
     return ts, max(abs(t_lo), abs(t_hi)) + step
 
 
@@ -96,8 +100,9 @@ def scan_minima(
     y(t_min - step) >= y_min <= y(t_min + step).
 
     Raises:
-        ValueError: empty or non-finite range, nonpositive step, or step
-            above 0.05 (too coarse to resolve dips at the zero spacing).
+        ValueError: empty or non-finite range, nonpositive step, step
+            above 0.05 (too coarse to resolve dips at the zero spacing),
+            or a step too small for float64 at the range.
         BudgetError: more than MAX_GRID_POINTS grid points.
     """
     if not 0 < step <= MAX_SCAN_STEP:
@@ -168,8 +173,8 @@ def profile_grid(
     Returns the grid and one column per tuple keyed by its display form.
 
     Raises:
-        ValueError: no tuples, bad or non-finite range, or nonpositive
-            step.
+        ValueError: no tuples, bad or non-finite range, or a step that
+            is nonpositive or too small for float64 at the range.
         BudgetError: more than MAX_GRID_POINTS grid points.
     """
     if not tuples:

@@ -107,6 +107,25 @@ def sinc_product_naive(entries):
     return Fraction(total, 2**m * math.factorial(m - 1) * math.prod(abs_a))
 
 
+def sinc_power_integral(n: int) -> Fraction:
+    """Q(n) with integral of (sin t / t)^(2n) over R = pi Q(n), by Lagrange's sum.
+
+    Q(n) = n sum_{k=1..n} k^(2n-3) prod_{l != k} 1/(k^2 - l^2), in exact
+    rationals: the C of the balanced +-1 tuple of length 2n, by a formula
+    independent of `sinc_product_exact`'s sign classes.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        term = Fraction(k) ** (2 * n - 3)
+        for ell in range(1, n + 1):
+            if ell != k:
+                term /= k * k - ell * ell
+        total += term
+    return n * total
+
+
 def lambda_value(table, n: int) -> float:
     """Lambda(n) read off a Mangoldt table: log of n's base prime, or 0."""
     if not 1 <= n <= table.limit:

@@ -43,6 +43,38 @@ class TestConstantsCommand:
         assert main(["constants", "--tuple", "1,1,-1"]) == 2
         assert "sum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r_max", ["0", "-3"])
+    def test_r_max_below_one_exit_2(self, capsys, r_max):
+        assert main(["constants", "--r-max", r_max]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--r-max must be at least 1" in err
+
+    @staticmethod
+    def _unreachable(*args):
+        raise AssertionError("the constants were computed")
+
+    def test_table_over_budget_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "balanced_coefficient", self._unreachable)
+        assert main(["constants", "--r-max", str(cli.MAX_TABLE_R + 1)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and f"budget of {cli.MAX_TABLE_R}" in err
+
+    def test_tuple_over_digit_budget_exit_4(self, capsys, monkeypatch):
+        # refused before the table is printed or C computed
+        monkeypatch.setattr(cli, "balanced_coefficient", self._unreachable)
+        monkeypatch.setattr(cli, "sinc_product_exact", self._unreachable)
+        entries = ",".join(["1"] * 1000 + ["-1"] * 1000)
+        assert main(["constants", "--r-max", "3", "--tuple", entries]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "more than 4300 digits" in err
+
+    def test_leading_constant_overflow_exit_3(self, capsys):
+        # (2 pi)^400 overflows float64
+        entries = ",".join(["1"] * 200 + ["-1"] * 200)
+        assert main(["constants", "--tuple", entries]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "(2 pi)^400 overflows" in err
+
 
 class TestKfunCommand:
     def test_csv_emission(self, tmp_path, capsys):
@@ -301,6 +333,16 @@ class TestGridRange:
         assert got == code
         assert ("budget error" if code == 4 else "finite") in capsys.readouterr().err
         assert peak < 32 * 2**20
+
+
+    @pytest.mark.parametrize("command", ["kfun", "dips"])
+    @pytest.mark.parametrize("t_lo, t_hi", [("1e17", "100000000000000010"), ("1e300", "1e300")])
+    def test_step_below_float_spacing_exit_2(self, capsys, command, t_lo, t_hi):
+        # at 1e17 every grid value rounds to t_lo; at 1e300 the grid is empty
+        args = ["--t-lo", t_lo, "--t-hi", t_hi, "--step", "0.02", "--tolerance", "0.1"]
+        assert main([command, "--tuple", "1,1,-2", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "does not advance a float64 grid" in err
 
 
 class TestValidateZerosCommand:

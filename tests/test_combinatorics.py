@@ -13,7 +13,7 @@ from zetacorr.combinatorics import (
 )
 from zetacorr.quadrature import adaptive_integrate, sinc_product, sinc_product_constant
 
-from oracles import sinc_product_naive
+from oracles import sinc_power_integral, sinc_product_naive
 
 
 class TestMultinomial:
@@ -92,17 +92,17 @@ class TestCoshExpansion:
 
 class TestSincPowerIntegral:
     def test_first_values(self):
-        assert z.sinc_power_integral(1) == Fraction(1)
-        assert z.sinc_power_integral(2) == Fraction(2, 3)
-        assert z.sinc_power_integral(3) == Fraction(11, 20)
+        assert z.sinc_product_exact((1, -1)) == Fraction(1)
+        assert z.sinc_product_exact((1, 1, -1, -1)) == Fraction(2, 3)
+        assert z.sinc_product_exact((1, 1, 1, -1, -1, -1)) == Fraction(11, 20)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            z.sinc_power_integral(0)
+            z.sinc_product_exact(())
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_against_quadrature(self, n):
-        exact = math.pi * float(z.sinc_power_integral(n))
+        exact = math.pi * float(z.sinc_product_exact((1,) * n + (-1,) * n))
         width = (1e9 / (2 * n - 1)) ** (1.0 / (2 * n - 1))
         inner = adaptive_integrate(
             lambda w: sinc_product((1,) * (2 * n), w), 0.0, width, 1e-10
@@ -126,10 +126,8 @@ class TestLeadingCoefficients:
     def test_links_to_sinc_integral(self):
         # scaled coefficient is the sinc-power rational over 4^r, exactly
         for r in range(2, 6):
-            assert (
-                z.balanced_coefficient(r)
-                == z.balanced_sinc_constant(r) / Fraction(4) ** r
-            )
+            assert z.balanced_coefficient(r) == sinc_power_integral(r) / Fraction(4) ** r
+            assert z.balanced_sinc_constant(r) == sinc_power_integral(r)
 
     def test_balanced_constant_needs_r2(self):
         with pytest.raises(ValueError):
@@ -156,7 +154,7 @@ class TestSincProductExact:
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_balanced_matches_closed_form(self, r):
-        assert z.sinc_product_exact((1,) * r + (-1,) * r) == z.balanced_sinc_constant(r)
+        assert z.sinc_product_exact((1,) * r + (-1,) * r) == sinc_power_integral(r)
 
     def test_sign_and_order_free(self):
         assert z.sinc_product_exact((1, 2, -3)) == z.sinc_product_exact((-3, 2, 1))
@@ -164,7 +162,7 @@ class TestSincProductExact:
 
     def test_rejects_short_or_zero(self):
         with pytest.raises(ValueError):
-            z.sinc_product_exact((1, -1))
+            z.sinc_product_exact((1,))
         with pytest.raises(ValueError):
             z.sinc_product_exact((1, 0, -1))
 
@@ -176,9 +174,9 @@ class TestSincProductExact:
         assert z.sinc_product_exact(entries) == sinc_product_naive(entries)
 
     def test_long_balanced_tuple_by_classes(self):
-        # 2^40 sign vectors, 41 classes
-        entries = (1,) * 20 + (-1,) * 20
-        assert z.sinc_product_exact(entries) == z.balanced_sinc_constant(20)
+        # up to 2^80 sign vectors in 81 classes, against Lagrange's sum
+        for n in range(1, 41):
+            assert z.sinc_product_exact((1,) * n + (-1,) * n) == sinc_power_integral(n)
 
     def test_class_budget(self):
         assert z.sinc_product_exact(tuple(range(1, 21))) > 0  # 2^20 classes

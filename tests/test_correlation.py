@@ -10,10 +10,11 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zetacorr as z
 from zetacorr import correlation
-from zetacorr.correlation import ROW, _phase_chunks, _phase_error
+from zetacorr.correlation import ROW, _zero_sums
 from zetacorr.series import transform_truncation
 
 from oracles import naive_correlation_sum, tuple_count_naive
@@ -73,6 +74,24 @@ class TestCoefficientTuple:
         assert z.parse_tuple_text("1, 1, -2").entries == (1, 1, -2)
         with pytest.raises(ValueError):
             z.parse_tuple_text("1,1,-1")
+
+    # lists closed to a zero sum, so that some parse, and arbitrary text
+    # over every code point but surrogates
+    TEXTS = st.one_of(
+        st.lists(st.integers(-30, 30), min_size=1, max_size=8).map(
+            lambda xs: ", ".join(map(str, xs + [-sum(xs)]))
+        ),
+        st.text(st.characters(exclude_categories=["Cs"]), max_size=40),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(TEXTS)
+    def test_fuzz_parse_text(self, text):
+        try:
+            tup = z.parse_tuple_text(text)
+        except ValueError:
+            return
+        assert tup.m >= 3 and sum(tup.entries) == 0 and 0 not in tup.entries
 
 
 class TestDirectRoute:
@@ -216,26 +235,21 @@ def _spectral_oracle(h, tup, gammas, diag):
     return 2 * LD(diag.dx) * np.sum(w * f.real)
 
 
-def _rows(gammas, a, dx, points):
-    chunks = list(_phase_chunks(gammas, a, dx, -(-points // ROW)))
-    return np.concatenate(chunks)[:points]
-
-
 # runs the spectral route in a fresh interpreter and prints its bits, and
-# a digest of one chunk of phase sums over 12,000 ordinates, more than
-# OpenBLAS's zdotc takes in one thread
+# a digest of 128 zero sums over 12,000 ordinates, more than OpenBLAS's
+# zdotc takes in one thread
 SPECTRAL_BITS = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 import zetacorr as z
-from zetacorr.correlation import _phase_chunks
+from zetacorr.correlation import _zero_sums
 value, diag = z.spectral_correlation_sum(
     z.gaussian_triplet(20.0, 2.0), z.coefficient_tuple([1, 1, -2]), 100.0,
     z.load_zeros(z.bundled_zeros_path()),
 )
 gammas = np.sort(np.random.default_rng(0).uniform(14.0, 5000.0, 12_000))
-chunk = next(_phase_chunks(gammas, 1, 1e-3, 2))
+chunk = _zero_sums(gammas, 1, 1e-3, 128)[0]
 print(value.hex(), diag.rounding_error.hex(), hashlib.sha256(chunk.tobytes()).hexdigest())
 """
 
@@ -243,13 +257,13 @@ print(value.hex(), diag.rounding_error.hex(), hashlib.sha256(chunk.tobytes()).he
 class TestSpectralRoute:
     def test_zero_phase_sum_at_origin(self, zero_table):
         gammas = z.zeros_up_to(zero_table, 100.0)
-        q0 = next(_phase_chunks(gammas, 1, 0.01, 1))[0]
+        q0 = _zero_sums(gammas, 1, 0.01, 1)[0][0]
         assert q0 == complex(29.0, 0.0)
 
     def test_conjugate_reflection(self, zero_table):
         gammas = z.zeros_up_to(zero_table, 100.0)
-        plus = _rows(gammas, 1, 0.01, 300)
-        minus = _rows(gammas, -1, 0.01, 300)
+        plus = _zero_sums(gammas, 1, 0.01, 300)[0]
+        minus = _zero_sums(gammas, -1, 0.01, 300)[0]
         assert np.array_equal(np.conj(plus), minus)
 
     @needs_extended
@@ -258,11 +272,10 @@ class TestSpectralRoute:
         gammas = z.zeros_up_to(zero_table, 500.0)
         dx, j = 1.9 / 1000, np.arange(1001)
         exact = _zero_phase_sum_oracle(gammas, a, j.astype(LD) * LD(dx))
-        bound = _phase_error(gammas.size, math.fsum(gammas), a, j * dx)
         # PIECE 50 splits each dot product into six, summed in one more order
         for piece in (correlation.PIECE, 50):
             with patch.object(correlation, "PIECE", piece):
-                got = _rows(gammas, a, dx, j.size)
+                got, bound = _zero_sums(gammas, a, dx, j.size)
             miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
             assert np.all(miss <= bound)
             # a worst case, but within three orders of the realised error
@@ -274,8 +287,7 @@ class TestSpectralRoute:
         # term, grows with j dx and dominates the bound
         gammas = z.zeros_up_to(zero_table, 500.0)
         a, dx, j = 3, 0.005, np.arange(4000)
-        bound = _phase_error(gammas.size, math.fsum(gammas), a, j * dx)
-        got = _rows(gammas, a, dx, j.size)
+        got, bound = _zero_sums(gammas, a, dx, j.size)
         exact = _zero_phase_sum_oracle(gammas, a, j.astype(LD) * LD(dx))
         miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
         assert np.all(miss <= bound)
@@ -295,26 +307,25 @@ class TestSpectralRoute:
         xi = j.astype(LD) * LD(dx)
         exact = _zero_phase_sum_oracle(gammas, a, xi)
         miss = np.abs(sequential.astype(np.clongdouble) - exact).astype(np.float64)
-        bound = _phase_error(gammas.size, math.fsum(gammas), a, j * dx)
+        bound = _zero_sums(gammas, a, dx, 2 * ROW)[1][ROW:]
         assert np.all(miss <= bound)
         assert np.max(bound) <= 1e3 * np.max(miss)
 
     def test_nodes_are_exact_multiples(self, weight_default, zero_table, monkeypatch):
         calls = []
 
-        def recorded(n, gamma_sum, a, jdx):
-            calls.append((a, jdx))
-            return phase_error(n, gamma_sum, a, jdx)
+        def recorded(gammas, a, dx, points):
+            calls.append((a, dx, points))
+            return zero_sums(gammas, a, dx, points)
 
-        phase_error = correlation._phase_error
-        monkeypatch.setattr(correlation, "_phase_error", recorded)
+        zero_sums = correlation._zero_sums
+        monkeypatch.setattr(correlation, "_zero_sums", recorded)
         tup = z.coefficient_tuple([1, 2, -3])
         _, diag = z.spectral_correlation_sum(weight_default, tup, 100.0, zero_table)
+        assert calls == [(a, diag.dx, diag.grid_points) for a in (1, 2, 3)]
+        nodes = np.arange(diag.grid_points, dtype=np.float64) * diag.dx
         step = Fraction(diag.dx)
-        for a in (1, 2, 3):
-            nodes = np.concatenate([jdx for b, jdx in calls if b == a])
-            assert nodes.size == diag.grid_points
-            assert all(Fraction(x) == j * step for j, x in enumerate(nodes.tolist()))
+        assert all(Fraction(x) == j * step for j, x in enumerate(nodes.tolist()))
         # the last node is the first at or beyond xi_max
         assert nodes[-2] < diag.xi_max <= nodes[-1]
 

@@ -1,9 +1,10 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import zetacorr as z
 
@@ -77,6 +78,32 @@ class TestLoad:
         z.write_zeros(table, out)
         again = z.load_zeros(out)
         assert np.array_equal(table.ordinates, again.ordinates)
+
+
+    LINES = st.one_of(
+        st.floats(0.01, 1e4).map(lambda x: f"{x:.6f}"),
+        st.floats().map(repr),
+        st.sampled_from(["", "# comment", "1e999", "-0.0", "1_000.5", "14.1 15.2"]),
+        st.text(st.characters(exclude_categories=["Cs"]), max_size=12),
+    )
+    FILES = st.one_of(
+        st.lists(LINES, max_size=10).map(lambda lines: "\n".join(lines).encode()),
+        st.binary(max_size=40),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(FILES)
+    def test_fuzz_file(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "zeros.txt"
+        path.write_bytes(data)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # repeated ordinates
+                table = z.load_zeros(path)
+        except ValueError:  # DataError, or bytes that are not UTF-8
+            return
+        g = table.ordinates
+        assert np.all(np.isfinite(g)) and np.all(g > 0) and np.all(np.diff(g) >= 0)
 
 
 class TestQueries:

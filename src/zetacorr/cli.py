@@ -13,7 +13,7 @@ import csv
 import math
 import sys
 
-from .combinatorics import balanced_coefficient, sinc_product_exact
+from .combinatorics import balanced_coefficient, sinc_product_digits
 from .config import default_zeros_path, load_config
 from .correlation import build_report, leading_constant, parse_tuple_text, routes_agree
 from .dips import (
@@ -36,11 +36,7 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
-# constants prints exact fractions, and Python converts no int of more than
-# 4,300 digits to text (sys.get_int_max_str_digits).  Row 717 of the table is
-# the first beyond that; the table to row 716 takes about 29 s on a 2-CPU Xeon.
-MAX_PRINTED_DIGITS = 4300
-MAX_TABLE_R = 716
+MAX_TABLE_R = 716  # the table to row 716 takes about 29 s on a 2-CPU Xeon
 
 
 def _fmt(x: float) -> str:
@@ -74,20 +70,24 @@ def _cmd_constants(args) -> int:
     if args.tuple is None and args.r_max is None:
         print("constants: provide --r-max or --tuple", file=sys.stderr)
         return EXIT_INPUT
-    if args.r_max is not None and args.r_max < 1:
-        raise ValueError("--r-max must be at least 1")
-    if args.r_max is not None and args.r_max > MAX_TABLE_R:
-        raise BudgetError(f"--r-max {args.r_max} exceeds the budget of {MAX_TABLE_R}")
+    # the exact fractions must print: Python converts no int of more than
+    # sys.get_int_max_str_digits() digits to text (0: no limit)
+    limit = sys.get_int_max_str_digits() or math.inf
+    over = f"may have more than {limit} digits, Python's int-to-str limit"
+    if args.r_max is not None:
+        r = args.r_max
+        if r < 1:
+            raise ValueError("--r-max must be at least 1")
+        if r > MAX_TABLE_R:
+            raise BudgetError(f"--r-max {r} exceeds the budget of {MAX_TABLE_R}")
+        # the last row, the longest, is C / 4^r for the balanced tuple
+        if sinc_product_digits((1,) * r + (-1,) * r) + r * math.log10(4) > limit:
+            raise BudgetError(f"row {r} {over}")
     if args.tuple is not None:
         tup = parse_tuple_text(args.tuple)
-        # |C| <= 1, and its denominator divides 2^m (m-1)! prod |a_k|
-        log_den = math.lgamma(tup.m) + sum(math.log(2 * abs(a)) for a in tup.entries)
-        if log_den >= MAX_PRINTED_DIGITS * math.log(10):
-            raise BudgetError(
-                f"the exact C of a tuple of {tup.m} entries may have more than "
-                f"{MAX_PRINTED_DIGITS} digits"
-            )
-        c, d = sinc_product_exact(tup.entries), leading_constant(tup)
+        if sinc_product_digits(tup.entries) > limit:
+            raise BudgetError(f"the exact C of {tup.m} entries {over}")
+        d, c = leading_constant(tup)
     if args.r_max is not None:
         print("r  c_pi_power  value")
         for r in range(1, args.r_max + 1):

@@ -225,6 +225,19 @@ def sinc_product_exact(entries: tuple[int, ...]) -> Fraction:
     return Fraction(total, 2**m * math.factorial(m - 1) * math.prod(abs_a))
 
 
+def sinc_product_digits(entries: tuple[int, ...]) -> float:
+    """A bound on the digits of `sinc_product_exact(entries)`'s numerator and denominator.
+
+    The denominator divides 2^m (m-1)! prod |a_k|, and 2 (m-1)! prod |a_k|
+    when sum |a_k| is even: every eps . a then is, and 2^(m-1) divides
+    (eps . a)^(m-1).  |C| <= 1, so the numerator is no longer.
+    """
+    abs_a = [abs(int(a)) for a in entries]
+    twos = 1 if sum(abs_a) % 2 == 0 else len(abs_a)
+    log_den = twos * math.log(2) + math.lgamma(len(abs_a)) + sum(map(math.log, abs_a))
+    return 1.0 + log_den / math.log(10) * (1.0 + 1e-9)  # 1e-9 covers the logs' roundings
+
+
 def dip_depth_prediction(m: int, s_plus: int) -> float:
     """Predicted depth -2*(m-1)!/(s_plus - 1/2)^m of the profile dips.
 

@@ -170,8 +170,8 @@ def direct_correlation_sum(
     )
 
 
-def _zero_sums(gammas: np.ndarray, a: int, dx: float, points: int):
-    """Q(a j dx) = sum over ordinates of e^(2 pi i a j dx gamma) for j < points, and a bound.
+def _zero_sums(gammas: np.ndarray, a: int, dx: float, xi: np.ndarray):
+    """Q(a xi) = sum over ordinates of e^(2 pi i a xi gamma), and a bound, at xi = j dx.
 
     Grid index j = r ROW + q splits the phase into e^(2 pi i a r ROW dx
     gamma) e^(2 pi i a q dx gamma).  The (ROW x n) block of the second
@@ -182,6 +182,7 @@ def _zero_sums(gammas: np.ndarray, a: int, dx: float, points: int):
     """
     g = (TWO_PI * a * dx) * gammas
     block = np.exp(1j * (np.arange(ROW, dtype=np.float64)[:, None] * g))
+    points = xi.size
     rows = -(-points // ROW)
     q = np.empty(rows * ROW, np.complex128)
     for r0 in range(0, rows, CHUNK):
@@ -196,8 +197,7 @@ def _zero_sums(gammas: np.ndarray, a: int, dx: float, points: int):
     eta = SQRT2 * TRIG_ABS
     per_term = 2.0 * eta * (1.0 + eta) + (1.0 + eta) ** 2 * SQRT2 * gamma(2 * g.size)
     arg_rel = (1.0 + eta) * math.expm1(6.0 * U)
-    jdx = np.arange(points, dtype=np.float64) * dx
-    return q[:points], g.size * per_term + (TWO_PI * abs(a) * exact_sum((gammas,)) * arg_rel) * jdx
+    return q[:points], g.size * per_term + (TWO_PI * abs(a) * exact_sum((gammas,)) * arg_rel) * xi
 
 
 def _alias_bound(h: GaussianTriplet, amp: float, delta_max: float, rate: float) -> float:
@@ -274,7 +274,7 @@ def spectral_correlation_sum(
     counts = Counter(sorted(abs(a) for a in tup.entries))
     q, abs_prod, upper, spread = {}, 1.0, 1.0, 0.0
     for a, count in counts.items():
-        q[a], e = _zero_sums(gammas, a, dx, points)
+        q[a], e = _zero_sums(gammas, a, dx, xi)
         mag = np.abs(q[a])
         abs_prod = abs_prod * mag**count
         upper = upper * (mag + e) ** count
@@ -297,17 +297,19 @@ def spectral_correlation_sum(
     )
 
 
-def leading_constant(tup: CoefficientTuple) -> float:
-    """D = (-1)^m C / (2 pi)^m, C the exact rational `sinc_product_exact`.
+def leading_constant(tup: CoefficientTuple) -> tuple[float, Fraction]:
+    """D = (-1)^m C / (2 pi)^m, and C, the exact rational `sinc_product_exact`.
 
     Raises:
-        DomainError: (2 pi)^m overflows float64 (m above 386).
+        DomainError: (2 pi)^m overflows float64 (m above 386), checked
+            before C is computed.
     """
     try:
         scale = TWO_PI**tup.m
     except OverflowError:
         raise DomainError(f"(2 pi)^{tup.m} overflows float64") from None
-    return (-1.0) ** tup.m * float(sinc_product_exact(tup.entries)) / scale
+    c = sinc_product_exact(tup.entries)
+    return (-1.0) ** tup.m * float(c) / scale, c
 
 
 def main_term(
@@ -319,7 +321,7 @@ def main_term(
 ) -> tuple[float, float, int]:
     """Leading asymptotic D * T^(m-1) * integral of h(t) y(t) dt.
 
-    D is `leading_constant`.  The integral is the closed-form sum
+    D is `leading_constant`'s first value.  The integral is the closed-form sum
     2 sum_{n<=N} Lambda(n)^m n^(-S) hhat(log n / 2 pi), its truncated
     tail certified below tol (`closed_form_profile_integral`).  Returns
     the value, its claimed error and N.  The claimed error is the sum's
@@ -327,7 +329,7 @@ def main_term(
     that scale and of the product: m + 4 roundings and two powers.
     """
     integral, rounding, tail, n_cut = closed_form_profile_integral(h, tup, table, tol)
-    scale = leading_constant(tup) * t_max ** (tup.m - 1)
+    scale = leading_constant(tup)[0] * t_max ** (tup.m - 1)
     value = scale * integral
     claimed = abs(scale) * (rounding + tail) + math.expm1(
         (tup.m + 4) * U + 2.0 * ELEM_REL

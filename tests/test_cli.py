@@ -26,7 +26,7 @@ class TestConstantsCommand:
         assert main(["constants", "--tuple", "1,1,-2"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[1] == "C  0.5  (exact 1/2)"
-        d = leading_constant(z.coefficient_tuple([1, 1, -2]))
+        d = leading_constant(z.coefficient_tuple([1, 1, -2]))[0]
         assert out[2] == f"D  {d:.17g}" and d < 0
 
     def test_tuple_constants_exact_at_wide_coefficients(self, capsys):
@@ -62,11 +62,38 @@ class TestConstantsCommand:
     def test_tuple_over_digit_budget_exit_4(self, capsys, monkeypatch):
         # refused before the table is printed or C computed
         monkeypatch.setattr(cli, "balanced_coefficient", self._unreachable)
-        monkeypatch.setattr(cli, "sinc_product_exact", self._unreachable)
+        monkeypatch.setattr(cli, "leading_constant", self._unreachable)
         entries = ",".join(["1"] * 1000 + ["-1"] * 1000)
         assert main(["constants", "--r-max", "3", "--tuple", entries]) == 4
         out, err = capsys.readouterr()
         assert out == "" and "more than 4300 digits" in err
+
+    @pytest.fixture
+    def int_digits(self):
+        # Python's int-to-str limit, as -X int_max_str_digits sets it
+        old = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(old)
+
+    def test_digit_budget_follows_a_lower_limit(self, capsys, monkeypatch, int_digits):
+        # both print at the default limit of 4,300 digits
+        int_digits(640)
+        monkeypatch.setattr(cli, "balanced_coefficient", self._unreachable)
+        monkeypatch.setattr(cli, "leading_constant", self._unreachable)
+        assert main(["constants", "--r-max", "300"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "row 300 may have more than 640 digits" in err
+        entries = ",".join(["1"] * 193 + ["-1"] * 193)
+        assert main(["constants", "--tuple", entries]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "386 entries may have more than 640 digits" in err
+
+    def test_no_digit_budget_without_a_limit(self, capsys, int_digits):
+        int_digits(0)
+        entries = ",".join(["1"] * 1000 + ["-1"] * 1000)
+        assert main(["constants", "--tuple", entries]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "(2 pi)^2000 overflows" in err
 
     def test_leading_constant_overflow_exit_3(self, capsys):
         # (2 pi)^400 overflows float64

@@ -10,6 +10,7 @@ import zetacorr as z
 from zetacorr.combinatorics import (
     alternating_multinomial_sum_scaled,
     signed_power_sum_scaled,
+    sinc_product_digits,
 )
 from zetacorr.quadrature import adaptive_integrate, sinc_product, sinc_product_constant
 
@@ -177,6 +178,19 @@ class TestSincProductExact:
         # up to 2^80 sign vectors in 81 classes, against Lagrange's sum
         for n in range(1, 41):
             assert z.sinc_product_exact((1,) * n + (-1,) * n) == sinc_power_integral(n)
+
+    def test_digit_bound_covers_the_fraction(self):
+        rng = random.Random(1)
+        cases = [(1, 2), (1, -1), (3, 5, 7), (1000000, 1, -1000001)]
+        cases += [(1,) * n + (-1,) * n for n in range(1, 41)]
+        for m in range(2, 10):
+            cases.append(tuple(rng.choice((-1, 1)) * rng.randint(1, 40) for _ in range(m)))
+        for entries in cases:
+            c = z.sinc_product_exact(entries)
+            digits = max(len(str(abs(c.numerator))), len(str(c.denominator)))
+            # and loose by at most 8.7 digits here; without the parity
+            # argument, by 6.6 + 79 log10(2) for the balanced 80
+            assert digits <= sinc_product_digits(entries) < digits + 10
 
     def test_class_budget(self):
         assert z.sinc_product_exact(tuple(range(1, 21))) > 0  # 2^20 classes

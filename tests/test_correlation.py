@@ -249,7 +249,7 @@ value, diag = z.spectral_correlation_sum(
     z.load_zeros(z.bundled_zeros_path()),
 )
 gammas = np.sort(np.random.default_rng(0).uniform(14.0, 5000.0, 12_000))
-chunk = _zero_sums(gammas, 1, 1e-3, 128)[0]
+chunk = _zero_sums(gammas, 1, 1e-3, np.arange(128) * 1e-3)[0]
 print(value.hex(), diag.rounding_error.hex(), hashlib.sha256(chunk.tobytes()).hexdigest())
 """
 
@@ -257,13 +257,14 @@ print(value.hex(), diag.rounding_error.hex(), hashlib.sha256(chunk.tobytes()).he
 class TestSpectralRoute:
     def test_zero_phase_sum_at_origin(self, zero_table):
         gammas = z.zeros_up_to(zero_table, 100.0)
-        q0 = _zero_sums(gammas, 1, 0.01, 1)[0][0]
+        q0 = _zero_sums(gammas, 1, 0.01, np.zeros(1))[0][0]
         assert q0 == complex(29.0, 0.0)
 
     def test_conjugate_reflection(self, zero_table):
         gammas = z.zeros_up_to(zero_table, 100.0)
-        plus = _zero_sums(gammas, 1, 0.01, 300)[0]
-        minus = _zero_sums(gammas, -1, 0.01, 300)[0]
+        xi = np.arange(300) * 0.01
+        plus = _zero_sums(gammas, 1, 0.01, xi)[0]
+        minus = _zero_sums(gammas, -1, 0.01, xi)[0]
         assert np.array_equal(np.conj(plus), minus)
 
     @needs_extended
@@ -275,7 +276,7 @@ class TestSpectralRoute:
         # PIECE 50 splits each dot product into six, summed in one more order
         for piece in (correlation.PIECE, 50):
             with patch.object(correlation, "PIECE", piece):
-                got, bound = _zero_sums(gammas, a, dx, j.size)
+                got, bound = _zero_sums(gammas, a, dx, j * dx)
             miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
             assert np.all(miss <= bound)
             # a worst case, but within three orders of the realised error
@@ -287,7 +288,7 @@ class TestSpectralRoute:
         # term, grows with j dx and dominates the bound
         gammas = z.zeros_up_to(zero_table, 500.0)
         a, dx, j = 3, 0.005, np.arange(4000)
-        got, bound = _zero_sums(gammas, a, dx, j.size)
+        got, bound = _zero_sums(gammas, a, dx, j * dx)
         exact = _zero_phase_sum_oracle(gammas, a, j.astype(LD) * LD(dx))
         miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
         assert np.all(miss <= bound)
@@ -307,23 +308,31 @@ class TestSpectralRoute:
         xi = j.astype(LD) * LD(dx)
         exact = _zero_phase_sum_oracle(gammas, a, xi)
         miss = np.abs(sequential.astype(np.clongdouble) - exact).astype(np.float64)
-        bound = _zero_sums(gammas, a, dx, 2 * ROW)[1][ROW:]
+        bound = _zero_sums(gammas, a, dx, np.arange(2 * ROW) * dx)[1][ROW:]
         assert np.all(miss <= bound)
         assert np.max(bound) <= 1e3 * np.max(miss)
 
     def test_nodes_are_exact_multiples(self, weight_default, zero_table, monkeypatch):
-        calls = []
+        # the nodes the route passes to the zero sums and to hhat
+        calls, hats = [], []
 
-        def recorded(gammas, a, dx, points):
-            calls.append((a, dx, points))
-            return zero_sums(gammas, a, dx, points)
+        def recorded(gammas, a, dx, xi):
+            calls.append((a, dx, xi))
+            return zero_sums(gammas, a, dx, xi)
 
-        zero_sums = correlation._zero_sums
+        def recorded_hat(self, xi):
+            hats.append(xi)
+            return hat(self, xi)
+
+        zero_sums, hat = correlation._zero_sums, type(weight_default).hat
         monkeypatch.setattr(correlation, "_zero_sums", recorded)
+        monkeypatch.setattr(type(weight_default), "hat", recorded_hat)
         tup = z.coefficient_tuple([1, 2, -3])
         _, diag = z.spectral_correlation_sum(weight_default, tup, 100.0, zero_table)
-        assert calls == [(a, diag.dx, diag.grid_points) for a in (1, 2, 3)]
-        nodes = np.arange(diag.grid_points, dtype=np.float64) * diag.dx
+        assert [(a, dx) for a, dx, _ in calls] == [(a, diag.dx) for a in (1, 2, 3)]
+        nodes = calls[0][2]
+        assert all(xi is nodes for _, _, xi in calls) and len(hats) == 1 and hats[0] is nodes
+        assert nodes.size == diag.grid_points
         step = Fraction(diag.dx)
         assert all(Fraction(x) == j * step for j, x in enumerate(nodes.tolist()))
         # the last node is the first at or beyond xi_max

@@ -1,13 +1,12 @@
 """The correlation sum over zero ordinates, by two independent routes.
 
 Direct route: sum h(a_1 g_1 + ... + a_m g_m) over all m-tuples of
-ordinates up to T.  The first m-1 coordinates are enumerated; for each
-prefix only the window of last ordinates where |Delta| stays below the
-weight's support cutoff contributes, located by binary search.  Skipped
-tuples are covered by an analytic bound added to the claimed error.
-The result is the correctly rounded sum of all terms
-(`rounding.exact_sum`), which depends on neither their order nor their
-grouping into blocks.
+ordinates up to T, as h(P - N) over index multisets of the positive and
+negative halves, meeting in the middle (Horowitz and Sahni, J. ACM 21,
+1974): only the window of the sorted half where |Delta| stays below the
+weight's support cutoff contributes, found by binary search, and an
+analytic bound on the rest joins the claimed error.  The result is the
+correctly rounded sum of all terms (`rounding.exact_sum`).
 
 Spectral route: the same sum as a trapezoid sum of hhat(xi) times the
 product of geometric zero sums Q(a_k xi), at exact nodes j dx just
@@ -37,8 +36,8 @@ from .zeros import ZeroTable, zeros_up_to
 
 DIRECT_PREFIX_BUDGET = 80_000_000
 # the direct route's steps; small, so that its arrays do not raise peak memory
-PREFIXES = 2**11  # (m-1)-prefixes per step
-BLOCK = 2**14  # tuples per call of h.value, plus at most one row
+PREFIXES = 2**11  # index tuples, or sorted multisets, of the streamed half per step
+BLOCK = 2**14  # pairs of half values per call of h.value, plus at most one row
 ROW = 64  # grid points per row of the factored phase sums
 CHUNK = 32  # rows per contraction of the phase sums
 PIECE = 8192  # ordinates per np.vecdot: OpenBLAS threads zdotc above 10,000
@@ -53,6 +52,7 @@ class DirectDiagnostics:
     pruned_fraction: float
     claimed_error: float
     cutoff: float
+    h_evals: int
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,28 @@ def _ordinates_for(zeros: ZeroTable, t_max: float) -> np.ndarray:
     return zeros_up_to(zeros, t_max)
 
 
+def _multisets(gammas: np.ndarray, coeffs: list[int]):
+    """Sum and multiplicity of each index multiset of a half, PREFIXES index tuples a step.
+
+    Indices are nondecreasing within runs of equal coefficients (coeffs: |a|,
+    ascending); sums run left to right from 0.0; multiplicities count index tuples.
+    """
+    n, k = gammas.size, len(coeffs)
+    runs = [c for c in range(1, k) if coeffs[c - 1] == coeffs[c]]
+    for start in range(0, n**k, PREFIXES):
+        d = np.unravel_index(np.arange(start, min(start + PREFIXES, n**k)), (n,) * k)
+        keep = np.ones(d[0].size, bool)
+        for c in runs:
+            keep &= d[c - 1] <= d[c]
+        d = [idx[keep] for idx in d]
+        total, weight, j, tie = 0.0, 1.0, 1, 1
+        for c, coeff in enumerate(coeffs):  # weight: j!/prod repeats! of the run so far, exact
+            j, tie = (j + 1, np.where(d[c - 1] == d[c], tie + 1, 1)) if c in runs else (1, 1)
+            weight = weight * j / tie
+            total = total + coeff * gammas[d[c]]
+        yield total, np.broadcast_to(weight, total.shape)
+
+
 def direct_correlation_sum(
     h: GaussianTriplet,
     tup: CoefficientTuple,
@@ -96,16 +118,12 @@ def direct_correlation_sum(
     sup); cutoff=inf disables pruning entirely, which reproduces a naive
     full enumeration bit for bit (the test oracle `naive_correlation_sum`).
 
-    The (m-1)-prefixes are walked PREFIXES at a time, each with its
-    window of last ordinates from a binary search; h.value takes about
-    BLOCK tuples per call, so memory does not grow with n^(m-1).
-
-    When a_1 = a_2, a prefix sum (0.0 + a g_i) + a g_j equals
-    (0.0 + a g_j) + a g_i bit for bit (IEEE addition commutes), and so
-    does every later partial sum.  Only prefixes with i <= j are then
-    walked, and the h values of rows with i < j enter times 2.0, which is
-    exact: h is evaluated about half as often, and the sum, tuple_count
-    and pruned_fraction are those of the full walk.
+    Delta = P - N over the halves' multisets (`_multisets`).  The half with
+    fewer is sorted; each value x of the other, streamed, takes its window
+    of sorted values y by binary search, and h.value about BLOCK pairs a
+    call.  As fl(x - y) = -fl(y - x) and h is even, a balanced tuple, with
+    alike halves, walks only pairs p <= q of the sorted half.  Each h value
+    enters exact_sum times its count of tuples, in power-of-two parts.
 
     Raises:
         DataError: the zero table does not cover (0, T].
@@ -113,61 +131,60 @@ def direct_correlation_sum(
             the spectral route is suggested.
     """
     gammas = _ordinates_for(zeros, t_max)
-    n = gammas.size
-    m = tup.m
+    n, m = gammas.size, tup.m
     if n == 0:
-        return 0.0, DirectDiagnostics(0, 0.0, 0.0, cutoff or math.inf)
+        return 0.0, DirectDiagnostics(0, 0.0, 0.0, cutoff or math.inf, 0)
     if n ** (m - 1) > DIRECT_PREFIX_BUDGET:
         raise BudgetError(
-            f"{n}^{m - 1} tuple prefixes exceed the direct-route budget; "
-            "use the spectral route"
+            f"{n}^{m - 1} tuple prefixes exceed the direct-route budget; use the spectral route"
         )
-    if cutoff is None:
-        cutoff = h.support_cutoff()
+    cutoff = h.support_cutoff() if cutoff is None else cutoff
     claimed = 0.0 if math.isinf(cutoff) else float(n) ** m * h.value_bound_beyond(cutoff)
-    *heads, a_last = tup.entries
-    swap = heads[0] == heads[1]
-    hits = 0
+    size = lambda half: math.prod(math.comb(n + r - 1, r) for r in Counter(half).values())
+    halves = [sorted(a for a in tup.entries if a > 0), sorted(-a for a in tup.entries if a < 0)]
+    built, streamed = sorted(halves, key=size)
+    sums, weights = map(np.concatenate, zip(*_multisets(gammas, built)))
+    sums, weights = sums[order := np.argsort(sums, kind="stable")], weights[order]
+    mirror = tup.is_balanced  # coprime values: alike halves only for all +-1
+    if mirror:  # a pair p < q stands for (q, p) too
+        steps = range(0, sums.size, PREFIXES)
+        stream = ((sums[p : p + PREFIXES], 2.0 * weights[p : p + PREFIXES], p) for p in steps)
+    else:
+        stream = ((x, wx, None) for x, wx in _multisets(gammas, streamed) if x.size)
+    unit, powers = bool((weights == 1.0).all()), max(Counter(tup.entries).values()) <= 2
+    hits = evals = 0
 
     def terms():
-        nonlocal hits
-        for start in range(0, n ** (m - 1), PREFIXES):
-            stop = min(start + PREFIXES, n ** (m - 1))
-            digits = np.unravel_index(np.arange(start, stop), (n,) * (m - 1))
-            if swap:  # prefix (j, i, ...) is prefix (i, j, ...), bit for bit
-                keep = digits[0] <= digits[1]
-                if not keep.any():
-                    continue
-                digits = [idx[keep] for idx in digits]
-                weight = 1.0 + (digits[0] < digits[1])
-            dprime = 0.0  # the naive loops' left-to-right order, term for term
-            for coeff, idx in zip(heads, digits):
-                dprime = dprime + coeff * gammas[idx]
-            left = (-cutoff - dprime) / a_last
-            right = (cutoff - dprime) / a_last
-            if a_last < 0:
-                left, right = right, left
-            lo = np.searchsorted(gammas, left, side="left")
-            counts = np.maximum(np.searchsorted(gammas, right, side="right") - lo, 0)
+        nonlocal hits, evals
+        for x, wx, first in stream:  # a mirror row starts at its own position
+            lo = np.arange(first, first + x.size) if mirror else np.searchsorted(sums, x - cutoff)
+            counts = np.maximum(np.searchsorted(sums, x + cutoff, side="right") - lo, 0)
             ends = np.cumsum(counts)
-            hits += int(counts @ weight) if swap else int(ends[-1])
-            # runs of rows holding about BLOCK tuples each
+            evals += int(ends[-1])
+            # runs of rows holding about BLOCK pairs each
             cuts = np.searchsorted(ends, np.arange(BLOCK, ends[-1] + BLOCK, BLOCK), "right")
             for r0, r1 in zip([0, *cuts], cuts):
                 if r0 == r1:
                     continue
-                rows, first = counts[r0:r1], ends[r0:r1] - counts[r0:r1]
-                pos = np.arange(first[0], ends[r1 - 1]) + np.repeat(lo[r0:r1] - first, rows)
-                values = h.value(np.repeat(dprime[r0:r1], rows) + a_last * gammas[pos])
-                yield values * np.repeat(weight[r0:r1], rows) if swap else values
+                rows, start = counts[r0:r1], ends[r0:r1] - counts[r0:r1]
+                pos = np.arange(start[0], ends[r1 - 1]) + np.repeat(lo[r0:r1] - start, rows)
+                values = h.value(np.repeat(x[r0:r1], rows) - sums[pos])
+                weight = np.repeat(wx[r0:r1], rows) * (1.0 if unit else weights[pos])
+                if mirror:  # p = q, the first pair of its row, counts once
+                    weight[start - start[0]] *= 0.5
+                hits += int(weight.sum())
+                if powers:  # runs of at most 2: every weight a power of two, so exact
+                    values *= weight
+                    yield values
+                    continue
+                while values.size:  # in power-of-two parts
+                    top = np.ldexp(0.5, np.frexp(weight)[1])
+                    yield values * top
+                    rest = weight > top
+                    values, weight = values[rest], weight[rest] - top[rest]
 
     value = exact_sum(terms())
-    return value, DirectDiagnostics(
-        tuple_count=hits,
-        pruned_fraction=1.0 - hits / float(n) ** m,
-        claimed_error=claimed,
-        cutoff=cutoff,
-    )
+    return value, DirectDiagnostics(hits, 1.0 - hits / float(n) ** m, claimed, cutoff, evals)
 
 
 def _zero_sums(gammas: np.ndarray, a: int, dx: float, xi: np.ndarray):
@@ -388,6 +405,7 @@ def build_report(
     diagnostics = {
         "tuple_count": ddiag.tuple_count,
         "pruned_fraction": ddiag.pruned_fraction,
+        "direct_h_evals": ddiag.h_evals,
         "spectral_grid": sdiag.grid_points,
         "claimed_errors": {
             "direct": ddiag.claimed_error,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,10 @@ def coefficient_tuple(entries) -> CoefficientTuple:
         raise ValueError("tuple entries must be nonzero")
     if sum(tup) != 0:
         raise ValueError(f"tuple entries must sum to 0, got {sum(tup)}")
-    for a, b in combinations(sorted(set(tup)), 2):
-        if math.gcd(a, b) != 1:
+    values, product = sorted(set(tup)), 1  # the product of the values so far: one gcd each
+    for i, b in enumerate(values):
+        if math.gcd(product, b) != 1:
+            a = next(a for a in values[:i] if math.gcd(a, b) != 1)
             raise ValueError(f"distinct tuple values {a} and {b} must be coprime")
+        product *= b
     return CoefficientTuple(entries=tup)

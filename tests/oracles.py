@@ -21,42 +21,74 @@ from zetacorr.series import (
 )
 
 
+def _halves(tup, n: int) -> list[list]:
+    """Each half's (coefficient, index row) pairs over all n^m ordinate tuples.
+
+    The positive half holds a, the negative half |a|, in (coefficient,
+    ordinate index) order: the index rows of a run of equal coefficients
+    sorted tuple by tuple.  Rows run over the tuples in C index order.
+    """
+    idx = np.indices((n,) * tup.m).reshape(tup.m, -1)
+    halves = []
+    for sign in (1, -1):
+        half = []
+        for coeff in sorted({sign * a for a in tup.entries if sign * a > 0}):
+            cols = [k for k, a in enumerate(tup.entries) if sign * a == coeff]
+            half += [(coeff, row) for row in np.sort(idx[cols], axis=0)]
+        halves.append(half)
+    return halves
+
+
+def delta_by_halves(tup, gammas) -> np.ndarray:
+    """Delta = P - N of every ordinate m-tuple, as one array of n^m entries.
+
+    P and N sum coefficient * gamma over the positive and the negative
+    half (`_halves`), each left to right from 0.0.
+    """
+    sums = []
+    for half in _halves(tup, gammas.size):
+        total = 0.0
+        for coeff, row in half:
+            total = total + coeff * gammas[row]
+        sums.append(total)
+    return sums[0] - sums[1]
+
+
+def canonical_pair_count(tup, t_max, zeros, cutoff) -> int:
+    """Number of distinct (positive, negative) index multisets with |Delta| <= cutoff.
+
+    Tuples that differ by permuting equal coefficients are one pair; for
+    a balanced tuple, whose halves are alike, so are (A, B) and (B, A).
+    """
+    gammas = _ordinates_for(zeros, t_max)
+    kept = np.abs(delta_by_halves(tup, gammas)) <= cutoff
+    keys = [zip(*(row[kept].tolist() for _, row in half)) for half in _halves(tup, gammas.size)]
+    pairs = zip(*keys)
+    if tup.is_balanced:
+        pairs = (tuple(sorted(pair)) for pair in pairs)
+    return len(set(pairs))
+
+
 def naive_correlation_sum(h, tup, t_max, zeros) -> float:
     """Unpruned enumeration of sum h(Delta) over ordinate m-tuples (n <= 40).
 
-    Nested loops in ascending index order, the innermost coordinate
-    evaluated as one row; all terms go to one math.fsum, so the result
-    is their correctly rounded sum, which is what the direct route
-    returns with an infinite cutoff.
+    Every tuple's Delta from `delta_by_halves`, all terms to one
+    math.fsum, so the result is their correctly rounded sum, which is
+    what the direct route returns with an infinite cutoff.
     """
     gammas = _ordinates_for(zeros, t_max)
-    n = gammas.size
-    if n > 40:
+    if gammas.size > 40:
         raise ValueError("naive enumeration is intended for tiny instances")
-    *heads, a_mid, a_last = tup.entries
-    terms = []
-    for prefix in product(range(n), repeat=tup.m - 2):
-        base = 0.0
-        for coeff, idx in zip(heads, prefix):
-            base = base + coeff * gammas[idx]
-        for j in range(n):
-            terms.extend(h.value(base + a_mid * gammas[j] + a_last * gammas).tolist())
-    return math.fsum(terms)
+    return math.fsum(h.value(delta_by_halves(tup, gammas)).tolist())
 
 
 def tuple_count_naive(tup, t_max, zeros, cutoff) -> int:
     """Number of ordinate m-tuples with |Delta| <= cutoff, from all n^m of them.
 
-    Delta is summed left to right from 0.0, as in the naive loops, on
-    one broadcast array of n^m entries (small tables only).
+    Delta from `delta_by_halves` (small tables only).
     """
     gammas = _ordinates_for(zeros, t_max)
-    delta = 0.0
-    for axis, a in enumerate(tup.entries):
-        shape = [1] * tup.m
-        shape[axis] = gammas.size
-        delta = delta + a * gammas.reshape(shape)
-    return int(np.count_nonzero(np.abs(delta) <= cutoff))
+    return int(np.count_nonzero(np.abs(delta_by_halves(tup, gammas)) <= cutoff))
 
 
 def triplet_value_unmasked(h, x):

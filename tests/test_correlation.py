@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -17,10 +18,10 @@ from zetacorr import correlation
 from zetacorr.correlation import ROW, _zero_sums
 from zetacorr.series import transform_truncation
 
-from oracles import naive_correlation_sum, tuple_count_naive
+from oracles import canonical_pair_count, naive_correlation_sum, tuple_count_naive
 
-SWAPPABLE = [(1, 1, -2), (-1, -1, 2), (1, 1, -1, -1), (2, 2, -1, -3)]
-UNSWAPPABLE = [(1, 2, -3), (1, -1, 1, -1)]  # a_1 != a_2
+# runs of equal coefficients in one half or both, none, and equal halves
+TUPLES = [(1, 1, -2), (-1, -1, 2), (1, 1, -1, -1), (2, 2, -1, -3), (1, 2, -3), (1, -1, 1, -1)]
 
 
 class Scaled:
@@ -66,6 +67,22 @@ class TestCoefficientTuple:
     def test_rejects_common_factor(self):
         with pytest.raises(ValueError, match="coprime"):
             z.coefficient_tuple([2, 2, -4])
+
+    def test_many_distinct_primes_parse_fast(self):
+        # one gcd a value against the running product, not one a pair
+        odd = [p for p in range(3, 40_000, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+        is_prime = lambda k: all(k % d for d in range(3, math.isqrt(k) + 1, 2))
+        last = next(p for p in odd[3998:] if is_prime(sum(odd[:3998]) + p))
+        entries = odd[:3998] + [last]
+        entries.append(-sum(entries))
+        times = []
+        for _ in range(3):  # the best of three, against a loaded machine
+            start = time.perf_counter()
+            assert z.coefficient_tuple(entries).m == 4000
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1
+        with pytest.raises(ValueError, match="values 3 and 21 must be coprime"):
+            z.coefficient_tuple(entries[:-1] + [21, -sum(entries[:-1]) - 21])
 
     def test_repeated_values_allowed(self):
         assert z.coefficient_tuple([1, 1, -2]).entries == (1, 1, -2)
@@ -121,7 +138,18 @@ class TestDirectRoute:
         assert naive == pruned
         assert diag.tuple_count == z.zeros_up_to(zero_table, 60.0).size ** tup.m
 
-    @pytest.mark.parametrize("entries", SWAPPABLE + UNSWAPPABLE)
+    def test_runs_of_three_in_both_halves_bitwise(self, weight_default, zero_table):
+        # multiplicities 3 and 6 on alike halves, entering in power-of-two parts
+        tup = z.coefficient_tuple([1, 1, 1, -1, -1, -1])
+        naive = naive_correlation_sum(weight_default, tup, 40.0, zero_table)
+        counted = Scaled(weight_default, 1.0)
+        value, diag = z.direct_correlation_sum(counted, tup, 40.0, zero_table, cutoff=math.inf)
+        assert value == naive and diag.tuple_count == 6**6
+        assert counted.points == canonical_pair_count(tup, 40.0, zero_table, math.inf)
+        _, diag = z.direct_correlation_sum(weight_default, tup, 40.0, zero_table)
+        assert diag.tuple_count == tuple_count_naive(tup, 40.0, zero_table, diag.cutoff)
+
+    @pytest.mark.parametrize("entries", TUPLES + [(1, 1, 1, -3)])
     def test_tuple_count_matches_brute_force(self, weight_default, zero_table, entries):
         tup = z.coefficient_tuple(list(entries))
         t_max = 100.0 if tup.m == 3 else 80.0
@@ -131,16 +159,17 @@ class TestDirectRoute:
         assert 0 < diag.tuple_count == count < full
         assert diag.pruned_fraction == 1.0 - count / full
 
-    @pytest.mark.parametrize("entries", SWAPPABLE + UNSWAPPABLE)
+    @pytest.mark.parametrize("entries", TUPLES + [(1, 1, 1, -3)])
     def test_swap_symmetry_halves_h_evaluations(self, weight_default, zero_table, entries):
+        # h is evaluated once per pair of index multisets of the two halves
         tup = z.coefficient_tuple(list(entries))
         counted = Scaled(weight_default, 1.0)
         value, diag = z.direct_correlation_sum(counted, tup, 80.0, zero_table)
         assert value == z.direct_correlation_sum(weight_default, tup, 80.0, zero_table)[0]
-        if entries[0] == entries[1]:
-            assert counted.points <= 0.55 * diag.tuple_count
-        else:
-            assert counted.points == diag.tuple_count
+        pairs = canonical_pair_count(tup, 80.0, zero_table, diag.cutoff)
+        assert counted.points == diag.h_evals == pairs
+        if tup.is_balanced:  # halves alike: (A, B) and (B, A) walked once
+            assert counted.points <= 0.3 * diag.tuple_count
 
     def test_default_cutoff_within_claimed(self, weight_default, tiny_zeros):
         tup = z.coefficient_tuple([1, 1, -2])
@@ -155,14 +184,15 @@ class TestDirectRoute:
         b = z.direct_correlation_sum(
             weight_default, z.coefficient_tuple([1, -2, 1]), 30.0, tiny_zeros
         )[0]
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == b
 
     def test_tuple_order_full_permutation_stable(self, weight_default, zero_table):
-        tup_a = z.coefficient_tuple([1, 1, -2])
-        tup_b = z.coefficient_tuple([-2, 1, 1])
-        va = z.direct_correlation_sum(weight_default, tup_a, 60.0, zero_table)[0]
-        vb = z.direct_correlation_sum(weight_default, tup_b, 60.0, zero_table)[0]
-        assert va == pytest.approx(vb, rel=1e-10)
+        # the halves' sums fix the order of summation, and h is even
+        results = {
+            z.direct_correlation_sum(weight_default, z.coefficient_tuple(e), 60.0, zero_table)
+            for e in ([1, 1, -2], [-2, 1, 1], [-1, -1, 2])
+        }
+        assert len(results) == 1
 
     def test_linear_in_weight(self, weight_default, zero_table):
         tup = z.coefficient_tuple([1, 1, -2])
@@ -184,15 +214,23 @@ class TestDirectRoute:
                 small = z.direct_correlation_sum(weight_default, tup, 80.0, zero_table)
             assert small[0] == value and small[1] == diag
 
-    def test_memory_does_not_grow_with_prefixes(self, weight_default, zero_table):
-        tup = z.coefficient_tuple([1, 1, -1, -1])
+    @staticmethod
+    def direct_peak_bytes(h, entries, t_max, zeros):
         tracemalloc.start()
         try:
-            _, diag = z.direct_correlation_sum(weight_default, tup, 150.0, zero_table)
-            peak = tracemalloc.get_traced_memory()[1]
+            _, diag = z.direct_correlation_sum(h, z.coefficient_tuple(entries), t_max, zeros)
+            return diag, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_prefixes(self, weight_default, zero_table):
+        diag, peak = self.direct_peak_bytes(weight_default, [1, 1, -1, -1], 150.0, zero_table)
         assert diag.tuple_count > 10**6  # 8 bytes a tuple would be 16 MB
+        assert peak < 8e6
+
+    def test_memory_does_not_grow_with_streamed_half(self, weight_default, zero_table):
+        diag, peak = self.direct_peak_bytes(weight_default, [1, 1, -2], 500.0, zero_table)
+        assert diag.tuple_count > 10**6
         assert peak < 8e6
 
     def test_data_error_beyond_coverage(self, weight_default, tiny_zeros):

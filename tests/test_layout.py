@@ -17,7 +17,6 @@ UNREACHED = {
     "quadrature.sinc_product": "the integrand of the perfbench-pinned sinc constant",
     "series.correlation_kernel": "perfbench/spans.py patches it",
     "combinatorics.balanced_sinc_constant": "perfbench/make_reference.py calls it",
-    "tuples.CoefficientTuple.is_balanced": "perfbench/make_reference.py reads it",
     "weights.class_membership_report": "documented library API (README)",
     "zeros.write_zeros": "documented library API (README)",
 }

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zetacorr as z
 from zetacorr.quadrature import adaptive_integrate
@@ -63,6 +64,26 @@ class TestMaskedValue:
         want = triplet_value_unmasked(h, x)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.isnan(got[-3]) and got[-2] == got[-1] == 0.0
+
+    # x whose side or middle bump has its exp argument in [-800, -700],
+    # where the results turn subnormal and then 0, near +-c and 0
+    PARAMS = st.sampled_from([(20.0, 2.0), (5.0, 1.0), (1.0, 0.5)])
+    BAND = st.tuples(st.floats(700.0, 800.0), st.sampled_from([1.0, -1.0, 0.0]), st.sampled_from([1, -1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(PARAMS, st.lists(st.floats(), max_size=20), st.lists(BAND, max_size=20))
+    def test_even_bit_for_bit(self, params, wide, band):
+        # the direct route's mirror halving takes h(-x) for h(x)
+        h = z.gaussian_triplet(*params)
+        c, s = params
+        near = [shift * c + sign * s * math.sqrt(t / math.pi) for t, shift, sign in band]
+        x = np.array(wide + near + [0.0, -0.0, np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, mirrored = h.value(x), h.value(-x)
+        nan = np.isnan(got)
+        assert np.array_equal(nan, np.isnan(mirrored)) and nan[-1]
+        assert np.array_equal(got[~nan].view(np.int64), mirrored[~nan].view(np.int64))
 
     def test_exp_is_zero_below_floor(self):
         t = np.concatenate([np.linspace(-2000.0, EXP_FLOOR, 1_000_001), [-1e308, -np.inf]])

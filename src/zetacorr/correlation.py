@@ -34,7 +34,7 @@ from .tuples import CoefficientTuple, coefficient_tuple
 from .weights import SQRT_PI, TWO_PI, GaussianTriplet
 from .zeros import ZeroTable, zeros_up_to
 
-DIRECT_PREFIX_BUDGET = 80_000_000
+DIRECT_HALF_BUDGET = 80_000_000  # bound on n^(m-1), the index tuples of the longer half
 # the direct route's steps; small, so that its arrays do not raise peak memory
 PREFIXES = 2**11  # index tuples, or sorted multisets, of the streamed half per step
 BLOCK = 2**14  # pairs of half values per call of h.value, plus at most one row
@@ -127,18 +127,22 @@ def direct_correlation_sum(
 
     Raises:
         DataError: the zero table does not cover (0, T].
-        BudgetError: prefix count would exceed the enumeration budget;
-            the spectral route is suggested.
+        BudgetError: n^(m-1), which bounds the index tuples either half
+            enumerates, would exceed the budget; the spectral route is
+            suggested.
     """
     gammas = _ordinates_for(zeros, t_max)
-    n, m = gammas.size, tup.m
+    n = gammas.size
+    m = tup.m
     if n == 0:
         return 0.0, DirectDiagnostics(0, 0.0, 0.0, cutoff or math.inf, 0)
-    if n ** (m - 1) > DIRECT_PREFIX_BUDGET:
+    if n ** (m - 1) > DIRECT_HALF_BUDGET:
         raise BudgetError(
-            f"{n}^{m - 1} tuple prefixes exceed the direct-route budget; use the spectral route"
+            f"{n}^{m - 1} index tuples of a half exceed the direct-route budget; "
+            "use the spectral route"
         )
-    cutoff = h.support_cutoff() if cutoff is None else cutoff
+    if cutoff is None:
+        cutoff = h.support_cutoff()
     claimed = 0.0 if math.isinf(cutoff) else float(n) ** m * h.value_bound_beyond(cutoff)
     size = lambda half: math.prod(math.comb(n + r - 1, r) for r in Counter(half).values())
     halves = [sorted(a for a in tup.entries if a > 0), sorted(-a for a in tup.entries if a < 0)]
@@ -151,7 +155,6 @@ def direct_correlation_sum(
         stream = ((sums[p : p + PREFIXES], 2.0 * weights[p : p + PREFIXES], p) for p in steps)
     else:
         stream = ((x, wx, None) for x, wx in _multisets(gammas, streamed) if x.size)
-    unit, powers = bool((weights == 1.0).all()), max(Counter(tup.entries).values()) <= 2
     hits = evals = 0
 
     def terms():
@@ -169,22 +172,28 @@ def direct_correlation_sum(
                 rows, start = counts[r0:r1], ends[r0:r1] - counts[r0:r1]
                 pos = np.arange(start[0], ends[r1 - 1]) + np.repeat(lo[r0:r1] - start, rows)
                 values = h.value(np.repeat(x[r0:r1], rows) - sums[pos])
-                weight = np.repeat(wx[r0:r1], rows) * (1.0 if unit else weights[pos])
+                weight = np.repeat(wx[r0:r1], rows)
+                weight *= weights[pos]
                 if mirror:  # p = q, the first pair of its row, counts once
                     weight[start - start[0]] *= 0.5
                 hits += int(weight.sum())
-                if powers:  # runs of at most 2: every weight a power of two, so exact
-                    values *= weight
-                    yield values
-                    continue
-                while values.size:  # in power-of-two parts
-                    top = np.ldexp(0.5, np.frexp(weight)[1])
-                    yield values * top
+                while values.size:  # in power-of-two parts, each product exact
+                    # the largest power of two in weight: its mantissa bits cleared
+                    top = (weight.view(np.int64) & -(2**52)).view(np.float64)
                     rest = weight > top
-                    values, weight = values[rest], weight[rest] - top[rest]
+                    part, values, weight = values, values[rest], weight[rest] - top[rest]
+                    part *= top
+                    del top, rest  # before exact_sum's temporaries, which set peak memory
+                    yield part
 
     value = exact_sum(terms())
-    return value, DirectDiagnostics(hits, 1.0 - hits / float(n) ** m, claimed, cutoff, evals)
+    return value, DirectDiagnostics(
+        tuple_count=hits,
+        pruned_fraction=1.0 - hits / float(n) ** m,
+        claimed_error=claimed,
+        cutoff=cutoff,
+        h_evals=evals,
+    )
 
 
 def _zero_sums(gammas: np.ndarray, a: int, dx: float, xi: np.ndarray):

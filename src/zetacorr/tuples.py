@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+MAX_VALUE_BITS = 2**17  # of all distinct values: the coprimality check takes time ~ its square
+
 
 @dataclass(frozen=True)
 class CoefficientTuple:
@@ -53,8 +55,9 @@ def coefficient_tuple(entries) -> CoefficientTuple:
 
     Raises:
         ValueError: with the violated invariant named, if the length is
-            below 3, an entry is zero, the sum is nonzero, or two
-            distinct values share a factor.
+            below 3, an entry is zero, the sum is nonzero, the distinct
+            values take more than MAX_VALUE_BITS bits, or two of them
+            share a factor.
     """
     tup = tuple(int(a) for a in entries)
     if len(tup) < 3:
@@ -63,7 +66,11 @@ def coefficient_tuple(entries) -> CoefficientTuple:
         raise ValueError("tuple entries must be nonzero")
     if sum(tup) != 0:
         raise ValueError(f"tuple entries must sum to 0, got {sum(tup)}")
-    values, product = sorted(set(tup)), 1  # the product of the values so far: one gcd each
+    values = sorted(set(tup))
+    bits = sum(a.bit_length() for a in values)
+    if bits > MAX_VALUE_BITS:
+        raise ValueError(f"distinct tuple values take {bits} bits, over the budget {MAX_VALUE_BITS}")
+    product = 1  # of the values so far: one gcd a value
     for i, b in enumerate(values):
         if math.gcd(product, b) != 1:
             a = next(a for a in values[:i] if math.gcd(a, b) != 1)

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zetacorr as z
-from zetacorr import correlation
+from zetacorr import correlation, tuples
 from zetacorr.correlation import ROW, _zero_sums
 from zetacorr.series import transform_truncation
 
@@ -68,21 +67,37 @@ class TestCoefficientTuple:
         with pytest.raises(ValueError, match="coprime"):
             z.coefficient_tuple([2, 2, -4])
 
-    def test_many_distinct_primes_parse_fast(self):
-        # one gcd a value against the running product, not one a pair
+    def test_coprimality_one_gcd_a_value(self, monkeypatch):
+        # each value against the running product, not one gcd a pair
         odd = [p for p in range(3, 40_000, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
         is_prime = lambda k: all(k % d for d in range(3, math.isqrt(k) + 1, 2))
         last = next(p for p in odd[3998:] if is_prime(sum(odd[:3998]) + p))
         entries = odd[:3998] + [last]
         entries.append(-sum(entries))
-        times = []
-        for _ in range(3):  # the best of three, against a loaded machine
-            start = time.perf_counter()
-            assert z.coefficient_tuple(entries).m == 4000
-            times.append(time.perf_counter() - start)
-        assert min(times) < 0.1
+        calls = []
+        gcd = math.gcd
+        monkeypatch.setattr(tuples.math, "gcd", lambda a, b: calls.append(b) or gcd(a, b))
+        assert z.coefficient_tuple(entries).m == 4000
+        assert len(calls) == 4000
+        calls.clear()
         with pytest.raises(ValueError, match="values 3 and 21 must be coprime"):
             z.coefficient_tuple(entries[:-1] + [21, -sum(entries[:-1]) - 21])
+        # the negated sum, 3, 5, ..., 19, 21: 9 checks; the partner search tests it, then 3
+        assert len(calls) == 9 + 2
+
+    def test_value_bits_budget(self, monkeypatch):
+        # 10^5 distinct values are refused before any gcd
+        calls = []
+        monkeypatch.setattr(tuples.math, "gcd", lambda a, b: calls.append(b))
+        entries = list(range(10**6, 10**6 + 10**5))
+        with pytest.raises(ValueError, match="2051461 bits, over the budget 131072"):
+            z.coefficient_tuple(entries + [-sum(entries)])
+        assert calls == []
+        monkeypatch.undo()
+        x = 2**65534  # x, 1 and x + 1: 65535 + 1 + 65535 bits
+        assert z.coefficient_tuple([x, 1, -x - 1]).m == 3
+        with pytest.raises(ValueError, match="131073 bits"):
+            z.coefficient_tuple([2 * x, 1, -2 * x - 1])
 
     def test_repeated_values_allowed(self):
         assert z.coefficient_tuple([1, 1, -2]).entries == (1, 1, -2)

@@ -27,7 +27,7 @@ from .dips import (
 from .errors import BudgetError, DataError, DomainError, ResourceError
 from .identities import run_identity_suite
 from .arithmetic import SIEVE_LIMIT_CAP, sieve_mangoldt
-from .series import SeriesConfig, required_limit_estimate, transform_truncation
+from .series import SeriesConfig, sieve_limit, transform_truncation
 from .weights import gaussian_triplet
 from .zeros import load_zeros, validate_zero_table
 
@@ -46,24 +46,16 @@ def _fmt(x: float) -> str:
 def _sieve_for(tuples, tol: float, h=None):
     """Mangoldt table for the tuples' certified series at tolerance tol.
 
-    Given the weight h, sized instead for the closed-form main term at
-    tolerance tol, which needs far fewer terms.
+    Sieved to their largest `sieve_limit`, or, given the weight h, to
+    their largest closed-form main-term cut, which is far smaller.
     """
-    if h is not None:
-        need = max(
-            transform_truncation(h, float(t.positive_sum), t.m, tol, SIEVE_LIMIT_CAP)[0]
-            for t in tuples
-        )
-        return sieve_mangoldt(max(need, 10**4))
-    sigma = min(t.positive_sum for t in tuples)
-    m = max(t.m for t in tuples)
-    need = required_limit_estimate(float(sigma), m, tol)
-    if need > SIEVE_LIMIT_CAP:
-        raise ResourceError(
-            f"series tolerance {tol:g} needs a sieve limit of about {need}, "
-            f"beyond the cap {SIEVE_LIMIT_CAP}"
-        )
-    return sieve_mangoldt(max(min(need * 2, SIEVE_LIMIT_CAP), 10**4))
+    def need(t):
+        sigma = float(t.positive_sum)
+        if h is None:
+            return sieve_limit(sigma, t.m, tol)
+        return transform_truncation(h, sigma, t.m, tol, SIEVE_LIMIT_CAP)[0]
+
+    return sieve_mangoldt(max(map(need, tuples)))
 
 
 def _cmd_constants(args) -> int:
@@ -106,6 +98,9 @@ DEFAULT_CURVE_TUPLES = ("1,1,-2", "1,1,-1,-1", "1,2,-3")
 def _cmd_kfun(args) -> int:
     chosen = args.tuple if args.tuple else list(DEFAULT_CURVE_TUPLES)
     tuples = [parse_tuple_text(text) for text in chosen]
+    for i, tup in enumerate(tuples):
+        if tup in tuples[:i]:
+            raise ValueError(f"tuple {tup} given more than once")
     cfg = SeriesConfig(tolerance=args.tolerance)
     table = _sieve_for(tuples, args.tolerance)
     ts, columns = profile_grid(tuples, args.t_lo, args.t_hi, args.step, table, cfg)

@@ -73,12 +73,15 @@ def run_identity_suite(
     """Execute the full randomized suite; collect max residuals and violations.
 
     Raises:
-        ValueError: iterations below 1, which would check no random case.
+        ValueError: iterations below 1, which would check no random case,
+            or b_limit below 1, which would sieve nothing.
         BudgetError: b_limit above B_INVERSE_BUDGET, or iterations above
             ITERATIONS_BUDGET (checked before any work).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if b_limit < 1:
+        raise ValueError(f"b_limit must be >= 1, got {b_limit}")
     if iterations > ITERATIONS_BUDGET:
         raise BudgetError(
             f"iterations {iterations} exceed the budget of {ITERATIONS_BUDGET}; "

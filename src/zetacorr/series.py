@@ -12,7 +12,8 @@ certificate wins:
 * a Chebyshev-weighted bound using the exact partial sum psi(N) from
   the sieve together with psi(x) < 1.03883 x (valid for all x > 0),
   which tracks the prime-power density and is roughly log N / (sigma-1)
-  times sharper.
+  times sharper.  With a lower bound for psi(N) it needs no table, and
+  it sizes the sieve (`sieve_limit`).
 
 The main term's integral of h(t) y(t) is a closed-form sum over the same
 terms (`closed_form_profile_integral`, truncated by `transform_truncation`).
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import MangoldtTable
+from .arithmetic import SIEVE_LIMIT_CAP, MangoldtTable
 from .errors import DomainError, ResourceError
 from .rounding import ELEM_REL, MARGIN, U, exact_sum
 from .tuples import CoefficientTuple
@@ -85,7 +86,7 @@ def integral_tail_bound(n_cut: int, sigma: float, m: int) -> float:
     return upper_gamma_int(m + 1, z) / (sigma - 1.0) ** (m + 1)
 
 
-def psi_tail_bound(n_cut: int, sigma: float, m: int, table: MangoldtTable) -> float:
+def psi_tail_bound(n_cut: int, sigma: float, m: int, table: MangoldtTable | None = None) -> float:
     """Chebyshev-weighted tail bound for sum_{n>N} Lambda(n) (log n)^(m-1) n^(-sigma).
 
     Partial summation against psi gives
@@ -93,28 +94,33 @@ def psi_tail_bound(n_cut: int, sigma: float, m: int, table: MangoldtTable) -> fl
         (1.03883 N - psi(N)) phi(N) + 1.03883 * Gamma(m, (sigma-1) log N) / (sigma-1)^m
 
     with phi(x) = (log x)^(m-1) x^(-sigma), valid while phi is
-    decreasing (log N >= (m-1)/sigma) and N within the sieve, where
-    psi(N) is exact.  Returns +inf outside those conditions.
+    decreasing (log N >= (m-1)/sigma).  psi(N) is read from the table,
+    for N within the sieve; without a table it is the lower bound
+    N (1 - 1/log N), from theta(x) > x (1 - 1/log x) for x >= 41
+    (Rosser and Schoenfeld, Illinois J. Math. 6, 1962) and a check of
+    psi's steps below 41.  Returns +inf outside those conditions.
     """
-    if sigma <= 1 or n_cut > table.limit:
+    if sigma <= 1 or (table is not None and n_cut > table.limit):
         return math.inf
     ln_n = math.log(n_cut)
     if ln_n * sigma < m - 1:
         return math.inf
+    psi = n_cut * (1.0 - 1.0 / ln_n) if table is None else table.psi_at(n_cut)
     phi = ln_n ** (m - 1) * n_cut ** (-sigma)
-    boundary = (CHEBYSHEV_UPPER * n_cut - table.psi_at(n_cut)) * phi
+    boundary = (CHEBYSHEV_UPPER * n_cut - psi) * phi
     integral = upper_gamma_int(m, (sigma - 1.0) * ln_n) / (sigma - 1.0) ** m
     return boundary + CHEBYSHEV_UPPER * integral
 
 
 def certified_tail_bound(
-    n_cut: int, sigma: float, m: int, table: MangoldtTable
+    n_cut: int, sigma: float, m: int, table: MangoldtTable | None = None
 ) -> float:
     """The sharper of the two rigorous tail bounds at truncation N.
 
     Both bound the true tail of either series family, since
     Lambda(n)^m and Lambda(n) (log n)^(m-1) are each at most
-    Lambda(n) (log n)^(m-1) <= (log n)^m.
+    Lambda(n) (log n)^(m-1) <= (log n)^m.  Without a table, at least
+    the bound from any table that reaches N.
     """
     return min(
         integral_tail_bound(n_cut, sigma, m),
@@ -122,28 +128,19 @@ def certified_tail_bound(
     )
 
 
-def required_limit_estimate(sigma: float, m: int, tol: float) -> int:
-    """Approximate truncation point needed for tolerance tol (message aid)."""
-    lo, hi = 1.0, 60.0 / max(sigma - 1.0, 1e-9)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        n = math.exp(mid)
-        phi = mid ** (m - 1) * math.exp(-sigma * mid)
-        bound = 0.04 * n * phi + CHEBYSHEV_UPPER * upper_gamma_int(
-            m, (sigma - 1.0) * mid
-        ) / (sigma - 1.0) ** m
-        if bound > tol:
-            lo = mid
-        else:
-            hi = mid
-    return int(math.exp(hi)) + 1
+def _smallest_cut(bound, sigma: float, m: int, cap: int, tol: float, what: str) -> int:
+    """An N <= cap with bound(N) <= tol < bound(N - 1).
 
+    Bisects over [max(3, exp(m / sigma) + 1), cap], returning the lower
+    end if it meets tol.  The psi bound drops at every prime power, so
+    it is not decreasing; on every (sigma, m, tol) checked, the N
+    returned was still the smallest that a full scan found.
 
-def _smallest_cut(bound, sigma: float, m: int, cap: int, tol: float) -> int:
-    """Smallest N <= cap with bound(N) <= tol, given bound(cap) <= tol.
-
-    The bound must be decreasing in N beyond exp(m / sigma).
+    Raises:
+        ResourceError: bound(cap) > tol; the message starts with `what`.
     """
+    if not bound(cap) <= tol:
+        raise ResourceError(f"{what} tolerance {tol:.3g} at sigma={sigma} needs a limit above {cap}")
     lo = max(3, int(math.exp(m / sigma)) + 1)
     if bound(lo) <= tol:
         return lo
@@ -157,24 +154,31 @@ def _smallest_cut(bound, sigma: float, m: int, cap: int, tol: float) -> int:
     return hi
 
 
+def sieve_limit(sigma: float, m: int, tol: float) -> int:
+    """A sieve limit N <= SIEVE_LIMIT_CAP on which `choose_truncation` certifies tol.
+
+    N is `_smallest_cut` of the table-free `certified_tail_bound`, which
+    is at least the bound of the table sieved to N.
+    """
+    bound = lambda n: certified_tail_bound(n, sigma, m)
+    return _smallest_cut(bound, sigma, m, SIEVE_LIMIT_CAP, tol, "series")
+
+
 def choose_truncation(
     sigma: float, m: int, table: MangoldtTable, cfg: SeriesConfig
 ) -> int:
-    """Smallest N with a certified tail bound below cfg.tolerance.
+    """The `_smallest_cut` of the certified tail bound at cfg.tolerance.
 
     Raises:
         ResourceError: no admissible N within the sieve limit; the
-            message names the limit that would be needed.
+            message names the `sieve_limit` that suffices.
     """
-    cap = table.limit
-    if certified_tail_bound(cap, sigma, m, table) > cfg.tolerance:
-        need = required_limit_estimate(sigma, m, cfg.tolerance)
-        raise ResourceError(
-            f"tolerance {cfg.tolerance:.3g} at sigma={sigma} needs a sieve "
-            f"limit of about {need}, but only {cap} is available"
-        )
     bound = lambda n: certified_tail_bound(n, sigma, m, table)
-    return _smallest_cut(bound, sigma, m, cap, cfg.tolerance)
+    try:
+        return _smallest_cut(bound, sigma, m, table.limit, cfg.tolerance, "series")
+    except ResourceError as exc:
+        need = sieve_limit(sigma, m, cfg.tolerance)
+        raise ResourceError(f"{exc}; a sieve limit of {need} suffices") from None
 
 
 def transform_truncation(
@@ -193,12 +197,7 @@ def transform_truncation(
     tail = lambda n: 2.0 * h.hat_envelope(math.log(n) / (2.0 * math.pi)) * (
         integral_tail_bound(n, sigma, m)
     )
-    if not tail(cap) <= tol:
-        raise ResourceError(
-            f"main-term tolerance {tol:.3g} at sigma={sigma} needs more "
-            f"than {cap} terms"
-        )
-    n_cut = _smallest_cut(tail, sigma, m, cap, tol)
+    n_cut = _smallest_cut(tail, sigma, m, cap, tol, "main-term")
     return n_cut, tail(n_cut)
 
 

@@ -14,6 +14,7 @@ from zetacorr import cli, identities
 from zetacorr.cli import main
 from zetacorr.config import KEYS, ExperimentConfig, parse_config_text
 from zetacorr.correlation import leading_constant
+from zetacorr.series import choose_truncation, sieve_limit
 
 
 class TestConstantsCommand:
@@ -151,6 +152,24 @@ class TestKfunCommand:
         code = main(["kfun", "--tuple", "1,1,-2", "--tolerance", tolerance])
         assert code == 2
         assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+    def test_repeated_tuple_exit_2_before_the_sieve(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("sieved")
+
+        monkeypatch.setattr(cli, "sieve_mangoldt", unreachable)
+        assert main(["kfun", "--tuple", "1,1,-2", "--tuple", "1,2,-3", "--tuple", "1,1,-2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "tuple (1,1,-2) given more than once" in err
+
+    def test_sieve_fits_every_tuple(self):
+        tuples = [z.coefficient_tuple(t) for t in ([1, 1, -2], [1, 1, -1, -1], [1, 2, -3])]
+        table = cli._sieve_for(tuples, 1e-2)
+        limits = [sieve_limit(float(t.positive_sum), t.m, 1e-2) for t in tuples]
+        assert table.limit == max(limits)
+        cfg = z.SeriesConfig(tolerance=1e-2)
+        for tup in tuples:
+            choose_truncation(float(tup.positive_sum), tup.m, table, cfg)
 
     def test_unreachable_tolerance_exit_4(self, capsys):
         code = main(
@@ -408,6 +427,19 @@ class TestIdentitiesCommand:
         assert main(["identities", "--iters", str(limit + 1), "--b-limit", "300"]) == 4
         err = capsys.readouterr().err
         assert f"budget of {limit}" in err and "about 0.035 s" in err
+
+    @pytest.mark.parametrize("b_limit", [0, -3])
+    def test_b_limit_below_one_exit_2_before_any_work(self, capsys, monkeypatch, b_limit):
+        def unreachable(*args):
+            raise AssertionError("the suite ran")
+
+        for name in ("alternating_multinomial_sum_scaled", "signed_power_sum_scaled",
+                     "cosh_product_identity", "b_coefficients", "sieve_mobius"):
+            monkeypatch.setattr(identities, name, unreachable)
+        with pytest.raises(ValueError, match=f"b_limit must be >= 1, got {b_limit}"):
+            identities.run_identity_suite(iterations=1, b_limit=b_limit)
+        assert main(["identities", "--iters", "1", "--b-limit", str(b_limit)]) == 2
+        assert "b_limit must be >= 1" in capsys.readouterr().err
 
     def test_b_limit_over_budget_exit_4(self, capsys):
         # refused before the sieve: 1e8 would hold lists of 1e8 + 1 big ints

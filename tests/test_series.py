@@ -16,6 +16,7 @@ from zetacorr.series import (
     kernel_profile_evaluator,
     profile_proxies,
     profile_terms,
+    sieve_limit,
     transform_truncation,
     upper_gamma_int,
 )
@@ -86,8 +87,57 @@ class TestTailBounds:
         assert certified_tail_bound(n_cut, 2.5, 3, mangoldt_small) <= cfg.tolerance
 
     def test_resource_error_names_needed_limit(self, mangoldt_small):
-        with pytest.raises(z.ResourceError, match=r"limit of about \d+"):
+        need = sieve_limit(2.0, 3, 1e-5)
+        assert need > mangoldt_small.limit
+        with pytest.raises(z.ResourceError, match=f"above 100000; a sieve limit of {need} suffices"):
+            choose_truncation(2.0, 3, mangoldt_small, z.SeriesConfig(tolerance=1e-5))
+        with pytest.raises(z.ResourceError, match="needs a limit above 100000000$"):
             choose_truncation(2.0, 3, mangoldt_small, z.SeriesConfig(tolerance=1e-9))
+
+
+# tuples whose sieve limit at the tolerance stays below about 400k
+SIZED = [
+    (entries, tol)
+    for tol in (1e-2, 1e-3)
+    for entries in [
+        (1, 1, -2), (1, 1, -1, -1), (1, 2, -3), (1, 1, 1, -3), (2, 2, -1, -3),
+        (1, 1, 1, -1, -1, -1),
+    ]
+    if (entries, tol) != ((1, 1, -1, -1), 1e-3)
+]
+
+
+class TestSieveLimit:
+    def test_psi_lower_bound_at_every_step(self, mangoldt_small):
+        # psi is constant on [n_j, n_(j+1)) and x (1 - 1/log x) increases,
+        # so each step is checked at its right end (the limit for the last);
+        # on (1, 2), psi = 0 and the bound is negative
+        t = mangoldt_small
+        right = np.append(t.prime_powers[1:], t.limit).astype(float)
+        assert np.all(t.psi >= right * (1.0 - 1.0 / np.log(right)))
+        # below 41, where Rosser and Schoenfeld's theorem does not reach
+        for x in range(2, 41):
+            assert t.psi_at(x) >= x * (1.0 - 1.0 / math.log(x))
+
+    @pytest.mark.parametrize("sigma, m", [(2.0, 3), (2.0, 4), (3.0, 6)])
+    def test_table_free_bound_covers_table_bound(self, mangoldt_small, sigma, m):
+        # the table's bound peaks just before psi steps up, at n_j - 1
+        pp = mangoldt_small.prime_powers
+        for n in np.concatenate([pp[pp > 3] - 1, pp[::16], [mangoldt_small.limit]]).tolist():
+            free = certified_tail_bound(n, sigma, m)
+            assert free >= certified_tail_bound(n, sigma, m, mangoldt_small)
+
+    @pytest.mark.parametrize("entries, tol", SIZED)
+    def test_cut_fits_the_sieve_and_matches_a_larger_one(self, entries, tol):
+        tup = z.coefficient_tuple(list(entries))
+        sigma, cfg = float(tup.positive_sum), z.SeriesConfig(tolerance=tol)
+        limit = sieve_limit(sigma, tup.m, tol)
+        cut = choose_truncation(sigma, tup.m, z.sieve_mangoldt(limit), cfg)
+        assert cut == choose_truncation(sigma, tup.m, z.sieve_mangoldt(2 * limit), cfg)
+
+    def test_quartic_limits(self):
+        assert sieve_limit(2.0, 4, 1e-2) <= 300_000
+        assert sieve_limit(2.0, 4, 1e-3) <= 5_200_000
 
 
 class TestKernelSeries:

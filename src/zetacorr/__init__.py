@@ -5,6 +5,11 @@ evaluation routes for the correlation sum, and the repulsion-dip
 analysis of the kernel profile.
 """
 
+import os
+
+# set before numpy loads OpenBLAS, whose idle worker would spin; a caller's value wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .arithmetic import MangoldtTable, MobiusTable, sieve_mangoldt, sieve_mobius
 from .combinatorics import (
     balanced_coefficient,
@@ -23,7 +28,7 @@ from .correlation import (
     routes_agree,
     spectral_correlation_sum,
 )
-from .dips import DipRecord, match_to_zeros, profile_grid, scan_minima
+from .dips import DipRecord, match_to_zeros, profile_grid, scan_grid, scan_minima, t_grid
 from .errors import BudgetError, DataError, DomainError, ResourceError
 from .series import SeriesConfig, closed_form_profile_integral, correlation_kernel
 from .tuples import CoefficientTuple, coefficient_tuple
@@ -73,11 +78,13 @@ __all__ = [
     "profile_grid",
     "riemann_von_mangoldt_count",
     "routes_agree",
+    "scan_grid",
     "scan_minima",
     "sieve_mangoldt",
     "sieve_mobius",
     "sinc_product_exact",
     "spectral_correlation_sum",
+    "t_grid",
     "validate_zero_table",
     "write_zeros",
     "zeros_up_to",

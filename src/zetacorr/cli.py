@@ -21,7 +21,9 @@ from .dips import (
     match_to_zeros,
     profile_grid,
     records_json,
+    scan_grid,
     scan_minima,
+    t_grid,
     write_profile_csv,
 )
 from .errors import BudgetError, DataError, DomainError, ResourceError
@@ -102,8 +104,9 @@ def _cmd_kfun(args) -> int:
         if tup in tuples[:i]:
             raise ValueError(f"tuple {tup} given more than once")
     cfg = SeriesConfig(tolerance=args.tolerance)
+    grid = t_grid(args.t_lo, args.t_hi, args.step)
     table = _sieve_for(tuples, args.tolerance)
-    ts, columns = profile_grid(tuples, args.t_lo, args.t_hi, args.step, table, cfg)
+    ts, columns = profile_grid(tuples, grid, table, cfg)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             write_profile_csv(fh, ts, columns)
@@ -169,8 +172,9 @@ def _cmd_dips(args) -> int:
     tup = parse_tuple_text(args.tuple)
     zeros = load_zeros(args.zeros or default_zeros_path())
     cfg = SeriesConfig(tolerance=args.tolerance)
+    grid = scan_grid(args.t_lo, args.t_hi, args.step, args.window)
     table = _sieve_for([tup], args.tolerance)
-    records = scan_minima(tup, args.t_lo, args.t_hi, args.step, table, cfg)
+    records = scan_minima(tup, grid, table, cfg)
     if args.deep_only:
         records = deep_minima(records)
     records = match_to_zeros(records, zeros, window=args.window)

@@ -61,16 +61,18 @@ def _golden_minimize(f, lo: float, hi: float, tol: float = 1e-4) -> tuple[float,
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _t_grid(t_lo: float, t_hi: float, step: float) -> tuple[np.ndarray, float]:
+def t_grid(t_lo: float, t_hi: float, step: float) -> tuple[np.ndarray, float]:
     """The grid t_lo, t_lo + step, ... through t_hi, and a bound on its |t|.
 
     Raises:
-        ValueError: t_lo or t_hi not finite, t_lo > t_hi, or a step too
-            small for float64 at the grid's magnitude (the grid is empty
-            or does not increase).
+        ValueError: nonpositive step, t_lo or t_hi not finite, t_lo >
+            t_hi, or a step too small for float64 at the grid's magnitude
+            (the grid is empty or does not increase).
         BudgetError: more than MAX_GRID_POINTS points (checked before
             the grid is allocated).
     """
+    if not step > 0:
+        raise ValueError("step must be positive")
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
         raise ValueError("t_lo and t_hi must be finite")
     if not t_lo <= t_hi:
@@ -86,29 +88,36 @@ def _t_grid(t_lo: float, t_hi: float, step: float) -> tuple[np.ndarray, float]:
     return ts, max(abs(t_lo), abs(t_hi)) + step
 
 
-def scan_minima(
-    tup: CoefficientTuple,
-    t_lo: float,
-    t_hi: float,
-    step: float,
-    table: MangoldtTable,
-    cfg: SeriesConfig,
-) -> list[DipRecord]:
-    """Strict local minima of the sampled profile, golden-refined in t.
-
-    Every returned record satisfies the grid certificate
-    y(t_min - step) >= y_min <= y(t_min + step).
+def scan_grid(t_lo: float, t_hi: float, step: float, window: float) -> tuple[np.ndarray, float]:
+    """`t_grid(t_lo, t_hi, step)` for `scan_minima`, all of a dip scan's inputs checked.
 
     Raises:
-        ValueError: empty or non-finite range, nonpositive step, step
-            above 0.05 (too coarse to resolve dips at the zero spacing),
-            or a step too small for float64 at the range.
-        BudgetError: more than MAX_GRID_POINTS grid points.
+        ValueError: step outside (0, 0.05] (too coarse to resolve dips at
+            the zero spacing), a window for `match_to_zeros` that is
+            negative or not finite, or as `t_grid`.
+        BudgetError: as `t_grid`.
     """
     if not 0 < step <= MAX_SCAN_STEP:
         raise ValueError(f"step must be in (0, {MAX_SCAN_STEP}]")
-    ts, t_max = _t_grid(t_lo, t_hi, step)
-    if t_lo == t_hi:
+    grid = t_grid(t_lo, t_hi, step)
+    if not (math.isfinite(window) and window >= 0):
+        raise ValueError("window must be finite and >= 0")
+    return grid
+
+
+def scan_minima(
+    tup: CoefficientTuple,
+    grid: tuple[np.ndarray, float],
+    table: MangoldtTable,
+    cfg: SeriesConfig,
+) -> list[DipRecord]:
+    """Strict local minima of the profile on `scan_grid`'s grid, golden-refined in t.
+
+    Every returned record satisfies the grid certificate
+    y(t_min - step) >= y_min <= y(t_min + step).
+    """
+    ts, t_max = grid
+    if ts.size < 3:
         return []
     profile = kernel_profile_evaluator(tup, table, cfg, t_max)
     ys = profile(ts)
@@ -129,13 +138,9 @@ def match_to_zeros(
 ) -> list[DipRecord]:
     """Attach the nearest ordinate within `window` to each record.
 
-    Records farther than the window from every ordinate stay unmatched.
-
-    Raises:
-        ValueError: window negative or not finite.
+    Records farther than the window from every ordinate stay unmatched,
+    so a NaN or negative window (refused by `scan_grid`) matches none.
     """
-    if not (math.isfinite(window) and window >= 0):
-        raise ValueError("window must be finite and >= 0")
     out = []
     for rec in records:
         j = int(np.searchsorted(zeros.ordinates, rec.t_min))
@@ -162,26 +167,20 @@ def records_json(records: Iterable[DipRecord]) -> str:
 
 def profile_grid(
     tuples: list[CoefficientTuple],
-    t_lo: float,
-    t_hi: float,
-    step: float,
+    grid: tuple[np.ndarray, float],
     table: MangoldtTable,
     cfg: SeriesConfig,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Profile curves y(t) for several tuples on a shared grid.
+    """Profile curves y(t) for several tuples on a shared `t_grid`.
 
     Returns the grid and one column per tuple keyed by its display form.
 
     Raises:
-        ValueError: no tuples, bad or non-finite range, or a step that
-            is nonpositive or too small for float64 at the range.
-        BudgetError: more than MAX_GRID_POINTS grid points.
+        ValueError: no tuples.
     """
     if not tuples:
         raise ValueError("need at least one tuple")
-    if not step > 0:
-        raise ValueError("step must be positive")
-    ts, t_max = _t_grid(t_lo, t_hi, step)
+    ts, t_max = grid
     columns = {}
     for tup in tuples:
         columns[f"y_{tup.compact}"] = kernel_profile_evaluator(tup, table, cfg, t_max)(ts)

@@ -174,7 +174,7 @@ def test_criterion_6_profile_dip_reproduction(mangoldt_medium, zero_table):
     summary = []
     for entries, quoted_depth in cases.items():
         tup = z.coefficient_tuple(list(entries))
-        records = z.scan_minima(tup, 10.0, 40.0, 0.02, mangoldt_medium, cfg)
+        records = z.scan_minima(tup, z.scan_grid(10.0, 40.0, 0.02, 0.5), mangoldt_medium, cfg)
         dips = z.match_to_zeros(deep_minima(records), zero_table, window=0.5)
         assert len(dips) == 6, (entries, [r.t_min for r in dips])
         for rec, gamma in zip(dips, FIRST_SIX):

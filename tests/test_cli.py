@@ -358,6 +358,24 @@ class TestDipsCommand:
 
 class TestGridRange:
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dips", "--tuple", "1,1,-2", "--window", "-1"], "window must be finite"),
+            (["dips", "--tuple", "1,1,-2", "--step", "0"], "step must be in (0, 0.05]"),
+            (["dips", "--tuple", "1,1,-2", "--t-lo", "nan"], "t_lo and t_hi must be finite"),
+            (["kfun", "--tuple", "1,1,-2", "--step", "0"], "step must be positive"),
+        ],
+    )
+    def test_bad_grid_or_window_exit_2_before_the_sieve(self, capsys, monkeypatch, argv, message):
+        def unreachable(*args):
+            raise AssertionError("sieved")
+
+        monkeypatch.setattr(cli, "sieve_mangoldt", unreachable)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    @pytest.mark.parametrize(
         "command, t_hi, code",
         [
             ("dips", "1e7", 4),

@@ -456,14 +456,16 @@ class TestSpectralRoute:
     def test_bits_do_not_depend_on_blas_threads(self):
         src = str(Path(z.__file__).resolve().parents[1])
         outputs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        for threads in (None, "1", "2"):  # unset: zetacorr's default of one thread
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
             done = subprocess.run(
                 [sys.executable, "-I", "-c", SPECTRAL_BITS, src],
                 env=env, capture_output=True, text=True, timeout=60, check=True,
             )
             outputs.append(done.stdout.split())
-        assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+        assert len(outputs[0]) == 3 and outputs[0] == outputs[1] == outputs[2]
 
     def test_matches_direct_on_tiny_instance(self, weight_default, tiny_zeros):
         tup = z.coefficient_tuple([1, 1, -2])

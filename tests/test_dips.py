@@ -17,21 +17,17 @@ FIRST_SIX = [14.134725, 21.022040, 25.010858, 30.424876, 32.935062, 37.586178]
 @pytest.fixture(scope="module")
 def asym_records(mangoldt_medium):
     tup = z.coefficient_tuple([1, 1, -2])
-    return z.scan_minima(tup, 10.0, 40.0, 0.02, mangoldt_medium, CFG)
+    return z.scan_minima(tup, z.scan_grid(10.0, 40.0, 0.02, 0.5), mangoldt_medium, CFG)
 
 
 class TestScan:
-    def test_rejects_coarse_step(self, mangoldt_medium):
-        with pytest.raises(ValueError):
-            z.scan_minima(
-                z.coefficient_tuple([1, 1, -2]), 10.0, 40.0, 0.2, mangoldt_medium, CFG
-            )
+    def test_rejects_coarse_step(self):
+        with pytest.raises(ValueError, match=r"step must be in \(0, 0.05\]"):
+            z.scan_grid(10.0, 40.0, 0.2, 0.5)
 
     def test_empty_range(self, mangoldt_medium):
-        got = z.scan_minima(
-            z.coefficient_tuple([1, 1, -2]), 15.0, 15.0, 0.02, mangoldt_medium, CFG
-        )
-        assert got == []
+        grid = z.scan_grid(15.0, 15.0, 0.02, 0.5)
+        assert z.scan_minima(z.coefficient_tuple([1, 1, -2]), grid, mangoldt_medium, CFG) == []
 
     def test_six_deep_minima_near_first_ordinates(self, asym_records):
         deep = deep_minima(asym_records)
@@ -126,7 +122,7 @@ class TestPoleExpansion:
 class TestProfileGrid:
     def test_columns_and_header(self, mangoldt_medium):
         tuples = [z.coefficient_tuple([1, 1, -2]), z.coefficient_tuple([1, 2, -3])]
-        ts, columns = z.profile_grid(tuples, 10.0, 11.0, 0.5, mangoldt_medium, CFG)
+        ts, columns = z.profile_grid(tuples, z.t_grid(10.0, 11.0, 0.5), mangoldt_medium, CFG)
         assert list(columns) == ["y_+1+1-2", "y_+1+2-3"]
         assert ts.size == 3
         buf = io.StringIO()
@@ -137,9 +133,9 @@ class TestProfileGrid:
 
     def test_balanced_column_positive_at_origin(self, mangoldt_medium):
         tup = z.coefficient_tuple([1, 1, -1, -1])
-        ts, columns = z.profile_grid([tup], 0.0, 0.5, 0.5, mangoldt_medium, CFG)
+        ts, columns = z.profile_grid([tup], z.t_grid(0.0, 0.5, 0.5), mangoldt_medium, CFG)
         assert columns["y_+1+1-1-1"][0] > 0.0
 
     def test_rejects_empty_tuple_list(self, mangoldt_medium):
         with pytest.raises(ValueError):
-            z.profile_grid([], 0.0, 1.0, 0.1, mangoldt_medium, CFG)
+            z.profile_grid([], z.t_grid(0.0, 1.0, 0.1), mangoldt_medium, CFG)

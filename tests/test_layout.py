@@ -1,9 +1,12 @@
 """What the commands load and reach: the import path and a name walk over src/."""
 import ast
+import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "zetacorr"
@@ -32,6 +35,28 @@ def test_cli_import_leaves_out_the_oracles():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("given", [None, "2"])
+def test_import_sets_one_blas_thread_unless_given(given):
+    # the pytest process imported zetacorr, so its environment already holds "1"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = (
+        f"import os, sys; sys.path.insert(0, {str(SRC)!r}); import zetacorr; "
+        "status = '/proc/self/status'; "
+        "lines = open(status).read().splitlines() if os.path.exists(status) else []; "
+        "threads = [l.split()[1] for l in lines if l.startswith('Threads:')]; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], *threads)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    value, *threads = done.stdout.split()
+    assert value == (given or "1")
+    if given is None and threads:  # no OpenBLAS worker beside the main thread
+        assert threads == ["1"]
 
 
 class _Names(ast.NodeVisitor):

@@ -10,7 +10,7 @@ import os
 # set before numpy loads OpenBLAS, whose idle worker would spin; a caller's value wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .arithmetic import MangoldtTable, MobiusTable, sieve_mangoldt, sieve_mobius
+from .arithmetic import MangoldtTable, sieve_mangoldt
 from .combinatorics import (
     balanced_coefficient,
     balanced_sinc_constant,
@@ -54,7 +54,6 @@ __all__ = [
     "DomainError",
     "GaussianTriplet",
     "MangoldtTable",
-    "MobiusTable",
     "ResourceError",
     "SeriesConfig",
     "ZeroTable",
@@ -81,7 +80,6 @@ __all__ = [
     "scan_grid",
     "scan_minima",
     "sieve_mangoldt",
-    "sieve_mobius",
     "sinc_product_exact",
     "spectral_correlation_sum",
     "t_grid",

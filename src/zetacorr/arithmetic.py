@@ -1,4 +1,4 @@
-"""Integer-arithmetic substrate: prime-power and Mobius sieves, and b_m(k).
+"""Integer-arithmetic substrate: the prime-power sieve, and b_m(k) as an Euler product.
 
 The von Mangoldt table stores, for every n up to a limit, the base prime
 p when n = p^k and zero otherwise.  Lambda(n) = log(p) is therefore
@@ -53,14 +53,6 @@ class MangoldtTable:
         return float(self.psi[j - 1]) if j else 0.0
 
 
-@dataclass(frozen=True)
-class MobiusTable:
-    """Mobius function values mu(n) in {-1, 0, +1} for n <= limit."""
-
-    limit: int
-    values: np.ndarray
-
-
 def sieve_mangoldt(limit: int) -> MangoldtTable:
     """Sieve the von Mangoldt base-prime table for all n <= limit.
 
@@ -96,47 +88,26 @@ def sieve_mangoldt(limit: int) -> MangoldtTable:
     )
 
 
-def sieve_mobius(limit: int) -> MobiusTable:
-    """Sieve mu(n) for all n <= limit.
+def b_coefficients(m: int, limit: int) -> list[int]:
+    """b[k] = sum of mu(d) * d^(m-1) over the divisors d of k, for k <= limit.
+
+    These are the Dirichlet-inverse coefficients of n^(m-1): convolving
+    them back against d^(m-1) gives the constant 1 (see `identities`).
+    As d -> d^(m-1) is completely multiplicative, b[k] is the Euler
+    product of (1 - p^(m-1)) over the primes p dividing k: one pass over
+    the primes in Python integers, exact for every m; b[0] = 0.
 
     Raises:
-        ValueError: limit < 1 or above the configured cap.
+        ValueError: m < 2, or limit < 1 or above the configured cap.
     """
+    if m < 2:
+        raise ValueError("m must be >= 2")
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
     if limit > SIEVE_LIMIT_CAP:
         raise ValueError(f"sieve limit {limit} exceeds cap {SIEVE_LIMIT_CAP}")
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    if limit >= 2:
-        primes = np.nonzero(_prime_sieve(limit))[0]
-        for p in primes:
-            mu[p::p] = -mu[p::p]
-            sq = int(p) * int(p)
-            if sq <= limit:
-                mu[sq::sq] = 0
-    return MobiusTable(limit=limit, values=mu)
-
-
-def b_coefficients(m: int, mobius: MobiusTable) -> list[int]:
-    """b[k] = sum of mu(d) * d^(m-1) over the divisors d of k, for k <= mobius.limit.
-
-    These are the Dirichlet-inverse coefficients of n^(m-1): convolving
-    them back against d^(m-1) gives the constant 1 (see `identities`).
-    One sieve pass in Python integers, exact for every m; b[0] = 0.
-
-    Raises:
-        ValueError: m < 2.
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    limit = mobius.limit
-    b = [0] * (limit + 1)
-    for d in range(1, limit + 1):
-        mu = int(mobius.values[d])
-        if mu == 0:
-            continue
-        contrib = mu * d ** (m - 1)
-        for k in range(d, limit + 1, d):
-            b[k] += contrib
+    b = [0] + [1] * limit
+    for p in np.nonzero(_prime_sieve(limit))[0].tolist():
+        factor = 1 - p ** (m - 1)
+        b[p::p] = [v * factor for v in b[p::p]]
     return b

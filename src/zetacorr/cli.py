@@ -62,8 +62,7 @@ def _sieve_for(tuples, tol: float, h=None):
 
 def _cmd_constants(args) -> int:
     if args.tuple is None and args.r_max is None:
-        print("constants: provide --r-max or --tuple", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("constants: provide --r-max or --tuple")
     # the exact fractions must print: Python converts no int of more than
     # sys.get_int_max_str_digits() digits to text (0: no limit)
     limit = sys.get_int_max_str_digits() or math.inf
@@ -254,6 +253,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse (Python 3.11) gives --flag=-- the value [], and skips the flag's type
+        if any(v == [] or isinstance(v, list) and [] in v for v in vars(args).values()):
+            raise ValueError("'--' is not a flag's value")
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -42,6 +42,16 @@ def multinomial(top: int, parts: list[int] | tuple[int, ...]) -> int:
     return out
 
 
+def _cancellation_order(values: list[complex], r: int) -> int:
+    """q = len(values), with 2 <= q <= MAX_CANCELLATION_ORDER and 1 <= r < q checked."""
+    q = len(values)
+    if not 2 <= q <= MAX_CANCELLATION_ORDER:
+        raise ValueError(f"need 2 <= q <= {MAX_CANCELLATION_ORDER}, got q={q}")
+    if not 1 <= r < q:
+        raise ValueError(f"require 1 <= r < q, got r={r}, q={q}")
+    return q
+
+
 @lru_cache(maxsize=None)
 def _compositions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
     """All tuples of `slots` nonnegative integers summing to `total`."""
@@ -72,11 +82,7 @@ def alternating_multinomial_sum_scaled(
         cancellation, and the largest |term| encountered; suitable for
         asserting |residual| <= tol * scale.
     """
-    q = len(x)
-    if not 2 <= q <= MAX_CANCELLATION_ORDER:
-        raise ValueError(f"need 2 <= len(x) <= {MAX_CANCELLATION_ORDER}")
-    if not 1 <= r < q:
-        raise ValueError(f"require 1 <= r < q, got r={r}, q={q}")
+    q = _cancellation_order(x, r)
     # per-index power tables x_k^j for j <= r
     powers = [[complex(1.0)] * (r + 1) for _ in range(q)]
     for k in range(q):
@@ -109,11 +115,7 @@ def signed_power_sum_scaled(alpha: list[complex], r: int) -> tuple[complex, floa
     which is 0 in exact arithmetic for 1 <= r < q.  Returns the residual
     and the largest |term|, as `alternating_multinomial_sum_scaled`.
     """
-    q = len(alpha)
-    if not 2 <= q <= MAX_CANCELLATION_ORDER:
-        raise ValueError(f"need 2 <= len(alpha) <= {MAX_CANCELLATION_ORDER}")
-    if not 1 <= r < q:
-        raise ValueError(f"require 1 <= r < q, got r={r}, q={q}")
+    q = _cancellation_order(alpha, r)
     total = complex(0.0)
     scale = 0.0
     for s in range(1, q + 1):

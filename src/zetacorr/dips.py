@@ -65,18 +65,21 @@ def t_grid(t_lo: float, t_hi: float, step: float) -> tuple[np.ndarray, float]:
     """The grid t_lo, t_lo + step, ... through t_hi, and a bound on its |t|.
 
     Raises:
-        ValueError: nonpositive step, t_lo or t_hi not finite, t_lo >
-            t_hi, or a step too small for float64 at the grid's magnitude
-            (the grid is empty or does not increase).
+        ValueError: step not finite and positive, t_lo or t_hi not finite,
+            t_lo > t_hi, t_hi - t_lo or the bound overflowing, or a step
+            too small for float64 there (the grid is empty or not increasing).
         BudgetError: more than MAX_GRID_POINTS points (checked before
             the grid is allocated).
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step:g}")
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
         raise ValueError("t_lo and t_hi must be finite")
     if not t_lo <= t_hi:
         raise ValueError("need t_lo <= t_hi")
+    t_max = max(abs(t_lo), abs(t_hi)) + step
+    if not (math.isfinite(t_hi - t_lo) and math.isfinite(t_max)):
+        raise ValueError(f"t grid [{t_lo:g}, {t_hi:g}] at step {step:g} overflows float64")
     if not (t_hi - t_lo) / step < MAX_GRID_POINTS:
         raise BudgetError(
             f"t grid [{t_lo:g}, {t_hi:g}] at step {step:g} exceeds "
@@ -85,7 +88,7 @@ def t_grid(t_lo: float, t_hi: float, step: float) -> tuple[np.ndarray, float]:
     ts = np.arange(t_lo, t_hi + step / 2.0, step)
     if ts.size == 0 or not np.all(ts[1:] > ts[:-1]):
         raise ValueError(f"step {step:g} does not advance a float64 grid at t = {t_lo:g}")
-    return ts, max(abs(t_lo), abs(t_hi)) + step
+    return ts, t_max
 
 
 def scan_grid(t_lo: float, t_hi: float, step: float, window: float) -> tuple[np.ndarray, float]:

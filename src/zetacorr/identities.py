@@ -2,16 +2,16 @@
 
 Runs the two alternating-sum evaluators over random complex inputs for
 all orders up to 6, the cosh product-to-sum expansion over random real
-inputs, and the exact integer convolution check for the Dirichlet
-inverse coefficients.  Residual thresholds are scale-relative where the
-identities cancel catastrophically by design.
+inputs, and the exact integer check that the Euler-product coefficients
+b_m invert n^(m-1) under Dirichlet convolution.  Residual thresholds are
+scale-relative where the identities cancel catastrophically by design.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 
-from .arithmetic import b_coefficients, sieve_mobius
+from .arithmetic import b_coefficients
 from .combinatorics import (
     alternating_multinomial_sum_scaled,
     cosh_product_identity,
@@ -21,9 +21,10 @@ from .errors import BudgetError
 
 SCALED_RESIDUAL_TOL = 1e-9
 COSH_RELATIVE_TOL = 1e-12
+MAX_ORDER = 6  # the largest q of the cancellation sums and s of the cosh expansion
 B_INVERSE_LIMIT = 10**4
 B_INVERSE_MAX_POWER = 6
-# the largest b_limit checked; its run takes about 25 s (2-CPU Xeon),
+# the largest b_limit checked; its run takes about 13 s (2-CPU Xeon),
 # and each of its Python-integer lists holds limit + 1 entries
 B_INVERSE_BUDGET = 5 * 10**5
 ITERATIONS_BUDGET = 2000  # the most iterations run, about 0.035 s each (2-CPU Xeon)
@@ -51,11 +52,11 @@ def _random_complex(rng: random.Random) -> complex:
 def b_inverse_convolution(limit: int, m: int) -> list[int]:
     """sum_{d e = k} d^(m-1) b_m(e) for every k <= limit, exactly.
 
-    The expected value is 1 for all k; b_m comes from
-    `arithmetic.b_coefficients`, and the convolution is a second
-    sieve-style pass in Python integers.
+    The expected value is 1 for all k; b_m is the Euler product from
+    `arithmetic.b_coefficients`, and the convolution is a divisor-sieve
+    pass in Python integers.
     """
-    b = b_coefficients(m, sieve_mobius(limit))
+    b = b_coefficients(m, limit)
     acc = [0] * (limit + 1)
     for d in range(1, limit + 1):
         weight = d ** (m - 1)
@@ -67,7 +68,6 @@ def b_inverse_convolution(limit: int, m: int) -> list[int]:
 def run_identity_suite(
     seed: int = 0,
     iterations: int = 100,
-    max_order: int = 6,
     b_limit: int = B_INVERSE_LIMIT,
 ) -> IdentitySuiteResult:
     """Execute the full randomized suite; collect max residuals and violations.
@@ -95,7 +95,7 @@ def run_identity_suite(
         ("multinomial", alternating_multinomial_sum_scaled, "max_scaled_residual_multinomial"),
         ("signed-power", signed_power_sum_scaled, "max_scaled_residual_power"),
     )
-    for q in range(2, max_order + 1):
+    for q in range(2, MAX_ORDER + 1):
         for r in range(1, q):
             for _ in range(iterations):
                 for label, evaluate, worst in sums:
@@ -106,7 +106,7 @@ def run_identity_suite(
                         result.violations.append(
                             f"{label} q={q} r={r}: scaled residual {scaled:.3e}"
                         )
-    for s in range(2, max_order + 1):
+    for s in range(2, MAX_ORDER + 1):
         for _ in range(iterations):
             a_vals = [rng.uniform(-3.0, 3.0) for _ in range(s)]
             lhs, rhs = cosh_product_identity(a_vals)

@@ -181,10 +181,10 @@ def gaussian_triplet(center: float, width: float) -> GaussianTriplet:
     """Validated constructor.
 
     Raises:
-        ValueError: nonpositive center or width.
+        ValueError: center or width not finite and positive.
     """
-    if not center > 0 or not width > 0:
-        raise ValueError("center and width must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (center, width)):
+        raise ValueError("center and width must be finite and positive")
     return GaussianTriplet(center=float(center), width=float(width))
 
 

@@ -21,11 +21,6 @@ def mangoldt_large():
 
 
 @pytest.fixture(scope="session")
-def mobius_table():
-    return z.sieve_mobius(10_000)
-
-
-@pytest.fixture(scope="session")
 def zero_table():
     return z.load_zeros(z.bundled_zeros_path())
 

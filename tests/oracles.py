@@ -179,14 +179,24 @@ def divisors(k: int) -> list[int]:
     return small + large[::-1]
 
 
-def b_coefficient_naive(k: int, m: int, mobius) -> int:
+def mobius(n: int) -> int:
+    """mu(n) by trial division: 0 if a square divides n, else (-1)^(number of primes)."""
+    if n < 1:
+        raise ValueError("mu is defined for n >= 1")
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def b_coefficient_naive(k: int, m: int) -> int:
     """b_m(k) = sum of mu(d) d^(m-1) over the divisors d of k, one k at a time."""
-    total = 0
-    for d in divisors(k):
-        mu = int(mobius.values[d])
-        if mu:
-            total += mu * d ** (m - 1)
-    return total
+    return sum(mobius(d) * d ** (m - 1) for d in divisors(k))
 
 
 def prime_tail_estimate(n_cut: int, sigma: float, m: int) -> float:
@@ -221,7 +231,7 @@ def log_derivative_series(s, m, table, cfg) -> complex:
     return _evaluate(weights, k * base_log, s)
 
 
-def kernel_expansion_residual(s, m, delta_max, table, mobius, cfg) -> float:
+def kernel_expansion_residual(s, m, delta_max, table, cfg) -> float:
     """|K_m(s) - sum_{d <= delta_max} b_m(d) L_m(d s)|, L_m the log-weighted series.
 
     The kernel expands over the log-weighted series at dilated arguments
@@ -232,17 +242,15 @@ def kernel_expansion_residual(s, m, delta_max, table, mobius, cfg) -> float:
 
     Raises:
         DomainError: Re(s) < 2 (dilated-argument convergence floor).
-        ValueError: delta_max < 2 or beyond the Mobius table.
+        ValueError: delta_max < 2.
     """
     s = complex(s)
     if s.real < 2.0:
         raise DomainError("expansion cross-check requires Re(s) >= 2")
     if delta_max < 2:
         raise ValueError("delta_max must be >= 2")
-    if delta_max > mobius.limit:
-        raise ValueError("delta_max exceeds Mobius table limit")
     kernel = correlation_kernel(s, m, table, SeriesConfig(cfg.tolerance / 2.0))
-    b_m = b_coefficients(m, mobius)
+    b_m = b_coefficients(m, delta_max)
     acc = complex(0.0)
     for delta in range(1, delta_max + 1):
         b = b_m[delta]
@@ -254,9 +262,7 @@ def kernel_expansion_residual(s, m, delta_max, table, mobius, cfg) -> float:
     return abs(kernel - acc)
 
 
-def kernel_pole_expansion(
-    s, m, expansion_order, zeros, mobius, trivial_cutoff=50
-) -> complex:
+def kernel_pole_expansion(s, m, expansion_order, zeros, trivial_cutoff=50) -> complex:
     """Kernel value from the truncated pole expansion over dilations.
 
     Evaluates
@@ -286,7 +292,7 @@ def kernel_pole_expansion(
     gammas = zeros.ordinates
     trivial = -2.0 * np.arange(1, trivial_cutoff + 1, dtype=np.float64)
     prefactor = float(math.factorial(m - 1))
-    b_m = b_coefficients(m, mobius)
+    b_m = b_coefficients(m, expansion_order)
     total = complex(0.0)
     for d in range(1, expansion_order + 1):
         b = b_m[d]

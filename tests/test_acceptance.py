@@ -82,7 +82,7 @@ def test_criterion_2_sinc_power_rationals_vs_quadrature():
 
 def test_criterion_3_identity_suite():
     start = time.monotonic()
-    result = run_identity_suite(seed=20240809, iterations=100, max_order=6, b_limit=10**4)
+    result = run_identity_suite(seed=20240809, iterations=100, b_limit=10**4)
     elapsed = time.monotonic() - start
     detail = (
         f"scaled residuals {result.max_scaled_residual_multinomial:.2e} / "
@@ -98,10 +98,10 @@ def test_criterion_3_identity_suite():
     assert elapsed < 30.0
 
 
-def test_criterion_4_series_cross_checks(mangoldt_large, mobius_table):
+def test_criterion_4_series_cross_checks(mangoldt_large):
     start = time.monotonic()
     cfg = z.SeriesConfig(tolerance=1e-8)
-    residual = kernel_expansion_residual(2.5, 3, 40, mangoldt_large, mobius_table, cfg)
+    residual = kernel_expansion_residual(2.5, 3, 40, mangoldt_large, cfg)
     assert residual <= 1e-8, residual
 
     # independent oracle: classic boolean sieve re-derived here, prime

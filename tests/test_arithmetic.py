@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import zetacorr as z
-from zetacorr.arithmetic import b_coefficients
+from zetacorr.arithmetic import SIEVE_LIMIT_CAP, b_coefficients
 
-from oracles import b_coefficient_naive, divisors, lambda_value
+from oracles import b_coefficient_naive, divisors, lambda_value, mobius
+
+B_LIMIT = 10_000
 
 
 def trial_factor_lambda(n: int) -> float:
@@ -64,57 +66,57 @@ class TestMangoldtSieve:
 
 
 class TestMobius:
-    def test_rejects_zero_limit(self):
-        with pytest.raises(ValueError):
-            z.sieve_mobius(0)
+    def test_small_values(self):
+        assert mobius(1) == 1
+        assert mobius(2) == -1
+        assert mobius(4) == 0
+        assert mobius(6) == 1
+        assert mobius(30) == -1
 
-    def test_small_values(self, mobius_table):
-        assert mobius_table.values[1] == 1
-        assert mobius_table.values[2] == -1
-        assert mobius_table.values[4] == 0
-        assert mobius_table.values[6] == 1
-        assert mobius_table.values[30] == -1
-
-    def test_squarefull_vanish(self, mobius_table):
+    def test_squarefull_vanish(self):
         for n in range(1, 101):
             vanish = any(n % (p * p) == 0 for p in range(2, int(n**0.5) + 1))
-            assert (mobius_table.values[n] == 0) == vanish
+            assert (mobius(n) == 0) == vanish
 
-    def test_multiplicative_on_coprime_pairs(self, mobius_table):
+    def test_multiplicative_on_coprime_pairs(self):
         pairs = [(4, 9), (3, 8), (5, 6), (7, 10), (9, 10), (11, 12)]
         for a, b in pairs:
             assert math.gcd(a, b) == 1
-            assert mobius_table.values[a * b] == mobius_table.values[a] * mobius_table.values[b]
+            assert mobius(a * b) == mobius(a) * mobius(b)
 
 
 class TestBCoefficient:
-    def test_unit_argument(self, mobius_table):
+    def test_unit_argument(self):
         for m in range(2, 7):
-            assert b_coefficients(m, mobius_table)[1] == 1
+            assert b_coefficients(m, B_LIMIT)[1] == 1
 
-    def test_hand_value(self, mobius_table):
-        b = b_coefficients(3, mobius_table)
+    def test_hand_value(self):
+        b = b_coefficients(3, B_LIMIT)
         # divisor sum over {1, 2}: 1 - 2^2
         assert b[2] == -3
         # over {1, 2, 3, 6}: 1 - 4 - 9 + 36
         assert b[6] == 24
 
-    def test_out_of_range(self, mobius_table):
-        b = b_coefficients(3, mobius_table)
-        assert len(b) == mobius_table.limit + 1
+    def test_out_of_range(self):
+        b = b_coefficients(3, B_LIMIT)
+        assert len(b) == B_LIMIT + 1
         with pytest.raises(IndexError):
-            b[mobius_table.limit + 1]
+            b[B_LIMIT + 1]
         with pytest.raises(ValueError):
-            b_coefficients(1, mobius_table)
+            b_coefficients(1, B_LIMIT)
+        with pytest.raises(ValueError):
+            b_coefficients(3, 0)
+        with pytest.raises(ValueError):
+            b_coefficients(3, SIEVE_LIMIT_CAP + 1)
 
-    def test_magnitude_bound(self, mobius_table):
+    def test_magnitude_bound(self):
         for m in (2, 3, 4):
-            b = b_coefficients(m, mobius_table)
+            b = b_coefficients(m, B_LIMIT)
             for k in range(1, 200):
                 assert abs(b[k]) <= k ** (m - 1)
 
-    def test_matches_divisor_sum(self, mobius_table):
-        sieved = {m: b_coefficients(m, mobius_table) for m in range(2, 7)}
-        for k in range(1, mobius_table.limit + 1):
+    def test_matches_divisor_sum(self):
+        sieved = {m: b_coefficients(m, B_LIMIT) for m in range(2, 7)}
+        for k in range(1, B_LIMIT + 1):
             for m, b in sieved.items():
-                assert b[k] == b_coefficient_naive(k, m, mobius_table), (k, m)
+                assert b[k] == b_coefficient_naive(k, m), (k, m)

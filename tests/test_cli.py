@@ -364,6 +364,9 @@ class TestGridRange:
             (["dips", "--tuple", "1,1,-2", "--step", "0"], "step must be in (0, 0.05]"),
             (["dips", "--tuple", "1,1,-2", "--t-lo", "nan"], "t_lo and t_hi must be finite"),
             (["kfun", "--tuple", "1,1,-2", "--step", "0"], "step must be positive"),
+            (["kfun", "--tuple", "1,1,-2", "--step", "inf"], "step must be positive and finite, got inf"),
+            # three points, but t_hi - t_lo overflows
+            (["kfun", "--t-lo=-1e308", "--t-hi=1e308", "--step=1e308"], "overflows float64"),
         ],
     )
     def test_bad_grid_or_window_exit_2_before_the_sieve(self, capsys, monkeypatch, argv, message):
@@ -409,6 +412,22 @@ class TestGridRange:
         assert out == "" and "does not advance a float64 grid" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dips", "--tuple=--"],
+        ["kfun", "--tuple=1,1,-2", "--tuple=--"],
+        ["kfun", "--step=--"],
+        ["constants", "--r-max=--"],
+    ],
+)
+def test_double_dash_value_exit_2(capsys, argv):
+    # argparse hands --flag=-- on as [], without calling the flag's type
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: '--' is not a flag's value\n"
+
+
 class TestValidateZerosCommand:
     def test_bundled_table_passes(self, capsys):
         assert main(["validate-zeros"]) == 0
@@ -452,7 +471,7 @@ class TestIdentitiesCommand:
             raise AssertionError("the suite ran")
 
         for name in ("alternating_multinomial_sum_scaled", "signed_power_sum_scaled",
-                     "cosh_product_identity", "b_coefficients", "sieve_mobius"):
+                     "cosh_product_identity", "b_coefficients"):
             monkeypatch.setattr(identities, name, unreachable)
         with pytest.raises(ValueError, match=f"b_limit must be >= 1, got {b_limit}"):
             identities.run_identity_suite(iterations=1, b_limit=b_limit)

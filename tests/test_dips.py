@@ -82,12 +82,12 @@ class TestMatching:
 
 
 class TestPoleExpansion:
-    def test_converges_to_series(self, mangoldt_medium, zero_table, mobius_table):
+    def test_converges_to_series(self, mangoldt_medium, zero_table):
         cfg = z.SeriesConfig(tolerance=1e-7)
         kernel = z.correlation_kernel(2.5, 3, mangoldt_medium, cfg)
         errs = {
             order: abs(
-                kernel_pole_expansion(2.5, 3, order, zero_table, mobius_table)
+                kernel_pole_expansion(2.5, 3, order, zero_table)
                 - kernel
             )
             for order in (2, 5, 20)
@@ -95,28 +95,28 @@ class TestPoleExpansion:
         assert errs[20] < errs[5] < errs[2]
         assert errs[20] < 1e-4
 
-    def test_dominant_term_at_first_ordinate(self, zero_table, mobius_table):
+    def test_dominant_term_at_first_ordinate(self, zero_table):
         g1 = float(zero_table.ordinates[0])
         s = complex(2.0, g1)
-        val = kernel_pole_expansion(s, 3, 20, zero_table, mobius_table)
+        val = kernel_pole_expansion(s, 3, 20, zero_table)
         dominant = -math.factorial(2) / (2.0 - 0.5) ** 3
         # the nearest-pole term carries most of the value near an ordinate
         assert val.real == pytest.approx(dominant, rel=0.25)
 
-    def test_rejects_first_power(self, zero_table, mobius_table):
+    def test_rejects_first_power(self, zero_table):
         with pytest.raises(z.DomainError):
-            kernel_pole_expansion(2.5, 1, 10, zero_table, mobius_table)
+            kernel_pole_expansion(2.5, 1, 10, zero_table)
 
-    def test_rejects_low_sigma(self, zero_table, mobius_table):
+    def test_rejects_low_sigma(self, zero_table):
         with pytest.raises(z.DomainError):
-            kernel_pole_expansion(1.5, 3, 10, zero_table, mobius_table)
+            kernel_pole_expansion(1.5, 3, 10, zero_table)
 
-    def test_rejects_empty_table(self, tmp_path, mobius_table):
+    def test_rejects_empty_table(self, tmp_path):
         empty = tmp_path / "none.txt"
         empty.write_text("")
         table = z.load_zeros(empty)
         with pytest.raises(ValueError):
-            kernel_pole_expansion(2.5, 3, 10, table, mobius_table)
+            kernel_pole_expansion(2.5, 3, 10, table)
 
 
 class TestProfileGrid:

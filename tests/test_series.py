@@ -322,32 +322,32 @@ class TestProfileProxies:
 
 
 class TestKernelExpansion:
-    def test_identity_residual_moderate(self, mangoldt_medium, mobius_table):
+    def test_identity_residual_moderate(self, mangoldt_medium):
         res = kernel_expansion_residual(
-            2.5, 3, 40, mangoldt_medium, mobius_table, z.SeriesConfig(tolerance=1e-4)
+            2.5, 3, 40, mangoldt_medium, z.SeriesConfig(tolerance=1e-4)
         )
         assert res <= 1e-4
 
-    def test_identity_residual_fourth_power(self, mangoldt_medium, mobius_table):
+    def test_identity_residual_fourth_power(self, mangoldt_medium):
         res = kernel_expansion_residual(
-            3.0, 4, 40, mangoldt_medium, mobius_table, z.SeriesConfig(tolerance=1e-8)
+            3.0, 4, 40, mangoldt_medium, z.SeriesConfig(tolerance=1e-8)
         )
         assert res <= 1e-8
 
-    def test_single_term_is_worse(self, mangoldt_medium, mobius_table):
+    def test_single_term_is_worse(self, mangoldt_medium):
         cfg = z.SeriesConfig(tolerance=1e-5)
         coarse = abs(
             z.correlation_kernel(2.5, 3, mangoldt_medium, cfg)
             - log_derivative_series(2.5, 3, mangoldt_medium, cfg)
         )
         fine = kernel_expansion_residual(
-            2.5, 3, 40, mangoldt_medium, mobius_table, cfg
+            2.5, 3, 40, mangoldt_medium, cfg
         )
         assert coarse > fine
 
-    def test_domain_floor(self, mangoldt_small, mobius_table):
+    def test_domain_floor(self, mangoldt_small):
         with pytest.raises(z.DomainError):
-            kernel_expansion_residual(1.8, 3, 10, mangoldt_small, mobius_table, CFG)
+            kernel_expansion_residual(1.8, 3, 10, mangoldt_small, CFG)
 
 
 class TestPrimeTailEstimate:

@@ -35,6 +35,11 @@ class TestConstruction:
             z.gaussian_triplet(0.0, 2.0)
         with pytest.raises(ValueError):
             z.gaussian_triplet(20.0, -1.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                z.gaussian_triplet(bad, 2.0)
+            with pytest.raises(ValueError, match="finite and positive"):
+                z.gaussian_triplet(20.0, bad)
 
     def test_config_roundtrip(self, h):
         d = h.to_config_dict()

@@ -11,10 +11,9 @@ correctly rounded sum of all terms (`rounding.exact_sum`).
 Spectral route: the same sum as a trapezoid sum of hhat(xi) times the
 product of geometric zero sums Q(a_k xi), at exact nodes j dx just
 finer than the aliasing limit, whose error Poisson summation bounds in
-closed form.  Each phase factors into a per-row and a per-column
-exponential (Dutt and Rokhlin, 1993, with no approximation), contracted
-by one dot product per node in chunks of rows.  The claimed error bounds
-the aliases, the tail and every rounding, and the result is deterministic.
+closed form; the zero sums are `series.phase_sums`.  The claimed error
+bounds the aliases, the tail and every rounding, and the result is
+deterministic.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ import numpy as np
 from .combinatorics import sinc_product_exact
 from .errors import BudgetError, DataError, DomainError
 from .rounding import ELEM_REL, MARGIN, TRIG_ABS, U, exact_sum, gamma
-from .series import closed_form_profile_integral
+from .series import closed_form_profile_integral, phase_sums
 from .tuples import CoefficientTuple, coefficient_tuple
 from .weights import SQRT_PI, TWO_PI, GaussianTriplet
 from .zeros import ZeroTable, zeros_up_to
@@ -38,9 +37,6 @@ DIRECT_HALF_BUDGET = 80_000_000  # bound on n^(m-1), the index tuples of the lon
 # the direct route's steps; small, so that its arrays do not raise peak memory
 PREFIXES = 2**11  # index tuples, or sorted multisets, of the streamed half per step
 BLOCK = 2**14  # pairs of half values per call of h.value, plus at most one row
-ROW = 64  # grid points per row of the factored phase sums
-CHUNK = 32  # rows per contraction of the phase sums
-PIECE = 8192  # ordinates per np.vecdot: OpenBLAS threads zdotc above 10,000
 SAMPLES_PER_PERIOD = 16  # cap on the spectral rate, per period of the fastest phase
 ALIAS_TARGET = 1e-16  # the alias bound the spectral rate aims for
 SQRT2 = math.sqrt(2.0)
@@ -199,31 +195,16 @@ def direct_correlation_sum(
 def _zero_sums(gammas: np.ndarray, a: int, dx: float, xi: np.ndarray):
     """Q(a xi) = sum over ordinates of e^(2 pi i a xi gamma), and a bound, at xi = j dx.
 
-    Grid index j = r ROW + q splits the phase into e^(2 pi i a r ROW dx
-    gamma) e^(2 pi i a q dx gamma).  The (ROW x n) block of the second
-    factor is computed once; each chunk of CHUNK rows takes n cosines and
-    sines per row and np.vecdot, which conjugates its first argument.
-    The bound covers the phases and the contraction, as derived in
+    Q is `phase_sums` of g = 2 pi a dx gamma with w = 1 and phi = 0.  The
+    bound covers the phases and the contraction, as derived in
     `spectral_correlation_sum`.
     """
     g = (TWO_PI * a * dx) * gammas
-    block = np.exp(1j * (np.arange(ROW, dtype=np.float64)[:, None] * g))
-    points = xi.size
-    rows = -(-points // ROW)
-    q = np.empty(rows * ROW, np.complex128)
-    for r0 in range(0, rows, CHUNK):
-        theta = np.multiply.outer(np.arange(r0, min(rows, r0 + CHUNK)) * -float(ROW), g)
-        conj = np.empty(theta.shape, np.complex128)
-        np.cos(theta, out=conj.real)
-        np.sin(theta, out=conj.imag)
-        q[r0 * ROW : (r0 + CHUNK) * ROW] = sum(
-            np.vecdot(conj[:, None, k : k + PIECE], block[None, :, k : k + PIECE])
-            for k in range(0, g.size, PIECE)
-        ).ravel()
+    q = phase_sums(g, xi.size)
     eta = SQRT2 * TRIG_ABS
     per_term = 2.0 * eta * (1.0 + eta) + (1.0 + eta) ** 2 * SQRT2 * gamma(2 * g.size)
     arg_rel = (1.0 + eta) * math.expm1(6.0 * U)
-    return q[:points], g.size * per_term + (TWO_PI * abs(a) * exact_sum((gammas,)) * arg_rel) * xi
+    return q, g.size * per_term + (TWO_PI * abs(a) * exact_sum((gammas,)) * arg_rel) * xi
 
 
 def _alias_bound(h: GaussianTriplet, amp: float, delta_max: float, rate: float) -> float:

@@ -43,22 +43,21 @@ class DipRecord:
     distance: Optional[float] = None
 
 
-def _golden_minimize(f, lo: float, hi: float, tol: float = 1e-4) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar f on [lo, hi]."""
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+def _golden_lockstep(profile, a: np.ndarray, b: np.ndarray, tol: float = 1e-4):
+    """Golden-section minima of a unimodal profile on each [a_i, b_i], updating a and b.
+
+    Each search takes the points it would take alone, one call of `profile` per step.
+    """
+    x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    f1, f2 = np.split(profile(np.concatenate([x1, x2])), 2)
+    while (live := np.flatnonzero(b - a > tol)).size:
+        left = f1[live] <= f2[live]
+        l, r = live[left], live[~left]
+        b[l], x2[l], f2[l], x1[l] = x2[l], x1[l], f1[l], x2[l] - GOLDEN * (x2[l] - a[l])
+        a[r], x1[r], f1[r], x2[r] = x1[r], x2[r], f2[r], x1[r] + GOLDEN * (b[r] - x1[r])
+        y = profile(np.where(left, x1[live], x2[live]))
+        f1[l], f2[r] = y[left], y[~left]
+    return np.where(pick := f1 <= f2, x1, x2), np.where(pick, f1, f2)
 
 
 def t_grid(t_lo: float, t_hi: float, step: float) -> tuple[np.ndarray, float]:
@@ -116,24 +115,19 @@ def scan_minima(
 ) -> list[DipRecord]:
     """Strict local minima of the profile on `scan_grid`'s grid, golden-refined in t.
 
-    Every returned record satisfies the grid certificate
-    y(t_min - step) >= y_min <= y(t_min + step).
+    The grid takes one call of the evaluator, and each golden step of all
+    minima one more (`_golden_lockstep`).  Every returned record satisfies
+    the grid certificate y(t_min - step) >= y_min <= y(t_min + step).
     """
     ts, t_max = grid
     if ts.size < 3:
         return []
     profile = kernel_profile_evaluator(tup, table, cfg, t_max)
     ys = profile(ts)
+    i = 1 + np.flatnonzero((ys[1:-1] < ys[:-2]) & (ys[1:-1] < ys[2:]))
+    t_min, y_min = _golden_lockstep(profile, ts[i - 1], ts[i + 1])
     predicted = dip_depth_prediction(tup.m, tup.positive_sum)
-    scalar = lambda t: float(profile(np.array([t]))[0])
-    records = []
-    for i in range(1, ts.size - 1):
-        if ys[i] < ys[i - 1] and ys[i] < ys[i + 1]:
-            t_min, y_min = _golden_minimize(scalar, ts[i - 1], ts[i + 1])
-            records.append(
-                DipRecord(t_min=t_min, y_min=y_min, predicted_depth=predicted)
-            )
-    return records
+    return [DipRecord(t, y, predicted) for t, y in zip(t_min.tolist(), y_min.tolist())]
 
 
 def match_to_zeros(

@@ -40,7 +40,10 @@ from .tuples import CoefficientTuple
 CHEBYSHEV_UPPER = 1.03883  # psi(x) < 1.03883 x for all x > 0
 PROXY_SPAN = 2.0  # t_max times the proxy bins' half-width
 PROXY_TOL_SHARE = 1e-3  # the profile's proxy error, as a share of its tolerance
-PROFILE_BLOCK = 256  # t values per profile evaluation block
+PROFILE_BLOCK = 256  # t values per block of the profile's point path
+ROW = 64  # terms' column factors per row of the factored phase sums
+CHUNK = 32  # rows per contraction of the phase sums
+PIECE = 8192  # terms per np.vecdot: OpenBLAS threads zdotc above 10,000
 SIGMA_FLOOR = 1.5  # smallest Re(s) the series are evaluated at
 
 
@@ -339,10 +342,8 @@ def profile_proxies(
     occupied bins would reach the term count, the proxies are the terms
     themselves and the bound is 0.
 
-    The bound is for exact arithmetic.  In floating point the proxy sum,
-    like the direct one, also carries the rounding of its cosine
-    arguments (about |t X_j| eps each) and of its sums; that is not
-    included.
+    The bound is for exact arithmetic; `kernel_profile_evaluator` bounds
+    the rounding of its sums.
     """
     n = log_n.size
     weight = exact_sum((np.abs(w),))
@@ -372,6 +373,32 @@ def profile_proxies(
     return (centres[:, None] + r * nodes).ravel(), weights.ravel(), bound
 
 
+def phase_sums(g: np.ndarray, count: int, w=1.0, phi=0.0) -> np.ndarray:
+    """sum_j w_j e^(i (phi_j + k g_j)) for k = 0 ... count - 1, with real w.
+
+    k = r ROW + q splits each term into e^(i (phi_j + r ROW g_j)) and
+    w_j e^(i q g_j), exactly (Dutt and Rokhlin, SIAM J. Sci. Comput. 14,
+    1993): 2 (ROW + ceil(count / ROW)) cosines and sines per term, not
+    count.  The (ROW x n) block of the second factor is computed once; each
+    chunk of CHUNK rows is contracted with it by np.vecdot, which conjugates
+    its first argument, PIECE terms at a time, so that each dot product runs
+    in one BLAS thread.  w = 1 and phi = 0 change no bit.
+    """
+    block = np.exp(1j * (np.arange(ROW, dtype=np.float64)[:, None] * g)) * w
+    rows = -(-count // ROW)
+    out = np.empty(rows * ROW, np.complex128)
+    for r0 in range(0, rows, CHUNK):
+        theta = np.multiply.outer(np.arange(r0, min(rows, r0 + CHUNK)) * -float(ROW), g) - phi
+        conj = np.empty(theta.shape, np.complex128)
+        np.cos(theta, out=conj.real)
+        np.sin(theta, out=conj.imag)
+        out[r0 * ROW : (r0 + CHUNK) * ROW] = sum(
+            np.vecdot(conj[:, None, k : k + PIECE], block[None, :, k : k + PIECE])
+            for k in range(0, g.size, PIECE)
+        ).ravel()
+    return out[:count]
+
+
 def kernel_profile_evaluator(
     tup: CoefficientTuple, table: MangoldtTable, cfg: SeriesConfig, t_max: float
 ):
@@ -379,14 +406,21 @@ def kernel_profile_evaluator(
 
     Here w_n = Lambda(n)^m n^(-S), and n runs over the prime powers up
     to the certified truncation for cfg.tolerance.  The sum is taken
-    over `profile_proxies`, so it is within PROXY_TOL_SHARE *
-    cfg.tolerance of the sum over the terms at every |t| <= t_max.
-    Returns a callable mapping a float64 array of t values to y; each
-    block of t values is one deterministic numpy sum over the proxies.
+    over the P `profile_proxies` X_j, a_j, so it is within PROXY_TOL_SHARE
+    * cfg.tolerance of the sum over the terms at every |t| <= t_max.
+    Returns a callable mapping a 1-d float64 array ts to y.  If ts is
+    exactly ts[0] + arange(n) d, d = ts[1] - ts[0] (as every `t_grid` is),
+    and 2 (ROW + ceil(n / ROW)) < n, y is Re `phase_sums`(d X, n, a, ts[0] X).
+    Else y is sum_j a_j cos(t X_j), one numpy sum per PROFILE_BLOCK t values,
+    so a t gets the same bits alone or in any such batch.  In the model of
+    `rounding` the two differ at t_k = t_0 + k d by at most sum_j |a_j| (8 U
+    (|t_0| + k |d|) X_j + 6 TRIG_ABS + gamma(3P)): arguments, cosines and
+    sines, products, and the sums (the first a dot product of 2P terms).
 
     Raises:
-        ValueError: t_max not finite and positive; the callable raises
-            it for any t that is not finite or has |t| > t_max.
+        ValueError: t_max not finite and positive, or 4 t_max max X_j
+            (a bound on every phase) overflowing; the callable raises it
+            for any t that is not finite or has |t| > t_max.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError("t_max must be finite and positive")
@@ -394,20 +428,20 @@ def kernel_profile_evaluator(
     _check_domain(complex(s_plus, 0.0))
     n_cut = choose_truncation(float(s_plus), m, table, cfg)
     log_n, w = profile_terms(tup, table, n_cut)
-    x, amp, _ = profile_proxies(
-        log_n, 2.0 * w, t_max, PROXY_TOL_SHARE * cfg.tolerance
-    )
+    x, amp, _ = profile_proxies(log_n, 2.0 * w, t_max, PROXY_TOL_SHARE * cfg.tolerance)
+    if not math.isfinite(4.0 * t_max * float(x.max())):
+        raise ValueError(f"phases up to 4 t_max log n overflow float64 at t_max = {t_max:g}")
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=np.float64)
         if not np.all(np.abs(ts) <= t_max):
             raise ValueError(f"profile evaluated outside |t| <= {t_max:g}")
-        out = np.empty_like(ts)
-        for start in range(0, ts.size, PROFILE_BLOCK):
-            tb = ts[start : start + PROFILE_BLOCK]
-            out[start : start + PROFILE_BLOCK] = (
-                np.cos(tb[:, None] * x[None, :]) * amp[None, :]
-            ).sum(axis=1)
-        return out
+        grid = ts.size > 2 * (ROW + -(-ts.size // ROW))
+        if grid and np.array_equal(ts, ts[0] + np.arange(ts.size) * (d := ts[1] - ts[0])):
+            return phase_sums(d * x, ts.size, amp, ts[0] * x).real
+        return np.concatenate([ts[:0]] + [
+            (np.cos(ts[i : i + PROFILE_BLOCK, None] * x) * amp).sum(axis=1)
+            for i in range(0, ts.size, PROFILE_BLOCK)
+        ])
 
     return evaluate

@@ -7,6 +7,7 @@ import numpy as np
 
 from zetacorr.arithmetic import b_coefficients
 from zetacorr.correlation import _ordinates_for
+from zetacorr.dips import GOLDEN
 from zetacorr.errors import DomainError
 from zetacorr.rounding import exact_sum
 from zetacorr.series import (
@@ -125,6 +126,24 @@ def dense_profile(tup, table, cfg):
         return out
 
     return evaluate
+
+
+def golden_minimize(f, lo: float, hi: float, tol: float = 1e-4) -> tuple[float, float]:
+    """Golden-section minimum of a unimodal scalar f on [lo, hi], one search alone."""
+    a, b = lo, hi
+    x1 = b - GOLDEN * (b - a)
+    x2 = a + GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def sinc_product_naive(entries):

@@ -401,6 +401,13 @@ class TestGridRange:
         assert ("budget error" if code == 4 else "finite") in capsys.readouterr().err
         assert peak < 32 * 2**20
 
+    def test_overflowing_phase_exit_2(self, capsys):
+        # t_max = 1.1e308 fits a double, but t_max log n does not: the
+        # cosine of that phase printed nan
+        argv = ["--t-lo=-1e308", "--t-hi=-1e308", "--step=1e307", "--tolerance", "0.1"]
+        assert main(["kfun", "--tuple", "1,1,-2", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "overflow float64 at t_max = 1.1e+308" in err
 
     @pytest.mark.parametrize("command", ["kfun", "dips"])
     @pytest.mark.parametrize("t_lo, t_hi", [("1e17", "100000000000000010"), ("1e300", "1e300")])

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zetacorr as z
-from zetacorr import correlation, tuples
-from zetacorr.correlation import ROW, _zero_sums
-from zetacorr.series import transform_truncation
+from zetacorr import correlation, series, tuples
+from zetacorr.correlation import _zero_sums
+from zetacorr.series import ROW, transform_truncation
 
 from oracles import canonical_pair_count, naive_correlation_sum, tuple_count_naive
 
@@ -288,22 +288,35 @@ def _spectral_oracle(h, tup, gammas, diag):
     return 2 * LD(diag.dx) * np.sum(w * f.real)
 
 
-# runs the spectral route in a fresh interpreter and prints its bits, and
-# a digest of 128 zero sums over 12,000 ordinates, more than OpenBLAS's
-# zdotc takes in one thread
+# runs the spectral route in a fresh interpreter and prints its bits, a
+# digest of 128 zero sums over 12,000 ordinates, more than OpenBLAS's
+# zdotc takes in one thread, and a digest of a profile grid over 23,578
+# proxies (the terms themselves at t_max = 1e6), more than PIECE
 SPECTRAL_BITS = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 import zetacorr as z
 from zetacorr.correlation import _zero_sums
+from zetacorr.series import (
+    PIECE, choose_truncation, kernel_profile_evaluator, profile_proxies, profile_terms,
+    sieve_limit,
+)
 value, diag = z.spectral_correlation_sum(
     z.gaussian_triplet(20.0, 2.0), z.coefficient_tuple([1, 1, -2]), 100.0,
     z.load_zeros(z.bundled_zeros_path()),
 )
 gammas = np.sort(np.random.default_rng(0).uniform(14.0, 5000.0, 12_000))
 chunk = _zero_sums(gammas, 1, 1e-3, np.arange(128) * 1e-3)[0]
-print(value.hex(), diag.rounding_error.hex(), hashlib.sha256(chunk.tobytes()).hexdigest())
+tup, cfg = z.coefficient_tuple([1, 1, -1, -1]), z.SeriesConfig(tolerance=1e-2)
+table = z.sieve_mangoldt(sieve_limit(2.0, 4, 1e-2))
+log_n, w = profile_terms(tup, table, choose_truncation(2.0, 4, table, cfg))
+assert profile_proxies(log_n, 2.0 * w, 1e6, 1e-5)[0].size > PIECE
+ys = kernel_profile_evaluator(tup, table, cfg, 1e6)(z.t_grid(999_000.0, 999_002.0, 0.01)[0])
+print(
+    value.hex(), diag.rounding_error.hex(),
+    *(hashlib.sha256(a.tobytes()).hexdigest() for a in (chunk, ys)),
+)
 """
 
 
@@ -327,8 +340,8 @@ class TestSpectralRoute:
         dx, j = 1.9 / 1000, np.arange(1001)
         exact = _zero_phase_sum_oracle(gammas, a, j.astype(LD) * LD(dx))
         # PIECE 50 splits each dot product into six, summed in one more order
-        for piece in (correlation.PIECE, 50):
-            with patch.object(correlation, "PIECE", piece):
+        for piece in (series.PIECE, 50):
+            with patch.object(series, "PIECE", piece):
                 got, bound = _zero_sums(gammas, a, dx, j * dx)
             miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
             assert np.all(miss <= bound)
@@ -449,7 +462,7 @@ class TestSpectralRoute:
     def test_chunk_size_bit_identical(self, weight_default, zero_table, chunk):
         tup = z.coefficient_tuple([1, 2, -3])
         value, diag = z.spectral_correlation_sum(weight_default, tup, 100.0, zero_table)
-        with patch.object(correlation, "CHUNK", chunk):
+        with patch.object(series, "CHUNK", chunk):
             small = z.spectral_correlation_sum(weight_default, tup, 100.0, zero_table)
         assert small[0] == value and small[1] == diag
 
@@ -465,7 +478,7 @@ class TestSpectralRoute:
                 env=env, capture_output=True, text=True, timeout=60, check=True,
             )
             outputs.append(done.stdout.split())
-        assert len(outputs[0]) == 3 and outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1] == outputs[2]
 
     def test_matches_direct_on_tiny_instance(self, weight_default, tiny_zeros):
         tup = z.coefficient_tuple([1, 1, -2])

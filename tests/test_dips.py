@@ -7,8 +7,9 @@ import pytest
 
 import zetacorr as z
 from zetacorr.dips import deep_minima, records_json, write_profile_csv
+from zetacorr.series import kernel_profile_evaluator
 
-from oracles import kernel_pole_expansion
+from oracles import golden_minimize, kernel_pole_expansion
 
 CFG = z.SeriesConfig(tolerance=1e-3)
 FIRST_SIX = [14.134725, 21.022040, 25.010858, 30.424876, 32.935062, 37.586178]
@@ -36,8 +37,6 @@ class TestScan:
             assert abs(rec.t_min - gamma) < 0.5
 
     def test_local_minimum_certificate(self, asym_records, mangoldt_medium):
-        from zetacorr.series import kernel_profile_evaluator
-
         step = 0.02
         # the scan's own evaluator: the range it passes is max |t| + step
         profile = kernel_profile_evaluator(
@@ -52,6 +51,35 @@ class TestScan:
         predicted = z.dip_depth_prediction(3, 2)
         deepest = min(rec.y_min for rec in deep)
         assert abs(deepest - predicted) <= 0.3 * abs(predicted)
+
+
+class TestLockstepRefinement:
+    @pytest.mark.parametrize("entries", [[1, 1, -1, -1], [1, 1, -2]])
+    def test_equals_each_search_alone(self, mangoldt_medium, entries):
+        tup = z.coefficient_tuple(entries)
+        grid = z.scan_grid(10.0, 40.0, 0.02, 0.5)
+        records = z.scan_minima(tup, grid, mangoldt_medium, CFG)
+        ts, t_max = grid
+        profile = kernel_profile_evaluator(tup, mangoldt_medium, CFG, t_max)
+        ys = profile(ts)
+        scalar = lambda t: float(profile(np.array([t]))[0])
+        alone = [
+            golden_minimize(scalar, ts[i - 1], ts[i + 1])
+            for i in range(1, ts.size - 1)
+            if ys[i] < ys[i - 1] and ys[i] < ys[i + 1]
+        ]
+        assert len(alone) >= 6
+        got = [(rec.t_min.hex(), rec.y_min.hex()) for rec in records]
+        assert got == [(float(t).hex(), y.hex()) for t, y in alone]
+
+    def test_batch_equals_points_one_at_a_time(self, mangoldt_medium):
+        # the premise of lockstep: more points than a block, no progression
+        profile = kernel_profile_evaluator(
+            z.coefficient_tuple([1, 1, -1, -1]), mangoldt_medium, CFG, 40.02
+        )
+        ts = np.random.default_rng(1).uniform(10.0, 40.0, 600)
+        alone = [profile(ts[i : i + 1])[0] for i in range(ts.size)]
+        assert profile(ts).tobytes() == np.array(alone).tobytes()
 
 
 class TestMatching:

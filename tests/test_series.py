@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import zetacorr as z
 from zetacorr.quadrature import adaptive_integrate
+from zetacorr.rounding import TRIG_ABS, U, gamma
 from zetacorr.series import (
     PROXY_TOL_SHARE,
+    ROW,
     _chebyshev_error,
     certified_tail_bound,
     choose_truncation,
@@ -232,19 +234,22 @@ T_MAX = 40.0
 _PROFILES = {}
 
 
+def _proxied(entries, tol, table, t_max):
+    """The evaluator at t_max, its proxies X_j, a_j and their certified bound."""
+    tup = z.coefficient_tuple(list(entries))
+    cfg = z.SeriesConfig(tolerance=tol)
+    n_cut = choose_truncation(float(tup.positive_sum), tup.m, table, cfg)
+    log_n, w = profile_terms(tup, table, n_cut)
+    x, a, bound = profile_proxies(log_n, 2.0 * w, t_max, PROXY_TOL_SHARE * tol)
+    return kernel_profile_evaluator(tup, table, cfg, t_max), x, a, bound
+
+
 def _profiles(entries, tol, table):
     """Proxy evaluator, dense oracle and certified proxy bound at |t| <= T_MAX."""
     if (entries, tol) not in _PROFILES:
-        tup = z.coefficient_tuple(list(entries))
-        cfg = z.SeriesConfig(tolerance=tol)
-        n_cut = choose_truncation(float(tup.positive_sum), tup.m, table, cfg)
-        log_n, w = profile_terms(tup, table, n_cut)
-        _, _, bound = profile_proxies(log_n, 2.0 * w, T_MAX, PROXY_TOL_SHARE * tol)
-        _PROFILES[entries, tol] = (
-            kernel_profile_evaluator(tup, table, cfg, T_MAX),
-            dense_profile(tup, table, cfg),
-            bound,
-        )
+        profile, _, _, bound = _proxied(entries, tol, table, T_MAX)
+        tup, cfg = z.coefficient_tuple(list(entries)), z.SeriesConfig(tolerance=tol)
+        _PROFILES[entries, tol] = (profile, dense_profile(tup, table, cfg), bound)
     return _PROFILES[entries, tol]
 
 
@@ -319,6 +324,54 @@ class TestProfileProxies:
         direct = np.cos(ts[:, None] * x).sum(axis=1)
         proxied = (np.cos(ts[:, None] * nodes) * weights).sum(axis=1)
         assert np.abs(direct - proxied).max() <= bound + 1e-12
+
+
+def _path_gap_bound(x, a, ts):
+    """`kernel_profile_evaluator`'s bound on its grid and point paths' gap at each t."""
+    reach = abs(ts[0]) + np.arange(ts.size) * abs(ts[1] - ts[0])  # |t_0| + k |d|
+    weight = math.fsum(np.abs(a).tolist())
+    moment = math.fsum((np.abs(a) * x).tolist())
+    return 8.0 * U * reach * moment + (6.0 * TRIG_ABS + gamma(3 * x.size)) * weight
+
+
+class TestProfileGridPath:
+    @pytest.mark.parametrize("entries", [(1, 1, -2), (1, 1, -1, -1), (1, 2, -3)])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        where=st.floats(min_value=0.0, max_value=1.0),
+        step=st.floats(min_value=1e-3, max_value=0.05),
+        points=st.integers(min_value=140, max_value=600),
+    )
+    def test_within_bounds_of_point_path_and_dense_sum(
+        self, mangoldt_medium, entries, where, step, points
+    ):
+        span = (points - 1) * step
+        t_lo = -T_MAX + where * (2.0 * T_MAX - span)
+        ts, t_max = z.t_grid(t_lo, min(t_lo + span, T_MAX), step)
+        assume(ts.size > 2 * (ROW + -(-ts.size // ROW)))  # the grid path's size
+        profile, x, a, proxy_bound = _proxied(entries, 1e-2, mangoldt_medium, t_max)
+        grid = profile(ts)
+        # a permuted grid is no progression, so it takes the point path
+        perm = np.random.default_rng(0).permutation(ts.size)
+        point = np.empty_like(ts)
+        point[perm] = profile(ts[perm])
+        gap = _path_gap_bound(x, a, ts)
+        assert np.all(np.abs(grid - point) <= gap)
+        # the dense sum's terms round no worse than the proxies' point path
+        tup = z.coefficient_tuple(list(entries))
+        dense = dense_profile(tup, mangoldt_medium, z.SeriesConfig(1e-2))(ts)
+        assert np.all(np.abs(grid - dense) <= proxy_bound + gap)
+
+    def test_progression_and_not_give_the_same_values(self, mangoldt_medium):
+        ts, t_max = z.t_grid(10.0, 40.0, 0.02)
+        profile, x, a, _ = _proxied((1, 1, -1, -1), 1e-2, mangoldt_medium, t_max)
+        nudged = ts.copy()
+        nudged[-1] = np.nextafter(ts[-1], 0.0)  # no longer a progression
+        grid, point = profile(ts), profile(nudged)
+        assert not np.array_equal(grid[:-1], point[:-1])  # two paths
+        assert np.all(np.abs(grid - point)[:-1] <= _path_gap_bound(x, a, ts)[:-1])
+        alone = [profile(nudged[i : i + 1])[0] for i in range(0, ts.size, 50)]
+        assert np.array_equal(point[::50], alone)
 
 
 class TestKernelExpansion:

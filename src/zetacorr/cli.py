@@ -39,10 +39,16 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 MAX_TABLE_R = 716  # the table to row 716 takes about 29 s on a 2-CPU Xeon
+GRID_FLAGS = {"--t-lo": 10.0, "--t-hi": 40.0, "--step": 0.02, "--tolerance": 1e-3}  # kfun, dips
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _name(x: float) -> str:
+    """x in the fewest significant digits, at least the 6 of :g, that read back as x."""
+    return next(s for p in range(6, 18) if float(s := f"{x:.{p}g}") == x)
 
 
 def _sieve_for(tuples, tol: float, h=None):
@@ -149,10 +155,10 @@ def _cmd_hsum(args) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     vacuous = []
     for tup, t_max, report in runs:
-        out = cfg.output_dir / f"report_{tup.compact}_{t_max:g}.json"
+        out = cfg.output_dir / f"report_{tup.compact}_{_name(t_max)}.json"
         out.write_text(report.to_json(), encoding="utf-8")
         print(out)
-        vacuous.extend(f"{tup} at T={t_max:g}: {v}" for v in _vacuous_claims(report))
+        vacuous.extend(f"{tup} at T={_name(t_max)}: {v}" for v in _vacuous_claims(report))
     csv_path = cfg.output_dir / "reports.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(runs[0][2].csv_row().keys()))
@@ -215,10 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kfun", help="emit profile curves y(t) as CSV")
     p.add_argument("--tuple", action="append", default=None)
-    p.add_argument("--t-lo", type=float, default=10.0)
-    p.add_argument("--t-hi", type=float, default=40.0)
-    p.add_argument("--step", type=float, default=0.02)
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    for flag, default in GRID_FLAGS.items():
+        p.add_argument(flag, type=float, default=default)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_kfun)
 
@@ -228,11 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dips", help="scan profile minima and match to ordinates")
     p.add_argument("--tuple", required=True)
-    p.add_argument("--t-lo", type=float, default=10.0)
-    p.add_argument("--t-hi", type=float, default=40.0)
-    p.add_argument("--step", type=float, default=0.02)
+    for flag, default in GRID_FLAGS.items():
+        p.add_argument(flag, type=float, default=default)
     p.add_argument("--window", type=float, default=0.5)
-    p.add_argument("--tolerance", type=float, default=1e-3)
     p.add_argument("--zeros", type=str, default=None)
     p.add_argument("--deep-only", action="store_true")
     p.set_defaults(func=_cmd_dips)

@@ -16,19 +16,19 @@ Format: UTF-8 text, one `key = value` per line, '#' comments.  Keys:
     output_dir           where reports are written (default '.')
 
 Every tuple is validated before any computation starts.  Unknown keys,
-and T entries, tolerances or weight parameters that are not finite and
-positive, are rejected.
+a tuple or T listed twice (they name one report), and T entries,
+tolerances or weight parameters not finite and positive, are rejected.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
 from .tuples import CoefficientTuple
-from .correlation import parse_tuple_text
+from .correlation import MAIN_TERM_TOL, parse_tuple_text
 from .zeros import bundled_zeros_path
 
 ENV_ZEROS = "ZETA_ZEROS_PATH"
@@ -36,6 +36,7 @@ KEYS = {
     "zeros", "tuples", "T", "h_center", "h_width",
     "series_tolerance", "quadrature_tolerance", "output_dir",
 }
+DEFAULTS = {"h_center": 20.0, "h_width": 2.0, "quadrature_tolerance": MAIN_TERM_TOL}
 
 
 @dataclass
@@ -43,10 +44,10 @@ class ExperimentConfig:
     zeros_path: Path
     tuples: list[CoefficientTuple]
     t_list: list[float]
-    h_center: float = 20.0
-    h_width: float = 2.0
-    quadrature_tolerance: float = 1e-6
-    output_dir: Path = field(default_factory=lambda: Path("."))
+    h_center: float
+    h_width: float
+    quadrature_tolerance: float
+    output_dir: Path
 
 
 def default_zeros_path() -> Path:
@@ -54,7 +55,7 @@ def default_zeros_path() -> Path:
     return Path(env) if env else bundled_zeros_path()
 
 
-def _positive(key: str, text: str) -> float:
+def _positive(key: str, text: str | float) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{key} must be finite and positive, got {text!r}")
@@ -76,19 +77,14 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     if unknown:
         raise DataError(f"{source}: unknown key(s) {', '.join(unknown)}")
     try:
-        tuples_text = raw.get("tuples", "")
-        tuples = [
-            parse_tuple_text(part)
-            for part in tuples_text.split(";")
-            if part.strip()
-        ]
-        if not tuples:
-            raise ValueError("config must list at least one tuple")
-        t_list = [
-            _positive("T", part) for part in raw.get("T", "").split(",") if part.strip()
-        ]
-        if not t_list:
-            raise ValueError("config must list at least one T")
+        tuples = [parse_tuple_text(t) for t in raw.get("tuples", "").split(";") if t.strip()]
+        t_list = [_positive("T", t) for t in raw.get("T", "").split(",") if t.strip()]
+        for what, items in (("tuple", tuples), ("T", t_list)):  # a (tuple, T) names a report
+            if not items:
+                raise ValueError(f"config must list at least one {what}")
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ValueError(f"{what} {item} given more than once")
         if "series_tolerance" in raw:
             _positive("series_tolerance", raw["series_tolerance"])
         zeros_path = Path(raw["zeros"]) if "zeros" in raw else default_zeros_path()
@@ -96,12 +92,8 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             zeros_path=zeros_path,
             tuples=tuples,
             t_list=t_list,
-            h_center=_positive("h_center", raw.get("h_center", "20")),
-            h_width=_positive("h_width", raw.get("h_width", "2")),
-            quadrature_tolerance=_positive(
-                "quadrature_tolerance", raw.get("quadrature_tolerance", "1e-6")
-            ),
             output_dir=Path(raw.get("output_dir", ".")),
+            **{key: _positive(key, raw.get(key, default)) for key, default in DEFAULTS.items()},
         )
     except (ValueError, KeyError) as exc:
         raise DataError(f"{source}: {exc}") from exc

@@ -27,8 +27,8 @@ import numpy as np
 
 from .combinatorics import sinc_product_exact
 from .errors import BudgetError, DataError, DomainError
-from .rounding import ELEM_REL, MARGIN, TRIG_ABS, U, exact_sum, gamma
-from .series import closed_form_profile_integral, phase_sums
+from .rounding import ELEM_REL, MARGIN, U, exact_sum, gamma
+from .series import SQRT2, closed_form_profile_integral, phase_sums
 from .tuples import CoefficientTuple, coefficient_tuple
 from .weights import SQRT_PI, TWO_PI, GaussianTriplet
 from .zeros import ZeroTable, zeros_up_to
@@ -39,7 +39,7 @@ PREFIXES = 2**11  # index tuples, or sorted multisets, of the streamed half per 
 BLOCK = 2**14  # pairs of half values per call of h.value, plus at most one row
 SAMPLES_PER_PERIOD = 16  # cap on the spectral rate, per period of the fastest phase
 ALIAS_TARGET = 1e-16  # the alias bound the spectral rate aims for
-SQRT2 = math.sqrt(2.0)
+MAIN_TERM_TOL = 1e-6  # default tolerance of the main term's certified tail
 
 
 @dataclass(frozen=True)
@@ -192,19 +192,13 @@ def direct_correlation_sum(
     )
 
 
-def _zero_sums(gammas: np.ndarray, a: int, dx: float, xi: np.ndarray):
-    """Q(a xi) = sum over ordinates of e^(2 pi i a xi gamma), and a bound, at xi = j dx.
+def _zero_sums(gammas: np.ndarray, a: int, dx: float, count: int):
+    """Q(a j dx) = sum over ordinates of e^(2 pi i a j dx gamma) for j < count, and a bound.
 
-    Q is `phase_sums` of g = 2 pi a dx gamma with w = 1 and phi = 0.  The
-    bound covers the phases and the contraction, as derived in
-    `spectral_correlation_sum`.
+    Q is `phase_sums` of g = fl(fl(fl(2 pi) a) dx) gamma, four roundings and so
+    within gamma_4 |g| of 2 pi a dx gamma; the nodes j dx are exact.
     """
-    g = (TWO_PI * a * dx) * gammas
-    q = phase_sums(g, xi.size)
-    eta = SQRT2 * TRIG_ABS
-    per_term = 2.0 * eta * (1.0 + eta) + (1.0 + eta) ** 2 * SQRT2 * gamma(2 * g.size)
-    arg_rel = (1.0 + eta) * math.expm1(6.0 * U)
-    return q, g.size * per_term + (TWO_PI * abs(a) * exact_sum((gammas,)) * arg_rel) * xi
+    return phase_sums((TWO_PI * a * dx) * gammas, count, gamma(4))
 
 
 def _alias_bound(h: GaussianTriplet, amp: float, delta_max: float, rate: float) -> float:
@@ -242,18 +236,8 @@ def spectral_correlation_sum(
 
     The claimed error adds `rounding_error`, a bound on |full - S| for the
     exact trapezoid sum S, in the floating-point model of `rounding`:
-    - phases: theta = 2 pi a j dx gamma takes five roundings, so summed
-      over gamma, with one U of slack, it is off by expm1(6U) 2 pi |a| j dx
-      sum gamma; cos and sin are off by TRIG_ABS, so the factors x, y are
-      within eta = sqrt2 TRIG_ABS of e^(i theta~), |x|, |y| <= 1 + eta, and
-      x y is within 2 eta (1 + eta) of e^(i(theta~_r + theta~_q));
-    - contraction: Re and Im of sum x y are dot products of 2n real terms
-      (x_r y_r - x_i y_i, x_r y_i + x_i y_r), summed by np.vecdot in an order
-      it does not fix, with or without fused multiply-adds: each part is
-      within gamma_(2n) of the sum of its terms' moduli (Higham, section
-      3.1), at most (1 + eta)^2 per ordinate, so the complex error is at most
-      sqrt2 gamma_(2n) n (1 + eta)^2; with the phases, this is the bound of
-      `_zero_sums`;
+    - zero sums: each Q~ is within e of Q, the bound of `phase_sums` given
+      the error of forming its phases (`_zero_sums`);
     - product: with U_l = |Q~_l| + e_l >= |Q_l|, |prod Q~ - prod Q| <= sum_k
       e_k prod_(l!=k) U_l (telescoping), and the m - 1 complex products and
       the real product by hhat add expm1((m-1) sqrt2 gamma_2 + U) |hhat~| prod |Q~|;
@@ -281,7 +265,7 @@ def spectral_correlation_sum(
     counts = Counter(sorted(abs(a) for a in tup.entries))
     q, abs_prod, upper, spread = {}, 1.0, 1.0, 0.0
     for a, count in counts.items():
-        q[a], e = _zero_sums(gammas, a, dx, xi)
+        q[a], e = _zero_sums(gammas, a, dx, points)
         mag = np.abs(q[a])
         abs_prod = abs_prod * mag**count
         upper = upper * (mag + e) ** count
@@ -324,7 +308,7 @@ def main_term(
     tup: CoefficientTuple,
     t_max: float,
     table,
-    tol: float = 1e-6,
+    tol: float = MAIN_TERM_TOL,
 ) -> tuple[float, float, int]:
     """Leading asymptotic D * T^(m-1) * integral of h(t) y(t) dt.
 
@@ -379,7 +363,7 @@ def build_report(
     t_max: float,
     zeros: ZeroTable,
     table,
-    tol: float = 1e-6,
+    tol: float = MAIN_TERM_TOL,
 ) -> CorrelationReport:
     """Run both routes plus the main term and assemble the report.
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .arithmetic import SIEVE_LIMIT_CAP, MangoldtTable
 from .errors import DomainError, ResourceError
-from .rounding import ELEM_REL, MARGIN, U, exact_sum
+from .rounding import ELEM_REL, MARGIN, TRIG_ABS, U, exact_sum, gamma
 from .tuples import CoefficientTuple
 
 CHEBYSHEV_UPPER = 1.03883  # psi(x) < 1.03883 x for all x > 0
@@ -45,6 +45,7 @@ ROW = 64  # terms' column factors per row of the factored phase sums
 CHUNK = 32  # rows per contraction of the phase sums
 PIECE = 8192  # terms per np.vecdot: OpenBLAS threads zdotc above 10,000
 SIGMA_FLOOR = 1.5  # smallest Re(s) the series are evaluated at
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -342,8 +343,8 @@ def profile_proxies(
     occupied bins would reach the term count, the proxies are the terms
     themselves and the bound is 0.
 
-    The bound is for exact arithmetic; `kernel_profile_evaluator` bounds
-    the rounding of its sums.
+    The bound is for exact arithmetic; `phase_sums` bounds the rounding of
+    the profile's grid path.
     """
     n = log_n.size
     weight = exact_sum((np.abs(w),))
@@ -373,8 +374,8 @@ def profile_proxies(
     return (centres[:, None] + r * nodes).ravel(), weights.ravel(), bound
 
 
-def phase_sums(g: np.ndarray, count: int, w=1.0, phi=0.0) -> np.ndarray:
-    """sum_j w_j e^(i (phi_j + k g_j)) for k = 0 ... count - 1, with real w.
+def phase_sums(g: np.ndarray, count: int, rel: float, w=1.0, phi=0.0):
+    """sum_j w_j e^(i (phi_j + k g_j)) for k = 0 ... count - 1, with real w, and a bound.
 
     k = r ROW + q splits each term into e^(i (phi_j + r ROW g_j)) and
     w_j e^(i q g_j), exactly (Dutt and Rokhlin, SIAM J. Sci. Comput. 14,
@@ -383,6 +384,20 @@ def phase_sums(g: np.ndarray, count: int, w=1.0, phi=0.0) -> np.ndarray:
     chunk of CHUNK rows is contracted with it by np.vecdot, which conjugates
     its first argument, PIECE terms at a time, so that each dot product runs
     in one BLAS thread.  w = 1 and phi = 0 change no bit.
+
+    bound[k] bounds the error from sum_j w_j e^(i theta_kj), for any phases
+    within rel (|phi_j| + k |g_j|) of phi_j + k g_j: rel is the caller's
+    error in forming g and phi.  In the model of `rounding`, per term:
+    - phases: fl(q g) and fl(-r ROW g) add U k |g|, and subtracting a
+      nonzero phi adds U ((1 + U) k |g| + |phi|);
+    - factors: the row factor x is within eta = sqrt2 TRIG_ABS of e^(i alpha)
+      at its float phase alpha; the column factor y, rounded once more by w,
+      is within (eta + U (1 + eta)) |w| of w e^(i beta), and |y| <= (1 + eta)
+      (1 + U) |w|;
+    - contraction: Re and Im of sum x y are dot products of 2n real terms, in
+      an order np.vecdot does not fix, with or without fused multiply-adds,
+      so each is within gamma_(2n) of sum |x| |y| (Higham, section 3.1).
+    The bound is evaluated in float64 without MARGIN, which a certificate applies.
     """
     block = np.exp(1j * (np.arange(ROW, dtype=np.float64)[:, None] * g)) * w
     rows = -(-count // ROW)
@@ -396,7 +411,13 @@ def phase_sums(g: np.ndarray, count: int, w=1.0, phi=0.0) -> np.ndarray:
             np.vecdot(conj[:, None, k : k + PIECE], block[None, :, k : k + PIECE])
             for k in range(0, g.size, PIECE)
         ).ravel()
-    return out[:count]
+    aw = np.abs(np.broadcast_to(w, g.shape))
+    weight, offset, moment = (exact_sum((v,)) for v in (aw, aw * abs(phi), aw * abs(g)))
+    eta, sub = SQRT2 * TRIG_ABS, U if np.any(phi) else 0.0
+    x_err = eta + SQRT2 * gamma(2 * g.size) * (1.0 + eta)  # x and the contraction, per |y|
+    factors = x_err * (1.0 + eta) * (1.0 + U) + eta + U * (1.0 + eta)
+    arg = rel + U + (1.0 + U) * sub
+    return out[:count], factors * weight + arg * (offset + np.arange(count) * moment)
 
 
 def kernel_profile_evaluator(
@@ -410,12 +431,12 @@ def kernel_profile_evaluator(
     * cfg.tolerance of the sum over the terms at every |t| <= t_max.
     Returns a callable mapping a 1-d float64 array ts to y.  If ts is
     exactly ts[0] + arange(n) d, d = ts[1] - ts[0] (as every `t_grid` is),
-    and 2 (ROW + ceil(n / ROW)) < n, y is Re `phase_sums`(d X, n, a, ts[0] X).
-    Else y is sum_j a_j cos(t X_j), one numpy sum per PROFILE_BLOCK t values,
-    so a t gets the same bits alone or in any such batch.  In the model of
-    `rounding` the two differ at t_k = t_0 + k d by at most sum_j |a_j| (8 U
-    (|t_0| + k |d|) X_j + 6 TRIG_ABS + gamma(3P)): arguments, cosines and
-    sines, products, and the sums (the first a dot product of 2P terms).
+    and 2 (ROW + ceil(n / ROW)) < n, y is Re `phase_sums`(d X, n, gamma_3,
+    a, ts[0] X), within its bound of y at each float t_k: t_k = fl(t_0 +
+    fl(k d)) has t_k X_j within gamma_3 (|fl(t_0 X_j)| + k |fl(d X_j)|) of
+    fl(t_0 X_j) + k fl(d X_j), from those three roundings.  Else y is sum_j
+    a_j cos(t X_j), one numpy sum per PROFILE_BLOCK t values, so a t gets
+    the same bits alone or in any such batch.
 
     Raises:
         ValueError: t_max not finite and positive, or 4 t_max max X_j
@@ -438,7 +459,7 @@ def kernel_profile_evaluator(
             raise ValueError(f"profile evaluated outside |t| <= {t_max:g}")
         grid = ts.size > 2 * (ROW + -(-ts.size // ROW))
         if grid and np.array_equal(ts, ts[0] + np.arange(ts.size) * (d := ts[1] - ts[0])):
-            return phase_sums(d * x, ts.size, amp, ts[0] * x).real
+            return phase_sums(d * x, ts.size, gamma(3), amp, ts[0] * x)[0].real
         return np.concatenate([ts[:0]] + [
             (np.cos(ts[i : i + PROFILE_BLOCK, None] * x) * amp).sum(axis=1)
             for i in range(0, ts.size, PROFILE_BLOCK)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class GaussianTriplet:
 
     center: float
     width: float
-    family: str = "gaussian_triplet"
+    family: ClassVar[str] = "gaussian_triplet"
 
     def value(self, x) -> np.ndarray:
         """h(x), vectorized."""

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import zetacorr as z
 from zetacorr import cli, identities
 from zetacorr.cli import main
 from zetacorr.config import KEYS, ExperimentConfig, parse_config_text
-from zetacorr.correlation import leading_constant
+from zetacorr.correlation import build_report, leading_constant, main_term
 from zetacorr.series import choose_truncation, sieve_limit
 
 
@@ -217,6 +218,39 @@ class TestHsumCommand:
         jb = (out_b / "report_+1+1-2_40.json").read_bytes()
         assert ja == jb
         assert (out_a / "reports.csv").read_bytes() == (out_b / "reports.csv").read_bytes()
+
+    def test_t_values_alike_in_six_digits_get_their_own_reports(self, tmp_path):
+        # 40 and 40.00001 print alike with :g's 6 digits: one report overwrote the other
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"tuples = 1,1,-2\nT = 40, 40.00001\noutput_dir = {out}\n")
+        assert main(["hsum", "--config", str(cfg)]) == 0
+        names = sorted(p.name for p in out.glob("report_*.json"))
+        assert names == ["report_+1+1-2_40.00001.json", "report_+1+1-2_40.json"]
+        assert [json.loads((out / n).read_text())["t_max"] for n in names] == [40.00001, 40.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=5e-324, max_value=1.7e308))
+    def test_report_names_read_back_and_keep_six_digit_names(self, t):
+        name = cli._name(t)
+        assert float(name) == t
+        if float(f"{t:g}") == t:
+            assert name == f"{t:g}"
+
+    @pytest.mark.parametrize(
+        "lines, repeated",
+        [
+            ("tuples = 1,1,-2; 1,2,-3; 1,1,-2\nT = 40", "tuple (1,1,-2)"),
+            ("tuples = 1,1,-2\nT = 40, 50, 40.0", "T 40.0"),
+        ],
+    )
+    def test_repeated_tuple_or_t_exit_2(self, tmp_path, capsys, lines, repeated):
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{lines}\noutput_dir = {out}\n")
+        assert main(["hsum", "--config", str(cfg)]) == 2
+        assert f"{repeated} given more than once" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_zeros_exit_2(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -510,6 +544,12 @@ class TestConfigParsing:
         assert [t.entries for t in cfg.tuples] == [(1, 1, -2), (1, 1, -1, -1)]
         assert cfg.t_list == [100.0, 250.0]
         assert cfg.h_center == 10.0 and cfg.h_width == 3.0
+
+    def test_defaults_are_the_library_defaults(self):
+        cfg = parse_config_text("tuples = 1,1,-2\nT = 40\n")
+        assert (cfg.h_center, cfg.h_width, cfg.output_dir) == (20.0, 2.0, Path("."))
+        tol = {inspect.signature(f).parameters["tol"].default for f in (main_term, build_report)}
+        assert tol == {cfg.quadrature_tolerance} == {1e-6}
 
     def test_missing_tuples_rejected(self):
         with pytest.raises(z.DataError):

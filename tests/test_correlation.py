@@ -307,7 +307,7 @@ value, diag = z.spectral_correlation_sum(
     z.load_zeros(z.bundled_zeros_path()),
 )
 gammas = np.sort(np.random.default_rng(0).uniform(14.0, 5000.0, 12_000))
-chunk = _zero_sums(gammas, 1, 1e-3, np.arange(128) * 1e-3)[0]
+chunk = _zero_sums(gammas, 1, 1e-3, 128)[0]
 tup, cfg = z.coefficient_tuple([1, 1, -1, -1]), z.SeriesConfig(tolerance=1e-2)
 table = z.sieve_mangoldt(sieve_limit(2.0, 4, 1e-2))
 log_n, w = profile_terms(tup, table, choose_truncation(2.0, 4, table, cfg))
@@ -323,14 +323,13 @@ print(
 class TestSpectralRoute:
     def test_zero_phase_sum_at_origin(self, zero_table):
         gammas = z.zeros_up_to(zero_table, 100.0)
-        q0 = _zero_sums(gammas, 1, 0.01, np.zeros(1))[0][0]
+        q0 = _zero_sums(gammas, 1, 0.01, 1)[0][0]
         assert q0 == complex(29.0, 0.0)
 
     def test_conjugate_reflection(self, zero_table):
         gammas = z.zeros_up_to(zero_table, 100.0)
-        xi = np.arange(300) * 0.01
-        plus = _zero_sums(gammas, 1, 0.01, xi)[0]
-        minus = _zero_sums(gammas, -1, 0.01, xi)[0]
+        plus = _zero_sums(gammas, 1, 0.01, 300)[0]
+        minus = _zero_sums(gammas, -1, 0.01, 300)[0]
         assert np.array_equal(np.conj(plus), minus)
 
     @needs_extended
@@ -342,10 +341,29 @@ class TestSpectralRoute:
         # PIECE 50 splits each dot product into six, summed in one more order
         for piece in (series.PIECE, 50):
             with patch.object(series, "PIECE", piece):
-                got, bound = _zero_sums(gammas, a, dx, j * dx)
+                got, bound = _zero_sums(gammas, a, dx, j.size)
             miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
             assert np.all(miss <= bound)
             # a worst case, but within three orders of the realised error
+            assert np.max(bound) <= 1e3 * np.max(miss)
+
+    @needs_extended
+    @pytest.mark.parametrize(
+        "entries, t_max", [((1, 1, -2), 300.0), ((1, 1, -2), 500.0), ((1, 1, -1, -1), 150.0)]
+    )
+    def test_route_zero_sums_within_bound_of_oracle(
+        self, weight_default, zero_table, entries, t_max
+    ):
+        # the zero sums at the route's own nodes j dx, j < grid_points
+        tup = z.coefficient_tuple(list(entries))
+        _, diag = z.spectral_correlation_sum(weight_default, tup, t_max, zero_table)
+        gammas = z.zeros_up_to(zero_table, t_max)
+        xi = np.arange(diag.grid_points).astype(LD) * LD(diag.dx)
+        for a in {abs(a) for a in entries}:
+            got, bound = _zero_sums(gammas, a, diag.dx, diag.grid_points)
+            exact = _zero_phase_sum_oracle(gammas, a, xi)
+            miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
+            assert np.all(miss <= bound)
             assert np.max(bound) <= 1e3 * np.max(miss)
 
     @needs_extended
@@ -354,7 +372,7 @@ class TestSpectralRoute:
         # term, grows with j dx and dominates the bound
         gammas = z.zeros_up_to(zero_table, 500.0)
         a, dx, j = 3, 0.005, np.arange(4000)
-        got, bound = _zero_sums(gammas, a, dx, j * dx)
+        got, bound = _zero_sums(gammas, a, dx, j.size)
         exact = _zero_phase_sum_oracle(gammas, a, j.astype(LD) * LD(dx))
         miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
         assert np.all(miss <= bound)
@@ -374,17 +392,17 @@ class TestSpectralRoute:
         xi = j.astype(LD) * LD(dx)
         exact = _zero_phase_sum_oracle(gammas, a, xi)
         miss = np.abs(sequential.astype(np.clongdouble) - exact).astype(np.float64)
-        bound = _zero_sums(gammas, a, dx, np.arange(2 * ROW) * dx)[1][ROW:]
+        bound = _zero_sums(gammas, a, dx, 2 * ROW)[1][ROW:]
         assert np.all(miss <= bound)
         assert np.max(bound) <= 1e3 * np.max(miss)
 
     def test_nodes_are_exact_multiples(self, weight_default, zero_table, monkeypatch):
-        # the nodes the route passes to the zero sums and to hhat
+        # the nodes the route passes to hhat, and their count to the zero sums
         calls, hats = [], []
 
-        def recorded(gammas, a, dx, xi):
-            calls.append((a, dx, xi))
-            return zero_sums(gammas, a, dx, xi)
+        def recorded(gammas, a, dx, count):
+            calls.append((a, dx, count))
+            return zero_sums(gammas, a, dx, count)
 
         def recorded_hat(self, xi):
             hats.append(xi)
@@ -396,9 +414,9 @@ class TestSpectralRoute:
         tup = z.coefficient_tuple([1, 2, -3])
         _, diag = z.spectral_correlation_sum(weight_default, tup, 100.0, zero_table)
         assert [(a, dx) for a, dx, _ in calls] == [(a, diag.dx) for a in (1, 2, 3)]
-        nodes = calls[0][2]
-        assert all(xi is nodes for _, _, xi in calls) and len(hats) == 1 and hats[0] is nodes
-        assert nodes.size == diag.grid_points
+        assert len(hats) == 1
+        nodes = hats[0]
+        assert all(count == nodes.size == diag.grid_points for _, _, count in calls)
         step = Fraction(diag.dx)
         assert all(Fraction(x) == j * step for j, x in enumerate(nodes.tolist()))
         # the last node is the first at or beyond xi_max

@@ -150,17 +150,21 @@ def _reach(defs, roots, names) -> set[str]:
     return reached
 
 
-def test_every_def_is_reached_from_cli_main():
-    start = time.perf_counter()
-    defs, module_code, imports = _definitions()
-    # the modules importing zetacorr.cli runs, the package's __init__ first
+def _command_modules(imports) -> set[str]:
+    """The package modules that importing zetacorr.cli runs, the package's __init__ first."""
     loaded, pending = set(), ["__init__", "cli"]
     while pending:
         mod = pending.pop()
         if mod not in loaded:
             loaded.add(mod)
             pending.extend(imports[mod])
-    top = set().union(*(module_code[mod] for mod in loaded))
+    return loaded
+
+
+def test_every_def_is_reached_from_cli_main():
+    start = time.perf_counter()
+    defs, module_code, imports = _definitions()
+    top = set().union(*(module_code[mod] for mod in _command_modules(imports)))
     from_cli = _reach(defs, ["cli.main"], top)
     from_allowed = _reach(defs, [k for k in UNREACHED if k in defs], set())
 
@@ -169,3 +173,24 @@ def test_every_def_is_reached_from_cli_main():
     unexplained = sorted(set(defs) - from_cli - from_allowed)
     assert unexplained == []
     assert time.perf_counter() - start <= 0.5
+
+
+# numpy calls that may hand a contraction to BLAS
+CONTRACTIONS = {"dot", "einsum", "inner", "matmul", "tensordot", "vdot", "vecdot"}
+
+
+def test_blas_contractions_only_in_phase_sums():
+    # phase_sums bounds its contraction in any order and splits it into PIECE
+    # terms, below OpenBLAS's threading threshold, so bits do not depend on
+    # OPENBLAS_NUM_THREADS; a contraction elsewhere would have neither
+    found = []
+    for mod in sorted(_command_modules(_definitions()[2])):
+        tree = ast.parse((PACKAGE / f"{mod}.py").read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = f"{mod}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if isinstance(getattr(node, "op", None), ast.MatMult) or name in CONTRACTIONS:
+                    found.append((owner, node.lineno))
+    assert found and {owner for owner, _ in found} == {"series.phase_sums"}, found

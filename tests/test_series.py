@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import zetacorr as z
+from zetacorr import series
 from zetacorr.quadrature import adaptive_integrate
 from zetacorr.rounding import TRIG_ABS, U, gamma
 from zetacorr.series import (
@@ -16,6 +18,7 @@ from zetacorr.series import (
     choose_truncation,
     integral_tail_bound,
     kernel_profile_evaluator,
+    phase_sums,
     profile_proxies,
     profile_terms,
     sieve_limit,
@@ -32,6 +35,10 @@ from oracles import (
 
 CFG = z.SeriesConfig(tolerance=1e-6)
 LOOSE = z.SeriesConfig(tolerance=1e-3)
+LD = np.longdouble
+needs_extended = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 2.0**-60, reason="long double is not extended"
+)
 
 
 class TestSeriesConfig:
@@ -326,12 +333,29 @@ class TestProfileProxies:
         assert np.abs(direct - proxied).max() <= bound + 1e-12
 
 
-def _path_gap_bound(x, a, ts):
-    """`kernel_profile_evaluator`'s bound on its grid and point paths' gap at each t."""
-    reach = abs(ts[0]) + np.arange(ts.size) * abs(ts[1] - ts[0])  # |t_0| + k |d|
+def _grid_with_bound(profile, ts):
+    """The profile's grid path at ts, and the bound its call of `phase_sums` returned."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(phase_sums(*args))
+        return calls[-1]
+
+    with patch.object(series, "phase_sums", recorded):
+        grid = profile(ts)
+    ((_, bound),) = calls
+    return grid, bound
+
+
+def _point_bound(x, a, ts):
+    """A bound on the point path's rounding at each t: sum_j a_j cos(fl(t X_j)), any order.
+
+    The argument is off by U |t| X_j, the cosine by TRIG_ABS, the product
+    by U, and a sum of P terms adds gamma_(P - 1) of their moduli.
+    """
     weight = math.fsum(np.abs(a).tolist())
     moment = math.fsum((np.abs(a) * x).tolist())
-    return 8.0 * U * reach * moment + (6.0 * TRIG_ABS + gamma(3 * x.size)) * weight
+    return U * np.abs(ts) * moment + (2.0 * TRIG_ABS + gamma(x.size + 1)) * weight
 
 
 class TestProfileGridPath:
@@ -350,12 +374,12 @@ class TestProfileGridPath:
         ts, t_max = z.t_grid(t_lo, min(t_lo + span, T_MAX), step)
         assume(ts.size > 2 * (ROW + -(-ts.size // ROW)))  # the grid path's size
         profile, x, a, proxy_bound = _proxied(entries, 1e-2, mangoldt_medium, t_max)
-        grid = profile(ts)
+        grid, grid_bound = _grid_with_bound(profile, ts)
         # a permuted grid is no progression, so it takes the point path
         perm = np.random.default_rng(0).permutation(ts.size)
         point = np.empty_like(ts)
         point[perm] = profile(ts[perm])
-        gap = _path_gap_bound(x, a, ts)
+        gap = grid_bound + _point_bound(x, a, ts)
         assert np.all(np.abs(grid - point) <= gap)
         # the dense sum's terms round no worse than the proxies' point path
         tup = z.coefficient_tuple(list(entries))
@@ -367,11 +391,24 @@ class TestProfileGridPath:
         profile, x, a, _ = _proxied((1, 1, -1, -1), 1e-2, mangoldt_medium, t_max)
         nudged = ts.copy()
         nudged[-1] = np.nextafter(ts[-1], 0.0)  # no longer a progression
-        grid, point = profile(ts), profile(nudged)
+        (grid, grid_bound), point = _grid_with_bound(profile, ts), profile(nudged)
         assert not np.array_equal(grid[:-1], point[:-1])  # two paths
-        assert np.all(np.abs(grid - point)[:-1] <= _path_gap_bound(x, a, ts)[:-1])
+        gap = grid_bound + _point_bound(x, a, ts)
+        assert np.all(np.abs(grid - point)[:-1] <= gap[:-1])
         alone = [profile(nudged[i : i + 1])[0] for i in range(0, ts.size, 50)]
         assert np.array_equal(point[::50], alone)
+
+    @needs_extended
+    @pytest.mark.parametrize("tol", [1e-2, 1e-3])
+    def test_grid_within_its_bound_of_long_double_sum(self, mangoldt_medium, tol):
+        # the dips-quartic grid; the oracle sums the same proxies at the same float t
+        ts, t_max = z.t_grid(10.0, 40.0, 0.02)
+        profile, x, a, _ = _proxied((1, 1, -1, -1), tol, mangoldt_medium, t_max)
+        grid, bound = _grid_with_bound(profile, ts)
+        exact = (np.cos(np.outer(ts.astype(LD), x.astype(LD))) * a.astype(LD)).sum(axis=1)
+        miss = np.abs(grid.astype(LD) - exact).astype(np.float64)
+        assert np.all(miss <= bound)
+        assert np.max(bound) <= 1e3 * np.max(miss)
 
 
 class TestKernelExpansion:

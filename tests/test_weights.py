@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -44,6 +45,11 @@ class TestConstruction:
     def test_config_roundtrip(self, h):
         d = h.to_config_dict()
         assert d == {"family": "gaussian_triplet", "c": 20.0, "s": 2.0}
+
+    def test_family_is_not_a_field(self, h):
+        assert [f.name for f in dataclasses.fields(h)] == ["center", "width"]
+        with pytest.raises(TypeError):
+            z.weights.GaussianTriplet(20.0, 2.0, "other")
 
     def test_negative_at_origin(self, h):
         assert float(h.value(0.0)) == pytest.approx(

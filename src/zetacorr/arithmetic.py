@@ -1,8 +1,8 @@
 """Integer-arithmetic substrate: the prime-power sieve, and b_m(k) as an Euler product.
 
-The von Mangoldt table stores, for every n up to a limit, the base prime
-p when n = p^k and zero otherwise.  Lambda(n) = log(p) is therefore
-always recomputed from the exact integer p, never stored rounded, and
+The von Mangoldt table lists the prime powers n = p^k up to a limit,
+ascending, each with its base prime p.  Lambda(n) = log(p) is therefore
+always computed from the exact integer p, never stored rounded, and
 Lambda(n)^m = (log p)^m costs one pow per use at full double precision.
 
 Tables are immutable after construction and safe for concurrent reads.
@@ -17,29 +17,28 @@ import numpy as np
 SIEVE_LIMIT_CAP = 10**8
 
 
-def _prime_sieve(limit: int) -> np.ndarray:
-    """Boolean Eratosthenes sieve; index n is True iff n is prime."""
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if is_prime[i]:
-            is_prime[i * i :: i] = False
-    return is_prime
+def _primes(limit: int) -> np.ndarray:
+    """The primes up to limit, ascending: an Eratosthenes sieve over the odd numbers."""
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # entry i stands for 2 i + 1, but entry 0 for 2
+    odd[0] = limit >= 2
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:  # cross out the odd multiples of p = 2 i + 1 from p^2 = 2 (2 i (i + 1)) + 1
+            odd[2 * i * (i + 1) :: 2 * i + 1] = False
+    return np.maximum(2 * np.flatnonzero(odd) + 1, 2)
 
 
 @dataclass(frozen=True)
 class MangoldtTable:
-    """Prime-power table: base_prime[n] = p if n = p^k (k >= 1), else 0.
+    """The prime powers n_j = p^k <= limit, ascending, and their base primes.
 
-    ``prime_powers``, ``base_log`` and ``power_index`` are the compressed
-    ascending view used by series evaluation: entry j is the j-th prime
-    power n_j with its log(p) and exponent k.  ``psi`` is the cumulative
-    Chebyshev sum over that view: psi[j] = sum of log(p) for the first
-    j+1 prime powers.
+    Entry j of every array belongs to the j-th prime power: ``prime_powers``
+    holds n_j, ``base_prime`` its prime p, ``base_log`` log(p) and
+    ``power_index`` the exponent k.  ``psi`` is the cumulative Chebyshev sum:
+    psi[j] = sum of log(p) over the first j+1 prime powers.
     """
 
     limit: int
-    base_prime: np.ndarray
+    base_prime: np.ndarray = field(repr=False)
     prime_powers: np.ndarray = field(repr=False)
     base_log: np.ndarray = field(repr=False)
     power_index: np.ndarray = field(repr=False)
@@ -54,7 +53,7 @@ class MangoldtTable:
 
 
 def sieve_mangoldt(limit: int) -> MangoldtTable:
-    """Sieve the von Mangoldt base-prime table for all n <= limit.
+    """Sieve the prime powers up to limit: the primes, then p^k (k >= 2) for p <= sqrt(limit).
 
     Raises:
         ValueError: limit < 1 or above the configured cap.
@@ -63,28 +62,25 @@ def sieve_mangoldt(limit: int) -> MangoldtTable:
         raise ValueError("sieve limit must be >= 1")
     if limit > SIEVE_LIMIT_CAP:
         raise ValueError(f"sieve limit {limit} exceeds cap {SIEVE_LIMIT_CAP}")
-    base = np.zeros(limit + 1, dtype=np.int32)
-    if limit >= 2:
-        primes = np.nonzero(_prime_sieve(limit))[0].astype(np.int64)
-        pk = primes.copy()
-        while pk.size:
-            base[pk] = primes[: pk.size].astype(np.int32)
-            # next power; the mask is a prefix because pk grows while
-            # limit // p shrinks along the ascending prime list
-            keep = pk <= limit // primes[: pk.size]
-            pk = pk[keep] * primes[: pk.size][keep]
-    pp = np.nonzero(base)[0].astype(np.int64)
-    base_log = np.log(base[pp].astype(np.float64))
-    # exponent k of n = p^k, recovered by rounding log n / log p
-    power_index = np.rint(np.log(pp.astype(np.float64)) / base_log).astype(np.int64)
-    psi = np.cumsum(base_log)
+    primes = _primes(limit)
+    p = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
+    pk, k, parts = p * p, 2, [(primes[:0],) * 3]
+    while pk.size:
+        parts.append((pk, p, np.full(pk.size, k)))
+        p, pk, k = p[keep := pk <= limit // p], pk[keep] * p[keep], k + 1
+    # the few higher powers, sorted, go in among the primes
+    n, base, exponent = map(np.concatenate, zip(*parts))
+    order = np.argsort(n)
+    at = np.searchsorted(primes, n[order])
+    base_prime = np.insert(primes, at, base[order])
+    base_log = np.log(base_prime.astype(np.float64))
     return MangoldtTable(
         limit=limit,
-        base_prime=base,
-        prime_powers=pp,
+        base_prime=base_prime,
+        prime_powers=np.insert(primes, at, n[order]),
         base_log=base_log,
-        power_index=power_index,
-        psi=psi,
+        power_index=np.insert(np.ones_like(primes), at, exponent[order]),
+        psi=np.cumsum(base_log),
     )
 
 
@@ -107,7 +103,7 @@ def b_coefficients(m: int, limit: int) -> list[int]:
     if limit > SIEVE_LIMIT_CAP:
         raise ValueError(f"sieve limit {limit} exceeds cap {SIEVE_LIMIT_CAP}")
     b = [0] + [1] * limit
-    for p in np.nonzero(_prime_sieve(limit))[0].tolist():
+    for p in _primes(limit).tolist():
         factor = 1 - p ** (m - 1)
         b[p::p] = [v * factor for v in b[p::p]]
     return b

@@ -34,9 +34,9 @@ from .weights import SQRT_PI, TWO_PI, GaussianTriplet
 from .zeros import ZeroTable, zeros_up_to
 
 DIRECT_HALF_BUDGET = 80_000_000  # bound on n^(m-1), the index tuples of the longer half
-# the direct route's steps; small, so that its arrays do not raise peak memory
+# the direct route's steps; small, so that its arrays (32 KB at BLOCK) do not raise peak memory
 PREFIXES = 2**11  # index tuples, or sorted multisets, of the streamed half per step
-BLOCK = 2**14  # pairs of half values per call of h.value, plus at most one row
+BLOCK = 2**12  # pairs of half values per call of h.value, plus at most one row
 SAMPLES_PER_PERIOD = 16  # cap on the spectral rate, per period of the fastest phase
 ALIAS_TARGET = 1e-16  # the alias bound the spectral rate aims for
 MAIN_TERM_TOL = 1e-6  # default tolerance of the main term's certified tail

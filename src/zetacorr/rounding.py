@@ -28,7 +28,7 @@ MARGIN = 1.0 + 2.0**-40
 
 _BINS = 2098  # frexp exponents of finite nonzero float64: -1073 ... 1024
 _FLUSH = 2**24  # terms per flush: bin sums of 27-bit halves stay below 2^51
-_PIECE = 2**14  # terms binned at once, so the temporaries stay small
+_PIECE = 2**12  # terms binned at once: each temporary is 32 KB, the direct route's BLOCK
 
 
 def gamma(k: int) -> float:

@@ -399,14 +399,18 @@ def phase_sums(g: np.ndarray, count: int, rel: float, w=1.0, phi=0.0):
       so each is within gamma_(2n) of sum |x| |y| (Higham, section 3.1).
     The bound is evaluated in float64 without MARGIN, which a certificate applies.
     """
-    block = np.exp(1j * (np.arange(ROW, dtype=np.float64)[:, None] * g)) * w
+    block = np.zeros((ROW, g.size), np.complex128)  # formed in place: one (ROW x n) array
+    np.multiply.outer(np.arange(ROW, dtype=np.float64), g, out=block.imag)
+    np.multiply(np.exp(block, out=block), w, out=block)
     rows = -(-count // ROW)
     out = np.empty(rows * ROW, np.complex128)
     for r0 in range(0, rows, CHUNK):
-        theta = np.multiply.outer(np.arange(r0, min(rows, r0 + CHUNK)) * -float(ROW), g) - phi
-        conj = np.empty(theta.shape, np.complex128)
+        conj = np.empty((min(rows - r0, CHUNK), g.size), np.complex128)
+        theta = conj.imag  # the row phases, then their sines, in place
+        np.multiply.outer(np.arange(r0, r0 + conj.shape[0]) * -float(ROW), g, out=theta)
+        theta -= phi
         np.cos(theta, out=conj.real)
-        np.sin(theta, out=conj.imag)
+        np.sin(theta, out=theta)
         out[r0 * ROW : (r0 + CHUNK) * ROW] = sum(
             np.vecdot(conj[:, None, k : k + PIECE], block[None, :, k : k + PIECE])
             for k in range(0, g.size, PIECE)

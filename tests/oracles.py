@@ -178,11 +178,25 @@ def sinc_power_integral(n: int) -> Fraction:
 
 
 def lambda_value(table, n: int) -> float:
-    """Lambda(n) read off a Mangoldt table: log of n's base prime, or 0."""
+    """Lambda(n) read off a Mangoldt table: log of n's base prime, found by binary search, or 0."""
     if not 1 <= n <= table.limit:
         raise ValueError(f"n={n} outside table range [1, {table.limit}]")
-    p = int(table.base_prime[n])
-    return math.log(p) if p else 0.0
+    j = int(np.searchsorted(table.prime_powers, n))
+    listed = j < table.prime_powers.size and table.prime_powers[j] == n
+    return math.log(int(table.base_prime[j])) if listed else 0.0
+
+
+def prime_power_entries(limit: int) -> list[tuple[int, int, int]]:
+    """(n, p, k) for every prime power n = p^k <= limit, ascending, by trial division."""
+    entries = []
+    for n in range(2, limit + 1):
+        p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+        rest, k = n, 0
+        while rest % p == 0:
+            rest, k = rest // p, k + 1
+        if rest == 1:
+            entries.append((n, p, k))
+    return entries
 
 
 def divisors(k: int) -> list[int]:

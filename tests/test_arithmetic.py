@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +8,12 @@ import pytest
 import zetacorr as z
 from zetacorr.arithmetic import SIEVE_LIMIT_CAP, b_coefficients
 
-from oracles import b_coefficient_naive, divisors, lambda_value, mobius
+from oracles import b_coefficient_naive, divisors, lambda_value, mobius, prime_power_entries
 
 B_LIMIT = 10_000
+# limits at and next to prime powers, where a sieve's bounds are tested
+POWERS = (4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169, 243, 343, 529, 1024, 2187)
+EDGE_LIMITS = sorted({1, 2, 3} | {q + d for q in POWERS for d in (-1, 0, 1)})
 
 
 def trial_factor_lambda(n: int) -> float:
@@ -39,9 +44,12 @@ class TestMangoldtSieve:
             assert lambda_value(mangoldt_small, n) == trial_factor_lambda(n), n
 
     def test_nonzero_iff_prime_power(self, mangoldt_small):
-        for n in range(2, 10_001):
-            is_pp = trial_factor_lambda(n) != 0.0
-            assert (mangoldt_small.base_prime[n] != 0) == is_pp
+        # the table lists exactly the n with Lambda(n) != 0, each with its prime
+        head = mangoldt_small.prime_powers <= 10_000
+        listed = mangoldt_small.prime_powers[head].tolist()
+        assert listed == [n for n in range(2, 10_001) if trial_factor_lambda(n) != 0.0]
+        for n, p in zip(listed, mangoldt_small.base_prime[head].tolist()):
+            assert math.log(p) == trial_factor_lambda(n), n
 
     def test_chebyshev_identity(self, mangoldt_small):
         # sum of Lambda over divisors of n recovers log n
@@ -54,10 +62,41 @@ class TestMangoldtSieve:
     def test_compressed_view_consistent(self, mangoldt_small):
         pp = mangoldt_small.prime_powers
         assert (np.diff(pp) > 0).all()
-        recon = mangoldt_small.base_prime[pp].astype(float)
-        assert np.allclose(np.log(recon), mangoldt_small.base_log)
-        n_back = recon ** mangoldt_small.power_index
-        assert np.array_equal(n_back.astype(np.int64), pp)
+        base = mangoldt_small.base_prime
+        assert np.array_equal(np.log(base.astype(float)), mangoldt_small.base_log)
+        assert np.array_equal(base**mangoldt_small.power_index, pp)
+
+    def test_every_array_is_aligned_with_the_prime_powers(self, mangoldt_small):
+        # no array is indexed by n itself: a reader of base_prime[n] would
+        # read the prime of the n-th prime power
+        arrays = [f.name for f in dataclasses.fields(mangoldt_small) if f.name != "limit"]
+        for name in arrays:
+            assert getattr(mangoldt_small, name).shape == mangoldt_small.prime_powers.shape, name
+
+    def test_peak_memory_is_the_table_and_the_odd_sieve(self):
+        # at the dips-quartic limit: the five arrays of P 8-byte entries it
+        # returns, one more (the primes), and one byte per odd number
+        limit = 287_467
+        tracemalloc.start()
+        try:
+            table = z.sieve_mangoldt(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * table.prime_powers.size + limit // 2
+
+    @pytest.mark.parametrize("limit", EDGE_LIMITS)
+    def test_matches_trial_division_at_edge_limits(self, limit):
+        table = z.sieve_mangoldt(limit)
+        n, p, k = np.array(prime_power_entries(limit), np.int64).reshape(-1, 3).T
+        assert table.prime_powers.dtype == table.base_prime.dtype == table.power_index.dtype == np.int64
+        assert table.base_log.dtype == table.psi.dtype == np.float64
+        assert np.array_equal(table.prime_powers, n)
+        assert np.array_equal(table.base_prime, p)
+        assert np.array_equal(table.power_index, k)
+        logs = np.log(p.astype(np.float64))
+        assert np.array_equal(table.base_log, logs)
+        assert np.array_equal(table.psi, np.cumsum(logs))
 
     def test_psi_at(self, mangoldt_small):
         expected = math.fsum(lambda_value(mangoldt_small, n) for n in range(1, 101))

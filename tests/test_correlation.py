@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import zetacorr as z
 from zetacorr import correlation, series, tuples
 from zetacorr.correlation import _zero_sums
+from zetacorr.rounding import gamma
 from zetacorr.series import ROW, transform_truncation
 
 from oracles import canonical_pair_count, naive_correlation_sum, tuple_count_naive
@@ -248,6 +249,14 @@ class TestDirectRoute:
         assert diag.tuple_count > 10**6
         assert peak < 8e6
 
+    def test_peak_is_a_few_arrays_of_one_block(self, weight_default, zero_table):
+        # h.value and exact_sum hold about a dozen 8-byte arrays of one block,
+        # BLOCK pairs plus at most one row of the sorted half (its n (n + 1) / 2
+        # multisets), and BLOCK keeps them within 0.6 MB
+        n = z.zeros_up_to(zero_table, 150.0).size
+        _, peak = self.direct_peak_bytes(weight_default, [1, 1, -1, -1], 150.0, zero_table)
+        assert peak <= 13 * 8 * (correlation.BLOCK + n * (n + 1) // 2) <= 0.6e6
+
     def test_data_error_beyond_coverage(self, weight_default, tiny_zeros):
         with pytest.raises(z.DataError):
             z.direct_correlation_sum(
@@ -377,6 +386,21 @@ class TestSpectralRoute:
         miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
         assert np.all(miss <= bound)
         assert np.max(bound) <= 1e3 * np.max(miss)
+
+    @needs_extended
+    def test_caller_phase_error_is_in_the_bound(self, zero_table):
+        # one ordinate, so nothing cancels; at this dx the four roundings of
+        # g = fl(fl(fl(2 pi) a) dx) gamma lose 2.07 U of it, all downward,
+        # so at far nodes the realised error exceeds every term of the bound
+        # but the caller's gamma_4 k |g|
+        gammas = z.zeros_up_to(zero_table, 15.0)
+        a, dx, j = 3, 0.004013022665488758, np.arange(4000)
+        got, bound = _zero_sums(gammas, a, dx, j.size)
+        exact = _zero_phase_sum_oracle(gammas, a, j.astype(LD) * LD(dx))
+        miss = np.abs(got.astype(np.clongdouble) - exact).astype(np.float64)
+        assert gammas.size == 1 and np.all(miss <= bound)
+        callers = gamma(4) * j * abs(float((correlation.TWO_PI * a * dx) * gammas[0]))
+        assert np.max(miss - (bound - callers)) > 0.0
 
     @needs_extended
     def test_bound_holds_for_a_sequential_contraction(self, zero_table):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -11,6 +12,7 @@ from zetacorr import series
 from zetacorr.quadrature import adaptive_integrate
 from zetacorr.rounding import TRIG_ABS, U, gamma
 from zetacorr.series import (
+    CHUNK,
     PROXY_TOL_SHARE,
     ROW,
     _chebyshev_error,
@@ -409,6 +411,20 @@ class TestProfileGridPath:
         miss = np.abs(grid.astype(LD) - exact).astype(np.float64)
         assert np.all(miss <= bound)
         assert np.max(bound) <= 1e3 * np.max(miss)
+
+    def test_phase_sums_peak_is_one_block_and_one_chunk(self, mangoldt_medium):
+        # the dips-quartic grid call: the (ROW x n) complex block and one chunk
+        # of CHUNK rows of complex phases, within 10 %
+        ts, t_max = z.t_grid(10.0, 40.0, 0.02)
+        _, x, a, _ = _proxied((1, 1, -1, -1), 1e-2, mangoldt_medium, t_max)
+        g, phi = (ts[1] - ts[0]) * x, ts[0] * x
+        tracemalloc.start()
+        try:
+            phase_sums(g, ts.size, gamma(3), a, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 16 * (ROW + CHUNK) * x.size
 
 
 class TestKernelExpansion:

@@ -110,8 +110,7 @@ def _cmd_kfun(args) -> int:
             raise ValueError(f"tuple {tup} given more than once")
     cfg = SeriesConfig(tolerance=args.tolerance)
     grid = t_grid(args.t_lo, args.t_hi, args.step)
-    table = _sieve_for(tuples, args.tolerance)
-    ts, columns = profile_grid(tuples, grid, table, cfg)
+    ts, columns = profile_grid(tuples, grid, _sieve_for(tuples, args.tolerance), cfg)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             write_profile_csv(fh, ts, columns)
@@ -178,8 +177,7 @@ def _cmd_dips(args) -> int:
     zeros = load_zeros(args.zeros or default_zeros_path())
     cfg = SeriesConfig(tolerance=args.tolerance)
     grid = scan_grid(args.t_lo, args.t_hi, args.step, args.window)
-    table = _sieve_for([tup], args.tolerance)
-    records = scan_minima(tup, grid, table, cfg)
+    records = scan_minima(tup, grid, _sieve_for([tup], args.tolerance), cfg)
     if args.deep_only:
         records = deep_minima(records)
     records = match_to_zeros(records, zeros, window=args.window)

@@ -117,12 +117,14 @@ def scan_minima(
 
     The grid takes one call of the evaluator, and each golden step of all
     minima one more (`_golden_lockstep`).  Every returned record satisfies
-    the grid certificate y(t_min - step) >= y_min <= y(t_min + step).
+    the grid certificate y(t_min - step) >= y_min <= y(t_min + step).  A table
+    passed as an expression is freed once the evaluator is built.
     """
     ts, t_max = grid
     if ts.size < 3:
         return []
     profile = kernel_profile_evaluator(tup, table, cfg, t_max)
+    del table
     ys = profile(ts)
     i = 1 + np.flatnonzero((ys[1:-1] < ys[:-2]) & (ys[1:-1] < ys[2:]))
     t_min, y_min = _golden_lockstep(profile, ts[i - 1], ts[i + 1])
@@ -171,6 +173,7 @@ def profile_grid(
     """Profile curves y(t) for several tuples on a shared `t_grid`.
 
     Returns the grid and one column per tuple keyed by its display form.
+    The table is dropped, as in `scan_minima`, before any column is evaluated.
 
     Raises:
         ValueError: no tuples.
@@ -178,10 +181,9 @@ def profile_grid(
     if not tuples:
         raise ValueError("need at least one tuple")
     ts, t_max = grid
-    columns = {}
-    for tup in tuples:
-        columns[f"y_{tup.compact}"] = kernel_profile_evaluator(tup, table, cfg, t_max)(ts)
-    return ts, columns
+    profiles = {f"y_{t.compact}": kernel_profile_evaluator(t, table, cfg, t_max) for t in tuples}
+    del table
+    return ts, {name: profile(ts) for name, profile in profiles.items()}
 
 
 def write_profile_csv(fh, ts: np.ndarray, columns: dict[str, np.ndarray]) -> None:

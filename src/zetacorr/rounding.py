@@ -58,10 +58,11 @@ def exact_sum(arrays) -> float:
         flat = np.asarray(array, dtype=np.float64).ravel()
         for start in range(0, flat.size, _PIECE):
             chunk = flat[start : start + _PIECE]
-            finite = np.isfinite(chunk)
-            if not finite.all():
+            frac, exp = np.frexp(chunk)  # frexp passes inf and nan through; |frac| < 1 else
+            if not math.isfinite(np.add.reduce(frac)):
+                finite = np.isfinite(frac)
                 specials.append(chunk[~finite])
-                chunk = chunk[finite]
+                chunk, frac, exp = chunk[finite], frac[finite], exp[finite]
             if only_negative_zeros and chunk.size:
                 seen = True
                 only_negative_zeros = not chunk.any() and bool(np.signbit(chunk).all())
@@ -69,12 +70,13 @@ def exact_sum(arrays) -> float:
                 total += _bins_to_int(hi_bins, lo_bins)
                 hi_bins[:], lo_bins[:], pending = 0.0, 0.0, 0
             pending += chunk.size
-            frac, exp = np.frexp(chunk)
-            mant = frac * 2.0**53
-            hi = np.floor(mant * 2.0**-26)
-            index = exp + 1073
+            mant = np.multiply(frac, 2.0**53, out=frac)
+            hi = mant * 2.0**-26
+            np.floor(hi, out=hi)
+            index = np.add(exp, 1073, dtype=np.intp)  # bincount's index type, cast once
             hi_bins += np.bincount(index, hi, _BINS)
-            lo_bins += np.bincount(index, mant - hi * 2.0**26, _BINS)
+            hi *= 2.0**26
+            lo_bins += np.bincount(index, np.subtract(mant, hi, out=mant), _BINS)  # low halves
     if specials:
         return math.fsum(np.concatenate(specials).tolist())
     total += _bins_to_int(hi_bins, lo_bins)

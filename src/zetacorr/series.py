@@ -345,12 +345,16 @@ def profile_proxies(
 
     The bound is for exact arithmetic; `phase_sums` bounds the rounding of
     the profile's grid path.
+
+    Besides its arguments and the P proxies it holds at most four n-term arrays
+    and an n-byte mask at once: in the node loops, each term's bin and u, and
+    two reused buffers, for the denominator and for one node's weights.
     """
     n = log_n.size
     weight = exact_sum((np.abs(w),))
     r = PROXY_SPAN / max(t_max, 1.0)
-    bins = np.floor((log_n - log_n[0]) / (2.0 * r))
-    first = np.flatnonzero(np.diff(bins, prepend=-1.0))
+    bin_at = lambda x: np.floor((x - log_n[0]) / (2.0 * r))  # elementwise: no n-term array kept
+    first = np.flatnonzero(np.diff(bin_at(log_n), prepend=-1.0))
     occupied = first.size
     for p in range(2, -(-n // occupied)):
         bound = weight * _chebyshev_error(p - 1)
@@ -358,19 +362,23 @@ def profile_proxies(
             break
     else:
         return log_n, w, 0.0
-    centres = log_n[0] + (2.0 * bins[first] + 1.0) * r
+    centres = log_n[0] + (2.0 * bin_at(log_n[first]) + 1.0) * r
     bin_of = np.repeat(np.arange(occupied), np.diff(np.append(first, n)))
     u = np.clip((log_n - centres[bin_of]) / r, -1.0, 1.0)
     nodes = np.cos(np.pi * np.arange(p) / (p - 1))
     lam = (-1.0) ** np.arange(p)
     lam[[0, -1]] *= 0.5
     weights = np.empty((occupied, p))
+    denom, l_j = np.zeros(n), np.empty(n)
+    term = lambda j: np.divide(lam[j], np.subtract(u, nodes[j], out=l_j), out=l_j)
     with np.errstate(divide="ignore", invalid="ignore"):
-        denom = sum(lam[j] / (u - nodes[j]) for j in range(p))
         for j in range(p):
+            np.add(denom, term(j), out=denom)
+        for j in range(p):
+            np.divide(term(j), denom, out=l_j)
             # a term on node j has l_j = 1 (inf / inf here) and l_k = 0
-            l_j = np.where(u == nodes[j], 1.0, lam[j] / (u - nodes[j]) / denom)
-            weights[:, j] = np.bincount(bin_of, weights=w * l_j, minlength=occupied)
+            np.copyto(l_j, 1.0, where=u == nodes[j])
+            weights[:, j] = np.bincount(bin_of, np.multiply(w, l_j, out=l_j), occupied)
     return (centres[:, None] + r * nodes).ravel(), weights.ravel(), bound
 
 

@@ -11,8 +11,10 @@ from zetacorr.dips import GOLDEN
 from zetacorr.errors import DomainError
 from zetacorr.rounding import exact_sum
 from zetacorr.series import (
+    PROXY_SPAN,
     SeriesConfig,
     _check_domain,
+    _chebyshev_error,
     _evaluate,
     _truncated_view,
     choose_truncation,
@@ -126,6 +128,39 @@ def dense_profile(tup, table, cfg):
         return out
 
     return evaluate
+
+
+def proxy_weights_loop(log_n, w, t_max, tol):
+    """`series.profile_proxies` with fresh arrays for each node's weights.
+
+    The same bins, degree and bound; the denominator is a Python sum of the
+    p terms lambda_j / (u - x_j) from 0, and each l_j one `np.where`.
+    """
+    n = log_n.size
+    weight = exact_sum((np.abs(w),))
+    r = PROXY_SPAN / max(t_max, 1.0)
+    bins = np.floor((log_n - log_n[0]) / (2.0 * r))
+    first = np.flatnonzero(np.diff(bins, prepend=-1.0))
+    occupied = first.size
+    for p in range(2, -(-n // occupied)):
+        bound = weight * _chebyshev_error(p - 1)
+        if bound <= tol:
+            break
+    else:
+        return log_n, w, 0.0
+    centres = log_n[0] + (2.0 * bins[first] + 1.0) * r
+    bin_of = np.repeat(np.arange(occupied), np.diff(np.append(first, n)))
+    u = np.clip((log_n - centres[bin_of]) / r, -1.0, 1.0)
+    nodes = np.cos(np.pi * np.arange(p) / (p - 1))
+    lam = (-1.0) ** np.arange(p)
+    lam[[0, -1]] *= 0.5
+    weights = np.empty((occupied, p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = sum(lam[j] / (u - nodes[j]) for j in range(p))
+        for j in range(p):
+            l_j = np.where(u == nodes[j], 1.0, lam[j] / (u - nodes[j]) / denom)
+            weights[:, j] = np.bincount(bin_of, weights=w * l_j, minlength=occupied)
+    return (centres[:, None] + r * nodes).ravel(), weights.ravel(), bound
 
 
 def golden_minimize(f, lo: float, hi: float, tol: float = 1e-4) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py keeps the pairs it has when a later run fails."""
+"""tools/bench_pairs.py keeps the pairs it has when a later run fails, and gives verdicts."""
 import importlib.util
 import json
 import sys
@@ -48,3 +48,23 @@ def test_failed_run_keeps_earlier_pairs(tmp_path, monkeypatch):
     assert len(entry["pairs"]) == 2 and entry["all_correct"]
     assert entry["summary"]["wall_s"]["pairs"] == 2
     assert [p["first"] for p in entry["pairs"]] == ["parent", "change"]
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, expected",
+    [
+        # 9 of 10 won, medians 0.1 apart against a parent IQR of 0.02
+        ([1.0, 1.01, 1.02] * 3 + [1.0], [0.9] * 9 + [1.1], "lower", "gain"),
+        ([10.0] * 10, [9.8] * 10, "higher", "worse"),
+        ([1.0, 2.0] * 5, [1.4, 1.6] * 5, "lower", "unresolved"),
+        ([1.0, 1.01] * 5, [1.01, 1.0] * 5, "lower", "no worse"),
+    ],
+)
+def test_verdicts(parent, change, better, expected):
+    tool = _load_tool()
+    pairs = [
+        {"parent": {"metrics": {"m": p}}, "change": {"metrics": {"m": c}}}
+        for p, c in zip(parent, change)
+    ]
+    summary = tool.summarize(pairs, {"m": {"better": better, "bound": 0.15}})
+    assert summary["m"]["verdict"] == expected

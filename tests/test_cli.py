@@ -5,13 +5,14 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import zetacorr as z
-from zetacorr import cli, identities
+from zetacorr import cli, identities, series
 from zetacorr.cli import main
 from zetacorr.config import KEYS, ExperimentConfig, parse_config_text
 from zetacorr.correlation import build_report, leading_constant, main_term
@@ -388,6 +389,29 @@ class TestDipsCommand:
         args = ["dips", "--tuple", "1,1,-2", "--t-lo", "13.5", "--t-hi", "14.8"]
         assert main(args + ["--tolerance", "0.1", "--deep-only", option, value]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dips", "kfun"])
+def test_sieve_table_freed_before_the_phase_sums(capsys, monkeypatch, command):
+    # dips and kfun hand the table to scan_minima and profile_grid as an
+    # expression, and those drop it once the evaluators are built
+    tables, alive = [], []
+    sieve, sums = cli.sieve_mangoldt, series.phase_sums
+
+    def recorded_sieve(limit):
+        table = sieve(limit)
+        tables.append(weakref.ref(table))
+        return table
+
+    def recorded_sums(*args):
+        alive.append(tables[0]() is not None)
+        return sums(*args)
+
+    monkeypatch.setattr(cli, "sieve_mangoldt", recorded_sieve)
+    monkeypatch.setattr(series, "phase_sums", recorded_sums)
+    assert main([command, "--tuple", "1,1,-1,-1", "--tolerance", "1e-2"]) == 0
+    capsys.readouterr()
+    assert len(tables) == 1 and alive == [False]
 
 
 class TestGridRange:

@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import zetacorr as z
 from zetacorr import series
@@ -13,6 +13,7 @@ from zetacorr.quadrature import adaptive_integrate
 from zetacorr.rounding import TRIG_ABS, U, gamma
 from zetacorr.series import (
     CHUNK,
+    PROXY_SPAN,
     PROXY_TOL_SHARE,
     ROW,
     _chebyshev_error,
@@ -33,6 +34,7 @@ from oracles import (
     kernel_expansion_residual,
     log_derivative_series,
     prime_tail_estimate,
+    proxy_weights_loop,
 )
 
 CFG = z.SeriesConfig(tolerance=1e-6)
@@ -333,6 +335,61 @@ class TestProfileProxies:
         direct = np.cos(ts[:, None] * x).sum(axis=1)
         proxied = (np.cos(ts[:, None] * nodes) * weights).sum(axis=1)
         assert np.abs(direct - proxied).max() <= bound + 1e-12
+
+
+def _same_bits(got, want) -> bool:
+    return all(np.asarray(g).tobytes() == np.asarray(v).tobytes() for g, v in zip(got, want))
+
+
+class TestProxyBuffers:
+    @pytest.mark.parametrize("t_max", [40.02, 1000.0])
+    @pytest.mark.parametrize("tol", [1e-2, 1e-3])
+    def test_bits_of_the_per_node_loop(self, mangoldt_medium, tol, t_max):
+        tup = z.coefficient_tuple([1, 1, -1, -1])
+        n_cut = choose_truncation(2.0, 4, mangoldt_medium, z.SeriesConfig(tol))
+        log_n, w = profile_terms(tup, mangoldt_medium, n_cut)
+        args = (log_n, 2.0 * w, t_max, PROXY_TOL_SHARE * tol)
+        got = profile_proxies(*args)
+        assert got[2] > 0.0  # proxies, not the terms
+        assert _same_bits(got, proxy_weights_loop(*args))
+
+    @settings(max_examples=60, deadline=None)
+    @example(x0=3.118, edges=[(1, -np.inf)] * 60, w=1.0)  # u rounds past 1: clipped
+    @given(
+        x0=st.floats(min_value=0.0, max_value=10.0),
+        edges=st.lists(
+            st.tuples(st.integers(1, 4), st.sampled_from([-np.inf, 0.0, np.inf])),
+            min_size=60, max_size=100,
+        ),
+        w=st.floats(min_value=1e-3, max_value=1.0),
+    )
+    def test_bits_with_terms_clipped_onto_end_nodes(self, x0, edges, w):
+        # terms at, or one float either side of, the edges of bins of width
+        # 2 PROXY_SPAN (t_max = 1) round or clip to u = +-1, nodes 0 and p - 1,
+        # where the barycentric formula is inf / inf
+        x = np.sort([x0] + [np.nextafter(x0 + 2.0 * PROXY_SPAN * k, d) for k, d in edges])
+        bins = np.floor((x - x[0]) / (2.0 * PROXY_SPAN))
+        u = (x - (x[0] + (2.0 * bins + 1.0) * PROXY_SPAN)) / PROXY_SPAN
+        assume(np.any(np.abs(u) >= 1.0))
+        weights = np.full(x.size, w)
+        got = profile_proxies(x, weights, 1.0, 0.1)
+        assert got[0].size < x.size and np.all(np.isfinite(got[1]))
+        assert _same_bits(got, proxy_weights_loop(x, weights, 1.0, 0.1))
+
+    def test_working_set_is_five_term_arrays(self, mangoldt_medium):
+        # the dips-quartic terms: 23,578 at tolerance 1e-2
+        tup = z.coefficient_tuple([1, 1, -1, -1])
+        n_cut = choose_truncation(2.0, 4, mangoldt_medium, z.SeriesConfig(1e-2))
+        log_n, w = profile_terms(tup, mangoldt_medium, n_cut)
+        a = 2.0 * w
+        tracemalloc.start()
+        try:
+            profile_proxies(log_n, a, 40.02, PROXY_TOL_SHARE * 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log_n.size == 23_578
+        assert peak <= 5 * 8 * log_n.size
 
 
 def _grid_with_bound(profile, ts):

@@ -10,9 +10,10 @@ pair to pair, so slow drifts of the machine hit both sides alike.  The
 end-to-end metrics of every run, their medians and quartiles per side,
 and the number of pairs each side won are written to the workload's
 entry of the output JSON (other workloads' entries are kept), with the
-machine's CPU count.  A metric's direction comes from CHANGE's
-BENCHMARK.json.  The entry is rewritten after every pair, so a run that
-fails (which stops the script) keeps the pairs before it.
+machine's CPU count.  Each metric also gets a verdict (`verdict`): gain,
+worse, unresolved or no worse.  A metric's direction and bound come from
+CHANGE's BENCHMARK.json.  The entry is rewritten after every pair, so a
+run that fails (which stops the script) keeps the pairs before it.
 """
 from __future__ import annotations
 
@@ -52,12 +53,31 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def verdict(entry: dict, sign: float) -> str:
+    """A `summarize` entry's verdict; sign is 1 when lower is better.
+
+    gain: at least 9 in 10 pairs won and a median better by more than the
+    parent's inter-quartile range; worse: a median worse by more than the
+    benchmark's bound; unresolved: a parent range wider than that bound;
+    no worse: anything else.
+    """
+    par, cha, bound = entry["parent"], entry["change"], entry["bound"]
+    gain = sign * (par["median"] - cha["median"])  # > 0: the change is better
+    iqr = par["q3"] - par["q1"]
+    if 10 * entry["change_wins"] >= 9 * entry["pairs"] and gain > iqr:
+        return "gain"
+    if -gain > bound:
+        return "worse"
+    return "unresolved" if iqr > bound else "no worse"
+
+
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Each metric's spreads, pairs won and verdict; metrics as in BENCHMARK.json's end_to_end."""
     out = {}
-    for name, direction in better.items():
+    for name, spec in metrics.items():
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
-        sign = 1.0 if direction == "lower" else -1.0
+        sign = 1.0 if spec["better"] == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         par, cha = spread(parent), spread(change)
         out[name] = {
@@ -69,7 +89,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             # a gain counts when the medians differ by more than the parent's IQR
             "median_gap_over_parent_iqr": abs(cha["median"] - par["median"])
             / max(par["q3"] - par["q1"], 1e-12),
+            "bound": spec["bound"],
         }
+        out[name]["verdict"] = verdict(out[name], sign)
     return out
 
 
@@ -87,7 +109,7 @@ def main() -> int:
         parser.error("need at least two pairs for quartiles")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     seeds = [int(s) for s in args.seeds.split(",")]
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -110,7 +132,7 @@ def main() -> int:
             "seeds": seeds,
             "cpu_model": env["cpu_model"],
             "all_correct": all(p[s]["correct"] for p in pairs for s in roots),
-            "summary": summarize(pairs, better),
+            "summary": summarize(pairs, metrics),
             "pairs": pairs,
         }
         args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

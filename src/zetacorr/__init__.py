@@ -28,7 +28,7 @@ from .correlation import (
     routes_agree,
     spectral_correlation_sum,
 )
-from .dips import DipRecord, match_to_zeros, profile_grid, scan_grid, scan_minima, t_grid
+from .dips import DipRecord, match_to_zeros, scan_grid, scan_minima, t_grid
 from .errors import BudgetError, DataError, DomainError, ResourceError
 from .series import SeriesConfig, closed_form_profile_integral, correlation_kernel
 from .tuples import CoefficientTuple, coefficient_tuple
@@ -74,7 +74,6 @@ __all__ = [
     "match_to_zeros",
     "multinomial",
     "parse_tuple_text",
-    "profile_grid",
     "riemann_von_mangoldt_count",
     "routes_agree",
     "scan_grid",

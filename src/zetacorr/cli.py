@@ -19,7 +19,6 @@ from .correlation import build_report, leading_constant, parse_tuple_text, route
 from .dips import (
     deep_minima,
     match_to_zeros,
-    profile_grid,
     records_json,
     scan_grid,
     scan_minima,
@@ -29,7 +28,7 @@ from .dips import (
 from .errors import BudgetError, DataError, DomainError, ResourceError
 from .identities import run_identity_suite
 from .arithmetic import SIEVE_LIMIT_CAP, sieve_mangoldt
-from .series import SeriesConfig, sieve_limit, transform_truncation
+from .series import SeriesConfig, kernel_profile_evaluator, sieve_limit, transform_truncation
 from .weights import gaussian_triplet
 from .zeros import load_zeros, validate_zero_table
 
@@ -64,6 +63,16 @@ def _sieve_for(tuples, tol: float, h=None):
         return transform_truncation(h, sigma, t.m, tol, SIEVE_LIMIT_CAP)[0]
 
     return sieve_mangoldt(max(map(need, tuples)))
+
+
+def _profiles(tuples, cfg: SeriesConfig, t_max: float) -> list:
+    """The tuples' `kernel_profile_evaluator`s for |t| <= t_max, from one `_sieve_for` table.
+
+    The table is this call's local, so it is freed on return, before any
+    profile is evaluated.
+    """
+    table = _sieve_for(tuples, cfg.tolerance)
+    return [kernel_profile_evaluator(tup, table, cfg, t_max) for tup in tuples]
 
 
 def _cmd_constants(args) -> int:
@@ -109,8 +118,9 @@ def _cmd_kfun(args) -> int:
         if tup in tuples[:i]:
             raise ValueError(f"tuple {tup} given more than once")
     cfg = SeriesConfig(tolerance=args.tolerance)
-    grid = t_grid(args.t_lo, args.t_hi, args.step)
-    ts, columns = profile_grid(tuples, grid, _sieve_for(tuples, args.tolerance), cfg)
+    ts, t_max = t_grid(args.t_lo, args.t_hi, args.step)
+    profiles = _profiles(tuples, cfg, t_max)
+    columns = {f"y_{tup.compact}": profile(ts) for tup, profile in zip(tuples, profiles)}
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             write_profile_csv(fh, ts, columns)
@@ -176,8 +186,12 @@ def _cmd_dips(args) -> int:
     tup = parse_tuple_text(args.tuple)
     zeros = load_zeros(args.zeros or default_zeros_path())
     cfg = SeriesConfig(tolerance=args.tolerance)
-    grid = scan_grid(args.t_lo, args.t_hi, args.step, args.window)
-    records = scan_minima(tup, grid, _sieve_for([tup], args.tolerance), cfg)
+    ts, t_max = scan_grid(args.t_lo, args.t_hi, args.step, args.window)
+    if ts.size < 3:  # no minimum, no evaluator; sieved so a bad tolerance fails as on any grid
+        _sieve_for([tup], args.tolerance)
+        records = []
+    else:
+        records = scan_minima(tup, ts, *_profiles([tup], cfg, t_max))
     if args.deep_only:
         records = deep_minima(records)
     records = match_to_zeros(records, zeros, window=args.window)

@@ -16,14 +16,12 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .arithmetic import MangoldtTable
 from .combinatorics import dip_depth_prediction
 from .errors import BudgetError
-from .series import SeriesConfig, kernel_profile_evaluator
 from .tuples import CoefficientTuple
 from .zeros import ZeroTable
 
@@ -107,24 +105,14 @@ def scan_grid(t_lo: float, t_hi: float, step: float, window: float) -> tuple[np.
     return grid
 
 
-def scan_minima(
-    tup: CoefficientTuple,
-    grid: tuple[np.ndarray, float],
-    table: MangoldtTable,
-    cfg: SeriesConfig,
-) -> list[DipRecord]:
-    """Strict local minima of the profile on `scan_grid`'s grid, golden-refined in t.
+def scan_minima(tup: CoefficientTuple, ts: np.ndarray, profile: Callable) -> list[DipRecord]:
+    """Strict local minima of tup's profile on `scan_grid`'s grid ts, golden-refined in t.
 
-    The grid takes one call of the evaluator, and each golden step of all
-    minima one more (`_golden_lockstep`).  Every returned record satisfies
-    the grid certificate y(t_min - step) >= y_min <= y(t_min + step).  A table
-    passed as an expression is freed once the evaluator is built.
+    profile is tup's `series.kernel_profile_evaluator` for the grid's range.
+    The grid takes one call of it, and each golden step of all minima one more
+    (`_golden_lockstep`).  Every returned record satisfies the grid certificate
+    y(t_min - step) >= y_min <= y(t_min + step); fewer than 3 points give none.
     """
-    ts, t_max = grid
-    if ts.size < 3:
-        return []
-    profile = kernel_profile_evaluator(tup, table, cfg, t_max)
-    del table
     ys = profile(ts)
     i = 1 + np.flatnonzero((ys[1:-1] < ys[:-2]) & (ys[1:-1] < ys[2:]))
     t_min, y_min = _golden_lockstep(profile, ts[i - 1], ts[i + 1])
@@ -162,28 +150,6 @@ def deep_minima(records: Iterable[DipRecord]) -> list[DipRecord]:
 
 def records_json(records: Iterable[DipRecord]) -> str:
     return json.dumps([asdict(r) for r in records], indent=2)
-
-
-def profile_grid(
-    tuples: list[CoefficientTuple],
-    grid: tuple[np.ndarray, float],
-    table: MangoldtTable,
-    cfg: SeriesConfig,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Profile curves y(t) for several tuples on a shared `t_grid`.
-
-    Returns the grid and one column per tuple keyed by its display form.
-    The table is dropped, as in `scan_minima`, before any column is evaluated.
-
-    Raises:
-        ValueError: no tuples.
-    """
-    if not tuples:
-        raise ValueError("need at least one tuple")
-    ts, t_max = grid
-    profiles = {f"y_{t.compact}": kernel_profile_evaluator(t, table, cfg, t_max) for t in tuples}
-    del table
-    return ts, {name: profile(ts) for name, profile in profiles.items()}
 
 
 def write_profile_csv(fh, ts: np.ndarray, columns: dict[str, np.ndarray]) -> None:

@@ -32,7 +32,7 @@ SQRT_PI = math.sqrt(math.pi)
 # exp below this is under 2^-1096, far below half the least subnormal
 # (2^-1075), so it rounds to +0.0 (the tests check numpy's exp there)
 EXP_FLOOR = -760.0
-# |h| beyond the support cutoff, as a share of sup|h|
+# |h| beyond the support cutoff, as a share of |h(0)|
 SUPPORT_THRESHOLD = 1e-14
 
 
@@ -119,28 +119,24 @@ class GaussianTriplet:
             - 2.0 * TWO_PI * c * np.sin(TWO_PI * c * xi)
         )
 
-    def sup_norm(self) -> float:
-        """Measured sup |h| (grid over the support scale), in pieces of about 4,000 points."""
-        xs = np.linspace(0.0, self.center + 6.0 * self.width, 20001)
-        return float(np.max([np.abs(self.value(x)).max() for x in np.array_split(xs, 5)]))
-
     def support_cutoff(self) -> float:
-        """X with |h(x)| <= SUPPORT_THRESHOLD * sup|h| guaranteed for |x| >= X.
+        """X with |h(x)| <= SUPPORT_THRESHOLD * |h(0)| guaranteed for |x| >= X.
 
-        Uses |h(x)| <= 3 exp(-pi ((|x|-c)/s)^2) for |x| >= c.
+        Uses |h(x)| <= 3 exp(-pi ((|x|-c)/s)^2) for |x| >= c.  |h(0)| is at
+        most sup|h|, so the cutoff is at least the one sup|h| would give.
 
         Raises:
-            DomainError: the measured sup is not positive: c is so small,
-                or s so large, that the three bumps cancel exactly.
+            DomainError: h(0) is 0: c is so small, or s so large, that the
+                three bumps cancel there in floating point.
         """
-        sup = self.sup_norm()
-        if not sup > 0.0:
+        at_origin = abs(float(self.value(0.0)))
+        if not at_origin > 0.0:
             raise DomainError(
-                f"the weight h (c={self.center:g}, s={self.width:g}) is 0 everywhere "
+                f"the weight h (c={self.center:g}, s={self.width:g}) is 0 at the origin "
                 "in floating point: its three bumps cancel exactly"
             )
         return self.center + self.width * math.sqrt(
-            math.log(3.0 / (SUPPORT_THRESHOLD * sup)) / math.pi
+            math.log(3.0 / (SUPPORT_THRESHOLD * at_origin)) / math.pi
         )
 
     def value_bound_beyond(self, x_cut: float) -> float:

@@ -174,7 +174,11 @@ def test_criterion_6_profile_dip_reproduction(mangoldt_medium, zero_table):
     summary = []
     for entries, quoted_depth in cases.items():
         tup = z.coefficient_tuple(list(entries))
-        records = z.scan_minima(tup, z.scan_grid(10.0, 40.0, 0.02, 0.5), mangoldt_medium, cfg)
+        records = z.scan_minima(  # the grid's range is max |t| + step
+            tup,
+            z.scan_grid(10.0, 40.0, 0.02, 0.5)[0],
+            z.series.kernel_profile_evaluator(tup, mangoldt_medium, cfg, 40.0 + 0.02),
+        )
         dips = z.match_to_zeros(deep_minima(records), zero_table, window=0.5)
         assert len(dips) == 6, (entries, [r.t_min for r in dips])
         for rec, gamma in zip(dips, FIRST_SIX):

@@ -54,6 +54,46 @@ def test_traced_dips(tmp_path):
     assert {"series.profile_grid", "dips.scan"} <= names
 
 
+# run in a child: spans.install rebinds zetacorr functions for the whole process
+TRACED_TABLE = """
+import contextlib, io, json, sys, weakref
+sys.path[:0] = [{src!r}, {perfbench!r}]
+from zetacorr import cli, series
+import spans
+
+spans.install(spans.Tracer(0))
+tables, alive = [], []
+sieve, sums = cli.sieve_mangoldt, series.phase_sums
+
+def recorded_sieve(limit):
+    table = sieve(limit)
+    tables.append(weakref.ref(table))
+    return table
+
+def recorded_sums(*args):
+    alive.append(tables[0]() is not None)
+    return sums(*args)
+
+cli.sieve_mangoldt, series.phase_sums = recorded_sieve, recorded_sums
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+print(json.dumps([code, len(tables), alive]))
+"""
+
+
+@pytest.mark.parametrize("command", ["dips", "kfun"])
+def test_traced_run_frees_the_sieve_table(command):
+    # the span wrappers hold their call's arguments until it returns, so the
+    # table must not be an argument of a traced call that outlives the sieve
+    argv = [command, "--tuple", "1,1,-1,-1", "--tolerance", "1e-2"]
+    code = TRACED_TABLE.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), argv=argv)
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, 1, [False]]
+
+
 def test_reference_maker_factors(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     make_reference = importlib.import_module("make_reference")

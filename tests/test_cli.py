@@ -131,6 +131,14 @@ class TestKfunCommand:
         assert lines[0] == "t,y_+1+1-2"
         assert len(lines) == 4
 
+    def test_columns_and_header(self, capsys):
+        # one column per tuple, named by its display form, in the order given
+        argv = ["--t-lo", "10", "--t-hi", "11", "--step", "0.5", "--tolerance", "1e-3"]
+        assert main(["kfun", "--tuple", "1,1,-2", "--tuple", "1,2,-3", *argv]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "t,y_+1+1-2,y_+1+2-3"
+        assert len(lines) == 4
+
     def test_single_point_range(self, capsys):
         code = main(
             [
@@ -272,9 +280,11 @@ class TestHsumCommand:
         assert main(["hsum", "--config", str(cfg)]) == 0
         assert "vacuous" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ["h_center = 1e-300", "h_width = 1e300"])
+    @pytest.mark.parametrize("setting", ["h_center = 1e-300", "h_width = 1e300", "h_center = 2e-10"])
     def test_weight_cancelling_to_zero_exit_3(self, tmp_path, capsys, setting):
-        # the three bumps cancel exactly, so the measured sup |h| is 0
+        # the three bumps cancel exactly at the origin, so h(0) = 0; at c = 2e-10
+        # (s = 2) h elsewhere is rounding noise of 2.2e-16, on which the direct
+        # route's certificate was vacuous (exit 1)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"tuples = 1,1,-2\nT = 60\n{setting}\noutput_dir = {tmp_path}\n")
         assert main(["hsum", "--config", str(cfg)]) == 3
@@ -375,6 +385,25 @@ class TestDipsCommand:
         assert len(records) == 1
         assert records[0]["matched_gamma"] == pytest.approx(14.134725, abs=1e-4)
 
+    @pytest.mark.parametrize("t_hi", ["15", "15.02"])
+    def test_grid_below_three_points_sieves_but_builds_no_evaluator(
+        self, capsys, monkeypatch, t_hi
+    ):
+        # no interior point, so no minimum; the sieve still runs, so that a
+        # tolerance fails here as on any grid
+        def unreachable(*args):
+            raise AssertionError("evaluator built")
+
+        limits = []
+        sieve = cli.sieve_mangoldt
+        monkeypatch.setattr(cli, "sieve_mangoldt", lambda n: limits.append(n) or sieve(n))
+        monkeypatch.setattr(cli, "kernel_profile_evaluator", unreachable)
+        argv = ["dips", "--tuple", "1,1,-2", "--t-lo", "15", "--t-hi", t_hi, "--tolerance", "0.1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "[]\n" and len(limits) == 1
+        assert main([*argv[:-1], "1e-300"]) == 4
+        assert "limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "option, value, message",
         [
@@ -393,8 +422,7 @@ class TestDipsCommand:
 
 @pytest.mark.parametrize("command", ["dips", "kfun"])
 def test_sieve_table_freed_before_the_phase_sums(capsys, monkeypatch, command):
-    # dips and kfun hand the table to scan_minima and profile_grid as an
-    # expression, and those drop it once the evaluators are built
+    # the table is a local of cli._profiles, which returns the evaluators
     tables, alive = [], []
     sieve, sums = cli.sieve_mangoldt, series.phase_sums
 

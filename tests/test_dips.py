@@ -1,4 +1,3 @@
-import io
 import json
 import math
 
@@ -6,19 +5,26 @@ import numpy as np
 import pytest
 
 import zetacorr as z
-from zetacorr.dips import deep_minima, records_json, write_profile_csv
+from zetacorr.dips import deep_minima, records_json
 from zetacorr.series import kernel_profile_evaluator
 
 from oracles import golden_minimize, kernel_pole_expansion
 
 CFG = z.SeriesConfig(tolerance=1e-3)
 FIRST_SIX = [14.134725, 21.022040, 25.010858, 30.424876, 32.935062, 37.586178]
+ASYM = z.coefficient_tuple([1, 1, -2])
 
 
 @pytest.fixture(scope="module")
-def asym_records(mangoldt_medium):
-    tup = z.coefficient_tuple([1, 1, -2])
-    return z.scan_minima(tup, z.scan_grid(10.0, 40.0, 0.02, 0.5), mangoldt_medium, CFG)
+def asym_profile(mangoldt_medium):
+    """The (1,1,-2) scan grid on [10, 40] at step 0.02, and the evaluator for its range."""
+    ts, t_max = z.scan_grid(10.0, 40.0, 0.02, 0.5)
+    return ts, kernel_profile_evaluator(ASYM, mangoldt_medium, CFG, t_max)
+
+
+@pytest.fixture(scope="module")
+def asym_records(asym_profile):
+    return z.scan_minima(ASYM, *asym_profile)
 
 
 class TestScan:
@@ -26,9 +32,10 @@ class TestScan:
         with pytest.raises(ValueError, match=r"step must be in \(0, 0.05\]"):
             z.scan_grid(10.0, 40.0, 0.2, 0.5)
 
-    def test_empty_range(self, mangoldt_medium):
-        grid = z.scan_grid(15.0, 15.0, 0.02, 0.5)
-        assert z.scan_minima(z.coefficient_tuple([1, 1, -2]), grid, mangoldt_medium, CFG) == []
+    def test_empty_range(self, asym_profile):
+        for t_hi in (15.0, 15.02):  # one or two points: none is interior
+            ts, _ = z.scan_grid(15.0, t_hi, 0.02, 0.5)
+            assert z.scan_minima(ASYM, ts, asym_profile[1]) == []
 
     def test_six_deep_minima_near_first_ordinates(self, asym_records):
         deep = deep_minima(asym_records)
@@ -36,13 +43,10 @@ class TestScan:
         for rec, gamma in zip(deep, FIRST_SIX):
             assert abs(rec.t_min - gamma) < 0.5
 
-    def test_local_minimum_certificate(self, asym_records, mangoldt_medium):
+    def test_local_minimum_certificate(self, asym_profile):
         step = 0.02
-        # the scan's own evaluator: the range it passes is max |t| + step
-        profile = kernel_profile_evaluator(
-            z.coefficient_tuple([1, 1, -2]), mangoldt_medium, CFG, 40.0 + step
-        )
-        for rec in deep_minima(asym_records):
+        ts, profile = asym_profile  # the evaluator the scan reads
+        for rec in deep_minima(z.scan_minima(ASYM, ts, profile)):
             around = profile(np.array([rec.t_min - step, rec.t_min + step]))
             assert around[0] >= rec.y_min and around[1] >= rec.y_min
 
@@ -57,10 +61,9 @@ class TestLockstepRefinement:
     @pytest.mark.parametrize("entries", [[1, 1, -1, -1], [1, 1, -2]])
     def test_equals_each_search_alone(self, mangoldt_medium, entries):
         tup = z.coefficient_tuple(entries)
-        grid = z.scan_grid(10.0, 40.0, 0.02, 0.5)
-        records = z.scan_minima(tup, grid, mangoldt_medium, CFG)
-        ts, t_max = grid
+        ts, t_max = z.scan_grid(10.0, 40.0, 0.02, 0.5)
         profile = kernel_profile_evaluator(tup, mangoldt_medium, CFG, t_max)
+        records = z.scan_minima(tup, ts, profile)
         ys = profile(ts)
         scalar = lambda t: float(profile(np.array([t]))[0])
         alone = [
@@ -145,25 +148,3 @@ class TestPoleExpansion:
         table = z.load_zeros(empty)
         with pytest.raises(ValueError):
             kernel_pole_expansion(2.5, 3, 10, table)
-
-
-class TestProfileGrid:
-    def test_columns_and_header(self, mangoldt_medium):
-        tuples = [z.coefficient_tuple([1, 1, -2]), z.coefficient_tuple([1, 2, -3])]
-        ts, columns = z.profile_grid(tuples, z.t_grid(10.0, 11.0, 0.5), mangoldt_medium, CFG)
-        assert list(columns) == ["y_+1+1-2", "y_+1+2-3"]
-        assert ts.size == 3
-        buf = io.StringIO()
-        write_profile_csv(buf, ts, columns)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "t,y_+1+1-2,y_+1+2-3"
-        assert len(lines) == 4
-
-    def test_balanced_column_positive_at_origin(self, mangoldt_medium):
-        tup = z.coefficient_tuple([1, 1, -1, -1])
-        ts, columns = z.profile_grid([tup], z.t_grid(0.0, 0.5, 0.5), mangoldt_medium, CFG)
-        assert columns["y_+1+1-1-1"][0] > 0.0
-
-    def test_rejects_empty_tuple_list(self, mangoldt_medium):
-        with pytest.raises(ValueError):
-            z.profile_grid([], z.t_grid(0.0, 1.0, 0.1), mangoldt_medium, CFG)

@@ -175,6 +175,12 @@ def test_every_def_is_reached_from_cli_main():
     assert time.perf_counter() - start <= 0.5
 
 
+def test_dips_reads_the_profile_it_is_given():
+    # the commands build each evaluator where its sieve table is made, so
+    # the table's lifetime is decided in one place (cli._profiles)
+    assert {"arithmetic", "series"} & _definitions()[2]["dips"] == set()
+
+
 # numpy calls that may hand a contraction to BLAS
 CONTRACTIONS = {"dot", "einsum", "inner", "matmul", "tensordot", "vdot", "vecdot"}
 

@@ -230,6 +230,13 @@ class TestProfile:
         assert y0 == pytest.approx(2.0 * k0, rel=1e-14)
         assert y0 > 0.0
 
+    def test_balanced_positive_at_origin(self, mangoldt_medium):
+        # the grid t_grid(0, 0.5, 0.5) of kfun: t = 0 and 0.5, t_max = 1
+        profile = kernel_profile_evaluator(
+            z.coefficient_tuple([1, 1, -1, -1]), mangoldt_medium, LOOSE, 1.0
+        )
+        assert profile(np.array([0.0, 0.5]))[0] > 0.0
+
     def test_grid_matches_scalar(self, mangoldt_medium):
         # the evaluator's proxies are certified to PROXY_TOL_SHARE * tolerance;
         # (1,2,-3) has fewer terms than proxies, (1,1,-2) uses proxies

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 import zetacorr as z
 from zetacorr.quadrature import adaptive_integrate
 from zetacorr.rounding import ELEM_REL, TRIG_ABS
-from zetacorr.weights import EXP_FLOOR
+from zetacorr.weights import EXP_FLOOR, SUPPORT_THRESHOLD
 
-from oracles import triplet_value_unmasked
+from oracles import grid_sup_norm, triplet_value_unmasked
 
 LD = np.longdouble
 LD_PI = np.arccos(LD(-1.0))
@@ -144,10 +144,22 @@ class TestTransformPair:
 class TestBounds:
     def test_support_cutoff_controls_values(self, h):
         cut = h.support_cutoff()
-        sup = h.sup_norm()
+        sup = grid_sup_norm(h)
         xs = np.linspace(cut, cut + 30.0, 5001)
         assert (np.abs(h.value(xs)) <= 1e-14 * sup * 1.01).all()
         assert h.value_bound_beyond(cut) <= 3e-14 * sup
+
+    @pytest.mark.parametrize("width", [0.5, 2.0, 7.0])
+    def test_support_cutoff_is_the_grid_sup_cutoff(self, width):
+        # |h(0)| <= sup|h|, so the cutoff is never below the one from the
+        # sup; on this sweep |h(0)| is the grid maximum, so they are equal
+        for ratio in np.geomspace(1e-3, 1e3, 400):
+            h = z.gaussian_triplet(ratio * width, width)
+            sup = grid_sup_norm(h)
+            oracle = h.center + h.width * math.sqrt(
+                math.log(3.0 / (SUPPORT_THRESHOLD * sup)) / math.pi
+            )
+            assert h.support_cutoff() == oracle, (h, abs(float(h.value(0.0))), sup)
 
     def test_tail_weight_bound_covers_numeric(self, h):
         for t_cut in (24.0, 28.0, 33.0):

@@ -17,14 +17,22 @@ import numpy as np
 SIEVE_LIMIT_CAP = 10**8
 
 
-def _primes(limit: int) -> np.ndarray:
-    """The primes up to limit, ascending: an Eratosthenes sieve over the odd numbers."""
-    odd = np.ones((limit + 1) // 2, dtype=bool)  # entry i stands for 2 i + 1, but entry 0 for 2
+def _odd_sieve(limit: int) -> np.ndarray:
+    """Eratosthenes over the odd numbers up to limit: entry i marks 2 i + 1, but entry 0 marks 2."""
+    odd = np.ones((limit + 1) // 2, dtype=bool)
     odd[0] = limit >= 2
     for i in range(1, (math.isqrt(limit) + 1) // 2):
         if odd[i]:  # cross out the odd multiples of p = 2 i + 1 from p^2 = 2 (2 i (i + 1)) + 1
             odd[2 * i * (i + 1) :: 2 * i + 1] = False
-    return np.maximum(2 * np.flatnonzero(odd) + 1, 2)
+    return odd
+
+
+def _listed(odd: np.ndarray) -> np.ndarray:
+    """The numbers an `_odd_sieve` bitmap (or a head of one) marks, ascending."""
+    n = np.flatnonzero(odd)
+    n *= 2
+    n += 1
+    return np.maximum(n, 2, out=n)  # entry 0 stands for 2
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,7 @@ class MangoldtTable:
 
 
 def sieve_mangoldt(limit: int) -> MangoldtTable:
-    """Sieve the prime powers up to limit: the primes, then p^k (k >= 2) for p <= sqrt(limit).
+    """Sieve the prime powers up to limit, ascending, from one odd-only bitmap and the powers of 2.
 
     Raises:
         ValueError: limit < 1 or above the configured cap.
@@ -62,26 +70,30 @@ def sieve_mangoldt(limit: int) -> MangoldtTable:
         raise ValueError("sieve limit must be >= 1")
     if limit > SIEVE_LIMIT_CAP:
         raise ValueError(f"sieve limit {limit} exceeds cap {SIEVE_LIMIT_CAP}")
-    primes = _primes(limit)
-    p = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
-    pk, k, parts = p * p, 2, [(primes[:0],) * 3]
-    while pk.size:
-        parts.append((pk, p, np.full(pk.size, k)))
-        p, pk, k = p[keep := pk <= limit // p], pk[keep] * p[keep], k + 1
-    # the few higher powers, sorted, go in among the primes
-    n, base, exponent = map(np.concatenate, zip(*parts))
-    order = np.argsort(n)
-    at = np.searchsorted(primes, n[order])
-    base_prime = np.insert(primes, at, base[order])
-    base_log = np.log(base_prime.astype(np.float64))
-    return MangoldtTable(
-        limit=limit,
-        base_prime=base_prime,
-        prime_powers=np.insert(primes, at, n[order]),
-        base_log=base_log,
-        power_index=np.insert(np.ones_like(primes), at, exponent[order]),
-        psi=np.cumsum(base_log),
-    )
+    odd = _odd_sieve(limit)
+    p = _listed(odd[: (math.isqrt(limit) + 1) // 2])  # the primes up to sqrt(limit)
+    pk, k, powers = p, 1, [(p[:0],) * 3]
+    while (p := p[keep := pk <= limit // p]).size:
+        pk, k = pk[keep] * p, k + 1
+        powers.append((pk, p, np.full(p.size, k)))
+    n, base, exponent = map(np.concatenate, zip(*powers))
+    # the odd p^k join the primes in the bitmap; the powers of two go in by position
+    odd[n[base > 2] // 2] = True
+    listed = _listed(odd)
+    del odd
+    twos = n[base == 2]
+    at = np.searchsorted(listed, twos) + np.arange(twos.size)
+    prime_powers = np.empty(listed.size + twos.size, dtype=np.int64)
+    prime_powers[at] = twos
+    odd_at = np.ones(prime_powers.size, dtype=bool)
+    odd_at[at] = False
+    prime_powers[odd_at] = listed
+    del listed, odd_at
+    at = np.searchsorted(prime_powers, n)
+    base_prime, power_index = prime_powers.copy(), np.ones_like(prime_powers)
+    base_prime[at], power_index[at] = base, exponent
+    base_log = np.log(base_prime, dtype=np.float64)
+    return MangoldtTable(limit, base_prime, prime_powers, base_log, power_index, base_log.cumsum())
 
 
 def b_coefficients(m: int, limit: int) -> list[int]:
@@ -103,7 +115,7 @@ def b_coefficients(m: int, limit: int) -> list[int]:
     if limit > SIEVE_LIMIT_CAP:
         raise ValueError(f"sieve limit {limit} exceeds cap {SIEVE_LIMIT_CAP}")
     b = [0] + [1] * limit
-    for p in _primes(limit).tolist():
+    for p in _listed(_odd_sieve(limit)).tolist():
         factor = 1 - p ** (m - 1)
         b[p::p] = [v * factor for v in b[p::p]]
     return b

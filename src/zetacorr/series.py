@@ -216,7 +216,8 @@ def profile_terms(
     """log n and w_n = Lambda(n)^m n^(-S) over the prime powers n <= N, ascending."""
     base_log, k = _truncated_view(table, n_cut)
     log_n = k * base_log
-    return log_n, base_log**tup.m * np.exp(-float(tup.positive_sum) * log_n)
+    w = -float(tup.positive_sum) * log_n
+    return log_n, np.multiply(base_log**tup.m, np.exp(w, out=w), out=w)
 
 
 def _check_domain(s: complex) -> None:
@@ -461,7 +462,8 @@ def kernel_profile_evaluator(
     _check_domain(complex(s_plus, 0.0))
     n_cut = choose_truncation(float(s_plus), m, table, cfg)
     log_n, w = profile_terms(tup, table, n_cut)
-    x, amp, _ = profile_proxies(log_n, 2.0 * w, t_max, PROXY_TOL_SHARE * cfg.tolerance)
+    w *= 2.0
+    x, amp, _ = profile_proxies(log_n, w, t_max, PROXY_TOL_SHARE * cfg.tolerance)
     if not math.isfinite(4.0 * t_max * float(x.max())):
         raise ValueError(f"phases up to 4 t_max log n overflow float64 at t_max = {t_max:g}")
 

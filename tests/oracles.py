@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 
-from zetacorr.arithmetic import b_coefficients
+from zetacorr.arithmetic import MangoldtTable, b_coefficients
 from zetacorr.correlation import _ordinates_for
 from zetacorr.dips import GOLDEN
 from zetacorr.errors import DomainError
@@ -216,6 +216,39 @@ def sinc_power_integral(n: int) -> Fraction:
                 term /= k * k - ell * ell
         total += term
     return n * total
+
+
+def sieve_mangoldt_by_insert(limit: int) -> MangoldtTable:
+    """The `sieve_mangoldt` table by a second route: the primes, then the higher powers sorted in.
+
+    The primes from an odd-only Eratosthenes sieve; p^k (k >= 2) for the
+    p <= sqrt(limit), ordered by `np.argsort` and put among the primes by
+    `np.insert`, one insert for each of n, p and k.
+    """
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # entry i stands for 2 i + 1, but entry 0 for 2
+    odd[0] = limit >= 2
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            odd[2 * i * (i + 1) :: 2 * i + 1] = False
+    primes = np.maximum(2 * np.flatnonzero(odd) + 1, 2)
+    p = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
+    pk, k, parts = p * p, 2, [(primes[:0],) * 3]
+    while pk.size:
+        parts.append((pk, p, np.full(pk.size, k)))
+        p, pk, k = p[keep := pk <= limit // p], pk[keep] * p[keep], k + 1
+    n, base, exponent = map(np.concatenate, zip(*parts))
+    order = np.argsort(n)
+    at = np.searchsorted(primes, n[order])
+    base_prime = np.insert(primes, at, base[order])
+    base_log = np.log(base_prime.astype(np.float64))
+    return MangoldtTable(
+        limit=limit,
+        base_prime=base_prime,
+        prime_powers=np.insert(primes, at, n[order]),
+        base_log=base_log,
+        power_index=np.insert(np.ones_like(primes), at, exponent[order]),
+        psi=np.cumsum(base_log),
+    )
 
 
 def lambda_value(table, n: int) -> float:

@@ -4,13 +4,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zetacorr as z
 from zetacorr.arithmetic import SIEVE_LIMIT_CAP, b_coefficients
 
-from oracles import b_coefficient_naive, divisors, lambda_value, mobius, prime_power_entries
+from oracles import (
+    b_coefficient_naive,
+    divisors,
+    lambda_value,
+    mobius,
+    prime_power_entries,
+    sieve_mangoldt_by_insert,
+)
 
 B_LIMIT = 10_000
+# the dips-quartic limit (tolerance 1e-2) and the default-tolerance (1e-3) one
+WORKLOAD_LIMITS = (287_467, 5_044_949)
 # limits at and next to prime powers, where a sieve's bounds are tested
 POWERS = (4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169, 243, 343, 529, 1024, 2187)
 EDGE_LIMITS = sorted({1, 2, 3} | {q + d for q in POWERS for d in (-1, 0, 1)})
@@ -26,6 +36,17 @@ def trial_factor_lambda(n: int) -> float:
                 n //= p
             return math.log(p) if n == 1 else 0.0
     return 0.0
+
+
+def assert_same_as_insert_build(limit: int) -> None:
+    """Every array of the table has the dtype, shape and bits of `sieve_mangoldt_by_insert`'s."""
+    table, oracle = z.sieve_mangoldt(limit), sieve_mangoldt_by_insert(limit)
+    assert table.limit == oracle.limit == limit
+    for f in dataclasses.fields(table):
+        if f.name != "limit":
+            got, want = getattr(table, f.name), getattr(oracle, f.name)
+            assert got.dtype == want.dtype and got.shape == want.shape, f.name
+            assert got.tobytes() == want.tobytes(), f.name
 
 
 class TestMangoldtSieve:
@@ -74,16 +95,25 @@ class TestMangoldtSieve:
             assert getattr(mangoldt_small, name).shape == mangoldt_small.prime_powers.shape, name
 
     def test_peak_memory_is_the_table_and_the_odd_sieve(self):
-        # at the dips-quartic limit: the five arrays of P 8-byte entries it
-        # returns, one more (the primes), and one byte per odd number
-        limit = 287_467
-        tracemalloc.start()
-        try:
-            table = z.sieve_mangoldt(limit)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 8 * table.prime_powers.size + limit // 2
+        # the five arrays of P 8-byte entries it returns and one byte per odd
+        # number: nothing of table size beside them
+        for limit in WORKLOAD_LIMITS:
+            tracemalloc.start()
+            try:
+                table = z.sieve_mangoldt(limit)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5 * 8 * table.prime_powers.size + limit // 2, limit
+
+    @pytest.mark.parametrize("limit", WORKLOAD_LIMITS)
+    def test_matches_the_insert_build_at_workload_limits(self, limit):
+        assert_same_as_insert_build(limit)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=20_000))
+    def test_matches_the_insert_build(self, limit):
+        assert_same_as_insert_build(limit)
 
     @pytest.mark.parametrize("limit", EDGE_LIMITS)
     def test_matches_trial_division_at_edge_limits(self, limit):

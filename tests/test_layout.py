@@ -200,3 +200,23 @@ def test_blas_contractions_only_in_phase_sums():
                 if isinstance(getattr(node, "op", None), ast.MatMult) or name in CONTRACTIONS:
                     found.append((owner, node.lineno))
     assert found and {owner for owner, _ in found} == {"series.phase_sums"}, found
+
+
+# numpy calls that reorder or merge arrays
+REORDERS = {"argsort", "insert", "lexsort", "sort", "unique"}
+
+
+def test_prime_power_table_is_built_in_ascending_order():
+    # the sieve lists the prime powers in order from its bitmap, and the
+    # profile weights are formed from that order, so neither sorts or merges
+    found = []
+    for mod, owner in (("arithmetic", None), ("series", "profile_terms")):
+        tree = ast.parse((PACKAGE / f"{mod}.py").read_text(encoding="utf-8"))
+        tops = [top for top in tree.body if owner in (None, getattr(top, "name", None))]
+        assert tops, (mod, owner)
+        for top in tops:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                if getattr(func, "attr", getattr(func, "id", None)) in REORDERS:
+                    found.append((mod, node.lineno))
+    assert found == []

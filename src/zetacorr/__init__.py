@@ -30,7 +30,7 @@ from .correlation import (
 )
 from .dips import DipRecord, match_to_zeros, scan_grid, scan_minima, t_grid
 from .errors import BudgetError, DataError, DomainError, ResourceError
-from .series import SeriesConfig, closed_form_profile_integral, correlation_kernel
+from .series import closed_form_profile_integral, correlation_kernel
 from .tuples import CoefficientTuple, coefficient_tuple
 from .weights import GaussianTriplet, class_membership_report, gaussian_triplet
 from .zeros import (
@@ -55,7 +55,6 @@ __all__ = [
     "GaussianTriplet",
     "MangoldtTable",
     "ResourceError",
-    "SeriesConfig",
     "ZeroTable",
     "balanced_coefficient",
     "balanced_sinc_constant",

@@ -28,7 +28,7 @@ from .dips import (
 from .errors import BudgetError, DataError, DomainError, ResourceError
 from .identities import run_identity_suite
 from .arithmetic import SIEVE_LIMIT_CAP, sieve_mangoldt
-from .series import SeriesConfig, kernel_profile_evaluator, sieve_limit, transform_truncation
+from .series import kernel_profile_evaluator, sieve_limit, transform_truncation
 from .weights import gaussian_triplet
 from .zeros import load_zeros, validate_zero_table
 
@@ -65,14 +65,14 @@ def _sieve_for(tuples, tol: float, h=None):
     return sieve_mangoldt(max(map(need, tuples)))
 
 
-def _profiles(tuples, cfg: SeriesConfig, t_max: float) -> list:
+def _profiles(tuples, tol: float, t_max: float) -> list:
     """The tuples' `kernel_profile_evaluator`s for |t| <= t_max, from one `_sieve_for` table.
 
     The table is this call's local, so it is freed on return, before any
     profile is evaluated.
     """
-    table = _sieve_for(tuples, cfg.tolerance)
-    return [kernel_profile_evaluator(tup, table, cfg, t_max) for tup in tuples]
+    table = _sieve_for(tuples, tol)
+    return [kernel_profile_evaluator(tup, table, tol, t_max) for tup in tuples]
 
 
 def _cmd_constants(args) -> int:
@@ -117,9 +117,8 @@ def _cmd_kfun(args) -> int:
     for i, tup in enumerate(tuples):
         if tup in tuples[:i]:
             raise ValueError(f"tuple {tup} given more than once")
-    cfg = SeriesConfig(tolerance=args.tolerance)
     ts, t_max = t_grid(args.t_lo, args.t_hi, args.step)
-    profiles = _profiles(tuples, cfg, t_max)
+    profiles = _profiles(tuples, args.tolerance, t_max)
     columns = {f"y_{tup.compact}": profile(ts) for tup, profile in zip(tuples, profiles)}
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -185,13 +184,8 @@ def _cmd_hsum(args) -> int:
 def _cmd_dips(args) -> int:
     tup = parse_tuple_text(args.tuple)
     zeros = load_zeros(args.zeros or default_zeros_path())
-    cfg = SeriesConfig(tolerance=args.tolerance)
     ts, t_max = scan_grid(args.t_lo, args.t_hi, args.step, args.window)
-    if ts.size < 3:  # no minimum, no evaluator; sieved so a bad tolerance fails as on any grid
-        _sieve_for([tup], args.tolerance)
-        records = []
-    else:
-        records = scan_minima(tup, ts, *_profiles([tup], cfg, t_max))
+    records = scan_minima(tup, ts, *_profiles([tup], args.tolerance, t_max))
     if args.deep_only:
         records = deep_minima(records)
     records = match_to_zeros(records, zeros, window=args.window)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .series import SeriesConfig, correlation_kernel, kernel_profile_evaluator
+from .series import correlation_kernel, kernel_profile_evaluator
 from .tuples import CoefficientTuple
 
 _GAUSS_LO = np.polynomial.legendre.leggauss(10)
@@ -169,7 +169,7 @@ def weighted_profile_integral(
     h,
     tup: CoefficientTuple,
     table,
-    cfg: SeriesConfig,
+    series_tol: float,
     tol: float,
 ) -> QuadratureResult:
     """integral of h(t) * y(t) over R by adaptive quadrature (an oracle).
@@ -177,7 +177,7 @@ def weighted_profile_integral(
     The window [-T, T] is chosen from the weight's Gaussian decay so
     that sup|y| times the discarded weight mass is below tol/2; the
     integrand is even, so only [0, T] is integrated and doubled.  The
-    claimed error leaves out the series truncation at cfg.tolerance and
+    claimed error leaves out the series truncation at series_tol and
     the profile's proxy error, 1e-3 of that.
 
     Raises:
@@ -187,15 +187,15 @@ def weighted_profile_integral(
         raise ValueError("profile integral needs positive-part sum >= 2")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    k0 = correlation_kernel(complex(tup.positive_sum, 0.0), tup.m, table, cfg).real
-    y_bound = 2.0 * (k0 + cfg.tolerance)
+    k0 = correlation_kernel(complex(tup.positive_sum, 0.0), tup.m, table, series_tol).real
+    y_bound = 2.0 * (k0 + series_tol)
     # stepped by index: at a huge center, t_edge += width would not move
     for step in range(158):
         t_edge = h.center + h.width * (1.0 + 0.25 * step)
         if 2.0 * y_bound * h.tail_weight_bound(t_edge) <= tol / 2.0:
             break
     tail = 2.0 * y_bound * h.tail_weight_bound(t_edge)
-    profile = kernel_profile_evaluator(tup, table, cfg, t_edge)
+    profile = kernel_profile_evaluator(tup, table, series_tol, t_edge)
     inner = adaptive_integrate(
         lambda ts: h.value(ts) * profile(ts), 0.0, t_edge, tol=tol / 4.0
     )

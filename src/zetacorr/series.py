@@ -28,7 +28,6 @@ bit-identical results whatever the order of the terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,17 +45,6 @@ CHUNK = 32  # rows per contraction of the phase sums
 PIECE = 8192  # terms per np.vecdot: OpenBLAS threads zdotc above 10,000
 SIGMA_FLOOR = 1.5  # smallest Re(s) the series are evaluated at
 SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Evaluation parameters: the absolute tail tolerance."""
-
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be finite and positive")
 
 
 def upper_gamma_int(k: int, z: float) -> float:
@@ -141,8 +129,11 @@ def _smallest_cut(bound, sigma: float, m: int, cap: int, tol: float, what: str) 
     returned was still the smallest that a full scan found.
 
     Raises:
+        ValueError: tol not finite and positive.
         ResourceError: bound(cap) > tol; the message starts with `what`.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
     if not bound(cap) <= tol:
         raise ResourceError(f"{what} tolerance {tol:.3g} at sigma={sigma} needs a limit above {cap}")
     lo = max(3, int(math.exp(m / sigma)) + 1)
@@ -168,10 +159,8 @@ def sieve_limit(sigma: float, m: int, tol: float) -> int:
     return _smallest_cut(bound, sigma, m, SIEVE_LIMIT_CAP, tol, "series")
 
 
-def choose_truncation(
-    sigma: float, m: int, table: MangoldtTable, cfg: SeriesConfig
-) -> int:
-    """The `_smallest_cut` of the certified tail bound at cfg.tolerance.
+def choose_truncation(sigma: float, m: int, table: MangoldtTable, tol: float) -> int:
+    """The `_smallest_cut` of the certified tail bound at tol.
 
     Raises:
         ResourceError: no admissible N within the sieve limit; the
@@ -179,9 +168,9 @@ def choose_truncation(
     """
     bound = lambda n: certified_tail_bound(n, sigma, m, table)
     try:
-        return _smallest_cut(bound, sigma, m, table.limit, cfg.tolerance, "series")
+        return _smallest_cut(bound, sigma, m, table.limit, tol, "series")
     except ResourceError as exc:
-        need = sieve_limit(sigma, m, cfg.tolerance)
+        need = sieve_limit(sigma, m, tol)
         raise ResourceError(f"{exc}; a sieve limit of {need} suffices") from None
 
 
@@ -252,8 +241,6 @@ def closed_form_profile_integral(
         DomainError: S below SIGMA_FLOOR.
         ResourceError: N would exceed the cap.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     sigma = float(tup.positive_sum)
     _check_domain(complex(sigma, 0.0))
     n_cut, tail = transform_truncation(h, sigma, tup.m, tol, table.limit)
@@ -283,10 +270,8 @@ def _evaluate(weights: np.ndarray, log_n: np.ndarray, s: complex) -> complex:
     return complex(re, im)
 
 
-def correlation_kernel(
-    s: complex, m: int, table: MangoldtTable, cfg: SeriesConfig
-) -> complex:
-    """Truncated sum of Lambda(n)^m / n^s with certified tail < tolerance.
+def correlation_kernel(s: complex, m: int, table: MangoldtTable, tol: float) -> complex:
+    """Truncated sum of Lambda(n)^m / n^s with certified tail <= tol.
 
     Only prime powers contribute; n^(-s) is computed as exp(-s k log p)
     from the exact base prime.  Real s gives imaginary part exactly 0.
@@ -299,7 +284,7 @@ def correlation_kernel(
         raise ValueError("kernel power m must be >= 2")
     s = complex(s)
     _check_domain(s)
-    n_cut = choose_truncation(s.real, m, table, cfg)
+    n_cut = choose_truncation(s.real, m, table, tol)
     base_log, k = _truncated_view(table, n_cut)
     return _evaluate(base_log**m, k * base_log, s)
 
@@ -434,14 +419,14 @@ def phase_sums(g: np.ndarray, count: int, rel: float, w=1.0, phi=0.0):
 
 
 def kernel_profile_evaluator(
-    tup: CoefficientTuple, table: MangoldtTable, cfg: SeriesConfig, t_max: float
+    tup: CoefficientTuple, table: MangoldtTable, tol: float, t_max: float
 ):
     """Vectorized profile y(t) = 2 sum_n w_n cos(t log n) for |t| <= t_max.
 
     Here w_n = Lambda(n)^m n^(-S), and n runs over the prime powers up
-    to the certified truncation for cfg.tolerance.  The sum is taken
-    over the P `profile_proxies` X_j, a_j, so it is within PROXY_TOL_SHARE
-    * cfg.tolerance of the sum over the terms at every |t| <= t_max.
+    to the certified truncation for tol.  The sum is taken over the P
+    `profile_proxies` X_j, a_j, so it is within PROXY_TOL_SHARE * tol of
+    the sum over the terms at every |t| <= t_max.
     Returns a callable mapping a 1-d float64 array ts to y.  If ts is
     exactly ts[0] + arange(n) d, d = ts[1] - ts[0] (as every `t_grid` is),
     and 2 (ROW + ceil(n / ROW)) < n, y is Re `phase_sums`(d X, n, gamma_3,
@@ -460,10 +445,10 @@ def kernel_profile_evaluator(
         raise ValueError("t_max must be finite and positive")
     m, s_plus = tup.m, tup.positive_sum
     _check_domain(complex(s_plus, 0.0))
-    n_cut = choose_truncation(float(s_plus), m, table, cfg)
+    n_cut = choose_truncation(float(s_plus), m, table, tol)
     log_n, w = profile_terms(tup, table, n_cut)
     w *= 2.0
-    x, amp, _ = profile_proxies(log_n, w, t_max, PROXY_TOL_SHARE * cfg.tolerance)
+    x, amp, _ = profile_proxies(log_n, w, t_max, PROXY_TOL_SHARE * tol)
     if not math.isfinite(4.0 * t_max * float(x.max())):
         raise ValueError(f"phases up to 4 t_max log n overflow float64 at t_max = {t_max:g}")
 

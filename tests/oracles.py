@@ -12,7 +12,6 @@ from zetacorr.errors import DomainError
 from zetacorr.rounding import exact_sum
 from zetacorr.series import (
     PROXY_SPAN,
-    SeriesConfig,
     _check_domain,
     _chebyshev_error,
     _evaluate,
@@ -113,14 +112,14 @@ def grid_sup_norm(h) -> float:
     return float(np.abs(h.value(xs)).max())
 
 
-def dense_profile(tup, table, cfg):
+def dense_profile(tup, table, tol):
     """y(t) = 2 sum_n w_n cos(t log n) with one cosine per truncation term.
 
     The same terms as `kernel_profile_evaluator` (w_n = Lambda(n)^m n^(-S),
-    n <= the certified truncation for cfg.tolerance), summed directly at
+    n <= the certified truncation for tol), summed directly at
     every t in blocks of 256, with numpy's pairwise sum over ascending n.
     """
-    n_cut = choose_truncation(float(tup.positive_sum), tup.m, table, cfg)
+    n_cut = choose_truncation(float(tup.positive_sum), tup.m, table, tol)
     log_n, amp = profile_terms(tup, table, n_cut)
 
     def evaluate(ts):
@@ -320,7 +319,7 @@ def prime_tail_estimate(n_cut: int, sigma: float, m: int) -> float:
     return primes + squares
 
 
-def log_derivative_series(s, m, table, cfg) -> complex:
+def log_derivative_series(s, m, table, tol) -> complex:
     """Truncated sum of Lambda(n) (log n)^(m-1) / n^s, certified like the kernel.
 
     For m = 1 this is the logarithmic-derivative series of the zeta
@@ -332,20 +331,20 @@ def log_derivative_series(s, m, table, cfg) -> complex:
         raise ValueError("m must be >= 1")
     s = complex(s)
     _check_domain(s)
-    n_cut = choose_truncation(s.real, m, table, cfg)
+    n_cut = choose_truncation(s.real, m, table, tol)
     base_log, k = _truncated_view(table, n_cut)
     weights = (k ** (m - 1)).astype(np.float64) * base_log**m
     return _evaluate(weights, k * base_log, s)
 
 
-def kernel_expansion_residual(s, m, delta_max, table, cfg) -> float:
+def kernel_expansion_residual(s, m, delta_max, table, tol) -> float:
     """|K_m(s) - sum_{d <= delta_max} b_m(d) L_m(d s)|, L_m the log-weighted series.
 
     The kernel expands over the log-weighted series at dilated arguments
     d*s with integer weights b_m(d); the infinite expansion is an exact
     identity, so the residual measures only truncation and roundoff.
     Per-d tolerances shrink geometrically so the weighted error sum
-    stays below cfg.tolerance.
+    stays below tol.
 
     Raises:
         DomainError: Re(s) < 2 (dilated-argument convergence floor).
@@ -356,16 +355,16 @@ def kernel_expansion_residual(s, m, delta_max, table, cfg) -> float:
         raise DomainError("expansion cross-check requires Re(s) >= 2")
     if delta_max < 2:
         raise ValueError("delta_max must be >= 2")
-    kernel = correlation_kernel(s, m, table, SeriesConfig(cfg.tolerance / 2.0))
+    kernel = correlation_kernel(s, m, table, tol / 2.0)
     b_m = b_coefficients(m, delta_max)
     acc = complex(0.0)
     for delta in range(1, delta_max + 1):
         b = b_m[delta]
         if b == 0:
             continue
-        # geometric split keeps sum_d |b_d| tol_d <= tolerance / 2
-        tol_d = cfg.tolerance / (4.0 * abs(b) * 2.0 ** (delta - 1))
-        acc += b * log_derivative_series(delta * s, m, table, SeriesConfig(tol_d))
+        # geometric split keeps sum_d |b_d| tol_d <= tol / 2
+        tol_d = tol / (4.0 * abs(b) * 2.0 ** (delta - 1))
+        acc += b * log_derivative_series(delta * s, m, table, tol_d)
     return abs(kernel - acc)
 
 

@@ -100,8 +100,7 @@ def test_criterion_3_identity_suite():
 
 def test_criterion_4_series_cross_checks(mangoldt_large):
     start = time.monotonic()
-    cfg = z.SeriesConfig(tolerance=1e-8)
-    residual = kernel_expansion_residual(2.5, 3, 40, mangoldt_large, cfg)
+    residual = kernel_expansion_residual(2.5, 3, 40, mangoldt_large, 1e-8)
     assert residual <= 1e-8, residual
 
     # independent oracle: classic boolean sieve re-derived here, prime
@@ -123,10 +122,9 @@ def test_criterion_4_series_cross_checks(mangoldt_large):
             pk *= int(p)
     oracle = partial + math.fsum(extra) + prime_tail_estimate(limit, 2.0, 3)
 
-    cfg2 = z.SeriesConfig(tolerance=1e-5)
-    n_used = choose_truncation(2.0, 3, mangoldt_large, cfg2)
+    n_used = choose_truncation(2.0, 3, mangoldt_large, 1e-5)
     engine = (
-        z.correlation_kernel(2.0, 3, mangoldt_large, cfg2).real
+        z.correlation_kernel(2.0, 3, mangoldt_large, 1e-5).real
         + prime_tail_estimate(n_used, 2.0, 3)
     )
     gap = abs(engine - oracle)
@@ -165,7 +163,6 @@ def test_criterion_5_route_agreement(weight_default, zero_table):
 
 def test_criterion_6_profile_dip_reproduction(mangoldt_medium, zero_table):
     start = time.monotonic()
-    cfg = z.SeriesConfig(tolerance=1e-3)
     cases = {
         (1, 1, -2): -1.18,
         (1, 1, -1, -1): -2.37,
@@ -177,7 +174,7 @@ def test_criterion_6_profile_dip_reproduction(mangoldt_medium, zero_table):
         records = z.scan_minima(  # the grid's range is max |t| + step
             tup,
             z.scan_grid(10.0, 40.0, 0.02, 0.5)[0],
-            z.series.kernel_profile_evaluator(tup, mangoldt_medium, cfg, 40.0 + 0.02),
+            z.series.kernel_profile_evaluator(tup, mangoldt_medium, 1e-3, 40.0 + 0.02),
         )
         dips = z.match_to_zeros(deep_minima(records), zero_table, window=0.5)
         assert len(dips) == 6, (entries, [r.t_min for r in dips])

@@ -158,10 +158,15 @@ class TestKfunCommand:
         assert code == 2
 
     @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1"])
-    def test_bad_tolerance_exit_2(self, capsys, tolerance):
-        code = main(["kfun", "--tuple", "1,1,-2", "--tolerance", tolerance])
-        assert code == 2
-        assert "tolerance must be finite and positive" in capsys.readouterr().err
+    def test_bad_tolerance_exit_2(self, capsys, monkeypatch, tolerance):
+        def unreachable(*args):
+            raise AssertionError("sieved")
+
+        monkeypatch.setattr(cli, "sieve_mangoldt", unreachable)
+        for command in ("kfun", "dips"):
+            assert main([command, "--tuple", "1,1,-2", "--tolerance", tolerance]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "tolerance must be finite and positive" in err
 
     def test_repeated_tuple_exit_2_before_the_sieve(self, capsys, monkeypatch):
         def unreachable(*args):
@@ -177,9 +182,8 @@ class TestKfunCommand:
         table = cli._sieve_for(tuples, 1e-2)
         limits = [sieve_limit(float(t.positive_sum), t.m, 1e-2) for t in tuples]
         assert table.limit == max(limits)
-        cfg = z.SeriesConfig(tolerance=1e-2)
         for tup in tuples:
-            choose_truncation(float(tup.positive_sum), tup.m, table, cfg)
+            choose_truncation(float(tup.positive_sum), tup.m, table, 1e-2)
 
     def test_unreachable_tolerance_exit_4(self, capsys):
         code = main(
@@ -386,18 +390,12 @@ class TestDipsCommand:
         assert records[0]["matched_gamma"] == pytest.approx(14.134725, abs=1e-4)
 
     @pytest.mark.parametrize("t_hi", ["15", "15.02"])
-    def test_grid_below_three_points_sieves_but_builds_no_evaluator(
-        self, capsys, monkeypatch, t_hi
-    ):
-        # no interior point, so no minimum; the sieve still runs, so that a
-        # tolerance fails here as on any grid
-        def unreachable(*args):
-            raise AssertionError("evaluator built")
-
+    def test_grid_below_three_points_prints_no_minimum(self, capsys, monkeypatch, t_hi):
+        # no interior point, so no minimum; the grid is sieved and evaluated
+        # as any other, so a tolerance fails here as on any grid
         limits = []
         sieve = cli.sieve_mangoldt
         monkeypatch.setattr(cli, "sieve_mangoldt", lambda n: limits.append(n) or sieve(n))
-        monkeypatch.setattr(cli, "kernel_profile_evaluator", unreachable)
         argv = ["dips", "--tuple", "1,1,-2", "--t-lo", "15", "--t-hi", t_hi, "--tolerance", "0.1"]
         assert main(argv) == 0
         assert capsys.readouterr().out == "[]\n" and len(limits) == 1
@@ -486,6 +484,20 @@ class TestGridRange:
         assert got == code
         assert ("budget error" if code == 4 else "finite") in capsys.readouterr().err
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kfun", "--t-lo", "0", "--t-hi", "1e8", "--step", "1"],
+            ["dips", "--tuple", "1,1,-2", "--t-hi", "1e7"],
+        ],
+        ids=["kfun", "dips"],
+    )
+    def test_over_budget_grid_exit_4_before_a_bad_tolerance(self, capsys, argv):
+        # the grid is checked first; the tolerance, when the series is cut
+        assert main([*argv, "--tolerance", "nan"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "exceeds 10000000 points" in err
 
     def test_overflowing_phase_exit_2(self, capsys):
         # t_max = 1.1e308 fits a double, but t_max log n does not: the

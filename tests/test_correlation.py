@@ -317,11 +317,11 @@ value, diag = z.spectral_correlation_sum(
 )
 gammas = np.sort(np.random.default_rng(0).uniform(14.0, 5000.0, 12_000))
 chunk = _zero_sums(gammas, 1, 1e-3, 128)[0]
-tup, cfg = z.coefficient_tuple([1, 1, -1, -1]), z.SeriesConfig(tolerance=1e-2)
+tup = z.coefficient_tuple([1, 1, -1, -1])
 table = z.sieve_mangoldt(sieve_limit(2.0, 4, 1e-2))
-log_n, w = profile_terms(tup, table, choose_truncation(2.0, 4, table, cfg))
+log_n, w = profile_terms(tup, table, choose_truncation(2.0, 4, table, 1e-2))
 assert profile_proxies(log_n, 2.0 * w, 1e6, 1e-5)[0].size > PIECE
-ys = kernel_profile_evaluator(tup, table, cfg, 1e6)(z.t_grid(999_000.0, 999_002.0, 0.01)[0])
+ys = kernel_profile_evaluator(tup, table, 1e-2, 1e6)(z.t_grid(999_000.0, 999_002.0, 0.01)[0])
 print(
     value.hex(), diag.rounding_error.hex(),
     *(hashlib.sha256(a.tobytes()).hexdigest() for a in (chunk, ys)),

@@ -10,7 +10,7 @@ from zetacorr.series import kernel_profile_evaluator
 
 from oracles import golden_minimize, kernel_pole_expansion
 
-CFG = z.SeriesConfig(tolerance=1e-3)
+TOL = 1e-3
 FIRST_SIX = [14.134725, 21.022040, 25.010858, 30.424876, 32.935062, 37.586178]
 ASYM = z.coefficient_tuple([1, 1, -2])
 
@@ -19,7 +19,7 @@ ASYM = z.coefficient_tuple([1, 1, -2])
 def asym_profile(mangoldt_medium):
     """The (1,1,-2) scan grid on [10, 40] at step 0.02, and the evaluator for its range."""
     ts, t_max = z.scan_grid(10.0, 40.0, 0.02, 0.5)
-    return ts, kernel_profile_evaluator(ASYM, mangoldt_medium, CFG, t_max)
+    return ts, kernel_profile_evaluator(ASYM, mangoldt_medium, TOL, t_max)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ class TestLockstepRefinement:
     def test_equals_each_search_alone(self, mangoldt_medium, entries):
         tup = z.coefficient_tuple(entries)
         ts, t_max = z.scan_grid(10.0, 40.0, 0.02, 0.5)
-        profile = kernel_profile_evaluator(tup, mangoldt_medium, CFG, t_max)
+        profile = kernel_profile_evaluator(tup, mangoldt_medium, TOL, t_max)
         records = z.scan_minima(tup, ts, profile)
         ys = profile(ts)
         scalar = lambda t: float(profile(np.array([t]))[0])
@@ -78,7 +78,7 @@ class TestLockstepRefinement:
     def test_batch_equals_points_one_at_a_time(self, mangoldt_medium):
         # the premise of lockstep: more points than a block, no progression
         profile = kernel_profile_evaluator(
-            z.coefficient_tuple([1, 1, -1, -1]), mangoldt_medium, CFG, 40.02
+            z.coefficient_tuple([1, 1, -1, -1]), mangoldt_medium, TOL, 40.02
         )
         ts = np.random.default_rng(1).uniform(10.0, 40.0, 600)
         alone = [profile(ts[i : i + 1])[0] for i in range(ts.size)]
@@ -114,8 +114,7 @@ class TestMatching:
 
 class TestPoleExpansion:
     def test_converges_to_series(self, mangoldt_medium, zero_table):
-        cfg = z.SeriesConfig(tolerance=1e-7)
-        kernel = z.correlation_kernel(2.5, 3, mangoldt_medium, cfg)
+        kernel = z.correlation_kernel(2.5, 3, mangoldt_medium, 1e-7)
         errs = {
             order: abs(
                 kernel_pole_expansion(2.5, 3, order, zero_table)

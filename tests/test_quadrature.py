@@ -11,7 +11,7 @@ from zetacorr.quadrature import (
     weighted_profile_integral,
 )
 
-CFG = z.SeriesConfig(tolerance=1e-3)
+SERIES_TOL = 1e-3
 
 
 class TestAdaptiveIntegrate:
@@ -113,14 +113,13 @@ class TestWeightedProfileIntegral:
     def test_matches_fine_grid_oracle(self, mangoldt_medium, weight_default):
         # same series truncation on both sides; the quadrature differs
         tup = z.coefficient_tuple([1, 1, -2])
-        shared = z.SeriesConfig(tolerance=1e-2)
         res = weighted_profile_integral(
-            weight_default, tup, mangoldt_medium, shared, tol=1e-7
+            weight_default, tup, mangoldt_medium, 1e-2, tol=1e-7
         )
         from zetacorr.series import kernel_profile_evaluator
 
         span = 34.0
-        profile = kernel_profile_evaluator(tup, mangoldt_medium, shared, span)
+        profile = kernel_profile_evaluator(tup, mangoldt_medium, 1e-2, span)
         ts = np.linspace(0.0, span, 68_001)
         vals = weight_default.value(ts) * profile(ts)
         weights = np.full(ts.size, 2.0)
@@ -132,9 +131,8 @@ class TestWeightedProfileIntegral:
     def test_matches_spectral_side_formula(self, mangoldt_medium, weight_default):
         # the adaptive oracle agrees with 2 sum_n w_n hhat(log n / 2 pi)
         tup = z.coefficient_tuple([1, 1, -2])
-        series_cfg = z.SeriesConfig(tolerance=1e-2)
         oracle = weighted_profile_integral(
-            weight_default, tup, mangoldt_medium, series_cfg, tol=1e-6
+            weight_default, tup, mangoldt_medium, 1e-2, tol=1e-6
         )
         value, _, tail, n_cut = z.closed_form_profile_integral(
             weight_default, tup, mangoldt_medium, tol=1e-6
@@ -144,7 +142,7 @@ class TestWeightedProfileIntegral:
         # the oracle integrates the profile truncated at n_series term by
         # term, i.e. the closed form at n_series; from n_cut on, the closed
         # form's tail bound covers the difference
-        n_series = choose_truncation(2.0, 3, mangoldt_medium, series_cfg)
+        n_series = choose_truncation(2.0, 3, mangoldt_medium, 1e-2)
         assert n_series >= n_cut
         gap = abs(oracle.value - value)
         assert gap <= oracle.error_estimate + oracle.tail_bound + tail
@@ -180,7 +178,7 @@ class TestWeightedProfileIntegral:
     def test_window_tail_accounted(self, mangoldt_medium, weight_default):
         tup = z.coefficient_tuple([1, 1, -2])
         res = weighted_profile_integral(
-            weight_default, tup, mangoldt_medium, CFG, tol=1e-6
+            weight_default, tup, mangoldt_medium, SERIES_TOL, tol=1e-6
         )
         assert res.tail_bound <= 1e-6 / 2
         assert res.value < 0.0  # the transform of this weight family is <= 0

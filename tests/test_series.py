@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from unittest.mock import patch
@@ -37,22 +36,24 @@ from oracles import (
     proxy_weights_loop,
 )
 
-CFG = z.SeriesConfig(tolerance=1e-6)
-LOOSE = z.SeriesConfig(tolerance=1e-3)
+TOL = 1e-6
+LOOSE = 1e-3
 LD = np.longdouble
 needs_extended = pytest.mark.skipif(
     np.finfo(np.longdouble).eps > 2.0**-60, reason="long double is not extended"
 )
 
 
-class TestSeriesConfig:
-    def test_tolerance_is_the_only_field(self):
-        assert [f.name for f in dataclasses.fields(z.SeriesConfig)] == ["tolerance"]
-
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
-    def test_rejects_non_finite_or_non_positive(self, tol):
-        with pytest.raises(ValueError, match="finite and positive"):
-            z.SeriesConfig(tolerance=tol)
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_every_cut_rejects_a_tolerance_not_finite_and_positive(mangoldt_small, tol):
+    h = z.gaussian_triplet(20.0, 2.0)
+    for cut in (
+        lambda: sieve_limit(2.0, 3, tol),
+        lambda: choose_truncation(2.0, 3, mangoldt_small, tol),
+        lambda: transform_truncation(h, 2.0, 3, tol, 10**6),
+    ):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            cut()
 
 
 class TestTailBounds:
@@ -95,17 +96,16 @@ class TestTailBounds:
             transform_truncation(h, 2.0, 4, 1e-6, n_cut - 1)
 
     def test_choose_truncation_is_certified(self, mangoldt_small):
-        cfg = z.SeriesConfig(tolerance=1e-4)
-        n_cut = choose_truncation(2.5, 3, mangoldt_small, cfg)
-        assert certified_tail_bound(n_cut, 2.5, 3, mangoldt_small) <= cfg.tolerance
+        n_cut = choose_truncation(2.5, 3, mangoldt_small, 1e-4)
+        assert certified_tail_bound(n_cut, 2.5, 3, mangoldt_small) <= 1e-4
 
     def test_resource_error_names_needed_limit(self, mangoldt_small):
         need = sieve_limit(2.0, 3, 1e-5)
         assert need > mangoldt_small.limit
         with pytest.raises(z.ResourceError, match=f"above 100000; a sieve limit of {need} suffices"):
-            choose_truncation(2.0, 3, mangoldt_small, z.SeriesConfig(tolerance=1e-5))
+            choose_truncation(2.0, 3, mangoldt_small, 1e-5)
         with pytest.raises(z.ResourceError, match="needs a limit above 100000000$"):
-            choose_truncation(2.0, 3, mangoldt_small, z.SeriesConfig(tolerance=1e-9))
+            choose_truncation(2.0, 3, mangoldt_small, 1e-9)
 
 
 # tuples whose sieve limit at the tolerance stays below about 400k
@@ -143,10 +143,10 @@ class TestSieveLimit:
     @pytest.mark.parametrize("entries, tol", SIZED)
     def test_cut_fits_the_sieve_and_matches_a_larger_one(self, entries, tol):
         tup = z.coefficient_tuple(list(entries))
-        sigma, cfg = float(tup.positive_sum), z.SeriesConfig(tolerance=tol)
+        sigma = float(tup.positive_sum)
         limit = sieve_limit(sigma, tup.m, tol)
-        cut = choose_truncation(sigma, tup.m, z.sieve_mangoldt(limit), cfg)
-        assert cut == choose_truncation(sigma, tup.m, z.sieve_mangoldt(2 * limit), cfg)
+        cut = choose_truncation(sigma, tup.m, z.sieve_mangoldt(limit), tol)
+        assert cut == choose_truncation(sigma, tup.m, z.sieve_mangoldt(2 * limit), tol)
 
     def test_quartic_limits(self):
         assert sieve_limit(2.0, 4, 1e-2) <= 300_000
@@ -155,14 +155,14 @@ class TestSieveLimit:
 
 class TestKernelSeries:
     def test_real_argument_real_value(self, mangoldt_medium):
-        val = z.correlation_kernel(2.5, 3, mangoldt_medium, CFG)
+        val = z.correlation_kernel(2.5, 3, mangoldt_medium, TOL)
         assert val.imag == 0.0
         assert val.real > 0.0
 
     def test_conjugate_symmetry_exact(self, mangoldt_medium):
         s = complex(2.5, 11.7)
-        a = z.correlation_kernel(s, 3, mangoldt_medium, CFG)
-        b = z.correlation_kernel(s.conjugate(), 3, mangoldt_medium, CFG)
+        a = z.correlation_kernel(s, 3, mangoldt_medium, TOL)
+        b = z.correlation_kernel(s.conjugate(), 3, mangoldt_medium, TOL)
         assert a == b.conjugate()
 
     def test_brute_force_partial_agreement(self, mangoldt_medium):
@@ -176,7 +176,7 @@ class TestKernelSeries:
             return 0.0
 
         brute = math.fsum(lam(n) ** 3 / n**2.5 for n in range(2, 10_001))
-        full = z.correlation_kernel(2.5, 3, mangoldt_medium, CFG).real
+        full = z.correlation_kernel(2.5, 3, mangoldt_medium, TOL).real
         remainder = full - brute
         # engine includes every brute term plus a positive certified tail
         assert remainder >= 0.0
@@ -184,16 +184,16 @@ class TestKernelSeries:
 
     def test_domain_floor(self, mangoldt_small):
         with pytest.raises(z.DomainError):
-            z.correlation_kernel(1.2, 3, mangoldt_small, CFG)
+            z.correlation_kernel(1.2, 3, mangoldt_small, TOL)
 
     def test_m_validation(self, mangoldt_small):
         with pytest.raises(ValueError):
-            z.correlation_kernel(2.5, 1, mangoldt_small, CFG)
+            z.correlation_kernel(2.5, 1, mangoldt_small, TOL)
 
     def test_monotone_decrease_in_sigma(self, mangoldt_medium):
         k2 = abs(z.correlation_kernel(complex(2.0, 5.0), 3, mangoldt_medium, LOOSE))
         k0 = z.correlation_kernel(2.0, 3, mangoldt_medium, LOOSE).real
-        assert k2 <= k0 + LOOSE.tolerance
+        assert k2 <= k0 + LOOSE
         k3 = abs(z.correlation_kernel(complex(3.0, 5.0), 3, mangoldt_medium, LOOSE))
         assert k3 <= k0
 
@@ -201,18 +201,17 @@ class TestKernelSeries:
 class TestLogDerivativeSeries:
     def test_matches_zeta_log_derivative_at_2(self, mangoldt_large):
         # frozen high-precision reference for the series value at s = 2
-        cfg = z.SeriesConfig(tolerance=1e-7)
-        val = log_derivative_series(2.0, 1, mangoldt_large, cfg).real
+        val = log_derivative_series(2.0, 1, mangoldt_large, 1e-7).real
         reference = 0.5699609930945328
         # truncation sits below the limit value by at most the tolerance
-        assert reference - cfg.tolerance <= val <= reference + 1e-12
+        assert reference - 1e-7 <= val <= reference + 1e-12
 
     def test_real_for_real_sigma(self, mangoldt_small):
-        assert log_derivative_series(4.0, 3, mangoldt_small, CFG).imag == 0.0
+        assert log_derivative_series(4.0, 3, mangoldt_small, TOL).imag == 0.0
 
     def test_dominated_by_first_term_at_large_sigma(self, mangoldt_small):
         sigma = 40.0
-        val = log_derivative_series(sigma, 2, mangoldt_small, CFG).real
+        val = log_derivative_series(sigma, 2, mangoldt_small, TOL).real
         first = math.log(2) ** 2 * 2.0**-sigma
         assert val == pytest.approx(first, rel=1e-5)
 
@@ -245,7 +244,7 @@ class TestProfile:
             tup = z.coefficient_tuple(entries)
             grid = kernel_profile_evaluator(tup, mangoldt_medium, LOOSE, 25.0)(ts)
             dense = dense_profile(tup, mangoldt_medium, LOOSE)(ts)
-            assert np.all(np.abs(grid - dense) <= PROXY_TOL_SHARE * LOOSE.tolerance)
+            assert np.all(np.abs(grid - dense) <= PROXY_TOL_SHARE * LOOSE)
 
 
 T_MAX = 40.0
@@ -255,19 +254,18 @@ _PROFILES = {}
 def _proxied(entries, tol, table, t_max):
     """The evaluator at t_max, its proxies X_j, a_j and their certified bound."""
     tup = z.coefficient_tuple(list(entries))
-    cfg = z.SeriesConfig(tolerance=tol)
-    n_cut = choose_truncation(float(tup.positive_sum), tup.m, table, cfg)
+    n_cut = choose_truncation(float(tup.positive_sum), tup.m, table, tol)
     log_n, w = profile_terms(tup, table, n_cut)
     x, a, bound = profile_proxies(log_n, 2.0 * w, t_max, PROXY_TOL_SHARE * tol)
-    return kernel_profile_evaluator(tup, table, cfg, t_max), x, a, bound
+    return kernel_profile_evaluator(tup, table, tol, t_max), x, a, bound
 
 
 def _profiles(entries, tol, table):
     """Proxy evaluator, dense oracle and certified proxy bound at |t| <= T_MAX."""
     if (entries, tol) not in _PROFILES:
         profile, _, _, bound = _proxied(entries, tol, table, T_MAX)
-        tup, cfg = z.coefficient_tuple(list(entries)), z.SeriesConfig(tolerance=tol)
-        _PROFILES[entries, tol] = (profile, dense_profile(tup, table, cfg), bound)
+        tup = z.coefficient_tuple(list(entries))
+        _PROFILES[entries, tol] = (profile, dense_profile(tup, table, tol), bound)
     return _PROFILES[entries, tol]
 
 
@@ -299,15 +297,14 @@ class TestProfileProxies:
 
     def test_huge_range_falls_back_to_terms(self, mangoldt_medium):
         tup = z.coefficient_tuple([1, 1, -2])
-        cfg = z.SeriesConfig(tolerance=1e-2)
-        n_cut = choose_truncation(2.0, 3, mangoldt_medium, cfg)
+        n_cut = choose_truncation(2.0, 3, mangoldt_medium, 1e-2)
         log_n, w = profile_terms(tup, mangoldt_medium, n_cut)
         nodes, weights, bound = profile_proxies(log_n, 2.0 * w, 1e6, 1e-5)
         assert bound == 0.0
         assert np.array_equal(nodes, log_n) and np.array_equal(weights, 2.0 * w)
         ts = np.array([-1e6, -123456.789, 0.0, 31.4, 999999.5, 1e6])
-        proxy = kernel_profile_evaluator(tup, mangoldt_medium, cfg, 1e6)
-        dense = dense_profile(tup, mangoldt_medium, cfg)
+        proxy = kernel_profile_evaluator(tup, mangoldt_medium, 1e-2, 1e6)
+        dense = dense_profile(tup, mangoldt_medium, 1e-2)
         assert np.all(np.abs(proxy(ts) - dense(ts)) <= 1e-12)
 
     def test_degree_is_the_smallest_certified(self):
@@ -353,7 +350,7 @@ class TestProxyBuffers:
     @pytest.mark.parametrize("tol", [1e-2, 1e-3])
     def test_bits_of_the_per_node_loop(self, mangoldt_medium, tol, t_max):
         tup = z.coefficient_tuple([1, 1, -1, -1])
-        n_cut = choose_truncation(2.0, 4, mangoldt_medium, z.SeriesConfig(tol))
+        n_cut = choose_truncation(2.0, 4, mangoldt_medium, tol)
         log_n, w = profile_terms(tup, mangoldt_medium, n_cut)
         args = (log_n, 2.0 * w, t_max, PROXY_TOL_SHARE * tol)
         got = profile_proxies(*args)
@@ -386,7 +383,7 @@ class TestProxyBuffers:
     def test_working_set_is_five_term_arrays(self, mangoldt_medium):
         # the dips-quartic terms: 23,578 at tolerance 1e-2
         tup = z.coefficient_tuple([1, 1, -1, -1])
-        n_cut = choose_truncation(2.0, 4, mangoldt_medium, z.SeriesConfig(1e-2))
+        n_cut = choose_truncation(2.0, 4, mangoldt_medium, 1e-2)
         log_n, w = profile_terms(tup, mangoldt_medium, n_cut)
         a = 2.0 * w
         tracemalloc.start()
@@ -449,7 +446,7 @@ class TestProfileGridPath:
         assert np.all(np.abs(grid - point) <= gap)
         # the dense sum's terms round no worse than the proxies' point path
         tup = z.coefficient_tuple(list(entries))
-        dense = dense_profile(tup, mangoldt_medium, z.SeriesConfig(1e-2))(ts)
+        dense = dense_profile(tup, mangoldt_medium, 1e-2)(ts)
         assert np.all(np.abs(grid - dense) <= proxy_bound + gap)
 
     def test_progression_and_not_give_the_same_values(self, mangoldt_medium):
@@ -493,31 +490,24 @@ class TestProfileGridPath:
 
 class TestKernelExpansion:
     def test_identity_residual_moderate(self, mangoldt_medium):
-        res = kernel_expansion_residual(
-            2.5, 3, 40, mangoldt_medium, z.SeriesConfig(tolerance=1e-4)
-        )
+        res = kernel_expansion_residual(2.5, 3, 40, mangoldt_medium, 1e-4)
         assert res <= 1e-4
 
     def test_identity_residual_fourth_power(self, mangoldt_medium):
-        res = kernel_expansion_residual(
-            3.0, 4, 40, mangoldt_medium, z.SeriesConfig(tolerance=1e-8)
-        )
+        res = kernel_expansion_residual(3.0, 4, 40, mangoldt_medium, 1e-8)
         assert res <= 1e-8
 
     def test_single_term_is_worse(self, mangoldt_medium):
-        cfg = z.SeriesConfig(tolerance=1e-5)
         coarse = abs(
-            z.correlation_kernel(2.5, 3, mangoldt_medium, cfg)
-            - log_derivative_series(2.5, 3, mangoldt_medium, cfg)
+            z.correlation_kernel(2.5, 3, mangoldt_medium, 1e-5)
+            - log_derivative_series(2.5, 3, mangoldt_medium, 1e-5)
         )
-        fine = kernel_expansion_residual(
-            2.5, 3, 40, mangoldt_medium, cfg
-        )
+        fine = kernel_expansion_residual(2.5, 3, 40, mangoldt_medium, 1e-5)
         assert coarse > fine
 
     def test_domain_floor(self, mangoldt_small):
         with pytest.raises(z.DomainError):
-            kernel_expansion_residual(1.8, 3, 10, mangoldt_small, CFG)
+            kernel_expansion_residual(1.8, 3, 10, mangoldt_small, TOL)
 
 
 class TestPrimeTailEstimate:

@@ -255,7 +255,7 @@ def spectral_correlation_sum(
     tail = 2.0 * amp * h.hat_tail_integral(xi_max)
     delta_max = tup.positive_sum * float(gammas[-1] - gammas[0])
     reach = h.center + h.width * math.sqrt(math.log(6.0 * amp / ALIAS_TARGET) / math.pi)
-    rate = min(delta_max + reach, SAMPLES_PER_PERIOD * tup.abs_sum * t_max)
+    rate = min(delta_max + reach, SAMPLES_PER_PERIOD * 2 * tup.positive_sum * t_max)
     # dx >= 1/rate, rounded up to so few bits that every node j dx is exact
     top = math.ceil(xi_max * rate) + 1  # J = ceil(xi_max / dx) <= top
     exp = math.frexp(1.0 / rate)[1] - (53 - top.bit_length())

@@ -57,14 +57,14 @@ def adaptive_integrate(
     are bisected.
 
     Raises:
-        ValueError: lo >= hi or tol <= 0.
+        ValueError: lo >= hi, or tol not finite and positive.
         BudgetError: the evaluation budget ran out; ``best`` carries the
             current estimate.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     span = hi - lo
     xs_lo, ws_lo = _GAUSS_LO
     xs_hi, ws_hi = _GAUSS_HI
@@ -145,8 +145,8 @@ def sinc_product_constant(tup: CoefficientTuple, tol: float) -> QuadratureResult
     """
     if tup.m < 3:
         raise DomainError("sinc-product constant needs tuple length >= 3")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     abs_coeffs = tuple(sorted(abs(a) for a in tup.entries))
     prod_a = math.prod(abs_coeffs)
     m = tup.m
@@ -185,8 +185,8 @@ def weighted_profile_integral(
     """
     if tup.positive_sum < 2:
         raise ValueError("profile integral needs positive-part sum >= 2")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     k0 = correlation_kernel(complex(tup.positive_sum, 0.0), tup.m, table, series_tol).real
     y_bound = 2.0 * (k0 + series_tol)
     # stepped by index: at a huge center, t_edge += width would not move

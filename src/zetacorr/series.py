@@ -194,24 +194,18 @@ def transform_truncation(
     return n_cut, tail(n_cut)
 
 
-def _truncated_view(table: MangoldtTable, n_cut: int):
-    idx = int(np.searchsorted(table.prime_powers, n_cut, side="right"))
-    return table.base_log[:idx], table.power_index[:idx]
-
-
 def profile_terms(
-    tup: CoefficientTuple, table: MangoldtTable, n_cut: int
+    sigma: float, m: int, table: MangoldtTable, n_cut: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """log n and w_n = Lambda(n)^m n^(-S) over the prime powers n <= N, ascending."""
-    base_log, k = _truncated_view(table, n_cut)
-    log_n = k * base_log
-    w = -float(tup.positive_sum) * log_n
-    return log_n, np.multiply(base_log**tup.m, np.exp(w, out=w), out=w)
+    """log n and w_n = Lambda(n)^m n^(-sigma) over the prime powers n <= N, ascending.
 
-
-def _check_domain(s: complex) -> None:
-    if s.real < SIGMA_FLOOR:
-        raise DomainError(f"Re(s)={s.real} below evaluation floor {SIGMA_FLOOR}")
+    The kernel, the profile and the main term all take their terms from here.
+    """
+    idx = int(np.searchsorted(table.prime_powers, n_cut, side="right"))
+    base_log = table.base_log[:idx]
+    log_n = table.power_index[:idx] * base_log
+    w = -sigma * log_n
+    return log_n, np.multiply(base_log**m, np.exp(w, out=w), out=w)
 
 
 def closed_form_profile_integral(
@@ -238,13 +232,11 @@ def closed_form_profile_integral(
       plus U |term|, and the correctly rounded sum adds one rounding.
 
     Raises:
-        DomainError: S below SIGMA_FLOOR.
         ResourceError: N would exceed the cap.
     """
     sigma = float(tup.positive_sum)
-    _check_domain(complex(sigma, 0.0))
     n_cut, tail = transform_truncation(h, sigma, tup.m, tol, table.limit)
-    log_n, w = profile_terms(tup, table, n_cut)
+    log_n, w = profile_terms(sigma, tup.m, table, n_cut)
     xi = log_n / (2.0 * math.pi)
     hat = h.hat(xi)
     terms = w * hat
@@ -260,21 +252,12 @@ def closed_form_profile_integral(
     return 2.0 * total, rounding, tail, n_cut
 
 
-def _evaluate(weights: np.ndarray, log_n: np.ndarray, s: complex) -> complex:
-    amp = weights * np.exp(-s.real * log_n)
-    if s.imag == 0.0:
-        return complex(exact_sum((amp,)), 0.0)
-    phase = s.imag * log_n
-    re = exact_sum((amp * np.cos(phase),))
-    im = -exact_sum((amp * np.sin(phase),))
-    return complex(re, im)
-
-
 def correlation_kernel(s: complex, m: int, table: MangoldtTable, tol: float) -> complex:
     """Truncated sum of Lambda(n)^m / n^s with certified tail <= tol.
 
-    Only prime powers contribute; n^(-s) is computed as exp(-s k log p)
-    from the exact base prime.  Real s gives imaginary part exactly 0.
+    Only prime powers contribute.  The amplitudes are `profile_terms` at
+    sigma = Re s, and the phases Im(s) log n, log n = k log p from the
+    exact base prime.  Real s gives imaginary part exactly 0.
 
     Raises:
         DomainError: Re(s) below SIGMA_FLOOR.
@@ -283,10 +266,16 @@ def correlation_kernel(s: complex, m: int, table: MangoldtTable, tol: float) -> 
     if m < 2:
         raise ValueError("kernel power m must be >= 2")
     s = complex(s)
-    _check_domain(s)
+    if s.real < SIGMA_FLOOR:
+        raise DomainError(f"Re(s)={s.real} below evaluation floor {SIGMA_FLOOR}")
     n_cut = choose_truncation(s.real, m, table, tol)
-    base_log, k = _truncated_view(table, n_cut)
-    return _evaluate(base_log**m, k * base_log, s)
+    log_n, amp = profile_terms(s.real, m, table, n_cut)
+    if s.imag == 0.0:
+        return complex(exact_sum((amp,)), 0.0)
+    phase = s.imag * log_n
+    re = exact_sum((amp * np.cos(phase),))
+    im = -exact_sum((amp * np.sin(phase),))
+    return complex(re, im)
 
 
 def _chebyshev_error(degree: int) -> float:
@@ -443,10 +432,9 @@ def kernel_profile_evaluator(
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError("t_max must be finite and positive")
-    m, s_plus = tup.m, tup.positive_sum
-    _check_domain(complex(s_plus, 0.0))
-    n_cut = choose_truncation(float(s_plus), m, table, tol)
-    log_n, w = profile_terms(tup, table, n_cut)
+    sigma = float(tup.positive_sum)
+    n_cut = choose_truncation(sigma, tup.m, table, tol)
+    log_n, w = profile_terms(sigma, tup.m, table, n_cut)
     w *= 2.0
     x, amp, _ = profile_proxies(log_n, w, t_max, PROXY_TOL_SHARE * tol)
     if not math.isfinite(4.0 * t_max * float(x.max())):

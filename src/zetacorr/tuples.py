@@ -1,9 +1,9 @@
 """Integer coefficient tuples for correlation sums.
 
 A valid tuple has length >= 3, only nonzero entries, zero sum, and any
-two distinct values coprime.  Derived quantities: the positive-part sum
-(the height at which the series kernel is evaluated) and the sum of
-absolute values.
+two distinct values coprime.  Derived quantity: the positive-part sum S
+(the height at which the series kernel is evaluated); by the zero sum,
+the absolute values sum to 2S.
 """
 from __future__ import annotations
 
@@ -31,10 +31,6 @@ class CoefficientTuple:
     def positive_sum(self) -> int:
         """Sum of the positive entries; the kernel evaluation height."""
         return sum(a for a in self.entries if a > 0)
-
-    @property
-    def abs_sum(self) -> int:
-        return sum(abs(a) for a in self.entries)
 
     @property
     def is_balanced(self) -> bool:

@@ -12,10 +12,8 @@ from zetacorr.errors import DomainError
 from zetacorr.rounding import exact_sum
 from zetacorr.series import (
     PROXY_SPAN,
-    _check_domain,
+    SIGMA_FLOOR,
     _chebyshev_error,
-    _evaluate,
-    _truncated_view,
     choose_truncation,
     correlation_kernel,
     profile_terms,
@@ -120,7 +118,7 @@ def dense_profile(tup, table, tol):
     every t in blocks of 256, with numpy's pairwise sum over ascending n.
     """
     n_cut = choose_truncation(float(tup.positive_sum), tup.m, table, tol)
-    log_n, amp = profile_terms(tup, table, n_cut)
+    log_n, amp = profile_terms(float(tup.positive_sum), tup.m, table, n_cut)
 
     def evaluate(ts):
         ts = np.asarray(ts, dtype=np.float64)
@@ -330,11 +328,20 @@ def log_derivative_series(s, m, table, tol) -> complex:
     if m < 1:
         raise ValueError("m must be >= 1")
     s = complex(s)
-    _check_domain(s)
+    if s.real < SIGMA_FLOOR:
+        raise DomainError(f"Re(s)={s.real} below evaluation floor {SIGMA_FLOOR}")
     n_cut = choose_truncation(s.real, m, table, tol)
-    base_log, k = _truncated_view(table, n_cut)
+    idx = int(np.searchsorted(table.prime_powers, n_cut, side="right"))
+    base_log, k = table.base_log[:idx], table.power_index[:idx]
+    log_n = k * base_log
     weights = (k ** (m - 1)).astype(np.float64) * base_log**m
-    return _evaluate(weights, k * base_log, s)
+    amp = weights * np.exp(-s.real * log_n)
+    if s.imag == 0.0:
+        return complex(exact_sum((amp,)), 0.0)
+    phase = s.imag * log_n
+    re = exact_sum((amp * np.cos(phase),))
+    im = -exact_sum((amp * np.sin(phase),))
+    return complex(re, im)
 
 
 def kernel_expansion_residual(s, m, delta_max, table, tol) -> float:

@@ -49,8 +49,18 @@ class TestCoefficientTuple:
             assert tup.m == len(entries)
         assert z.coefficient_tuple([1, 1, -2]).positive_sum == 2
         assert z.coefficient_tuple([1, 2, -3]).positive_sum == 3
-        assert z.coefficient_tuple([1, 2, -3]).abs_sum == 6
         assert z.coefficient_tuple([1, 1, -1, -1]).is_balanced
+
+    @given(st.lists(st.integers(-9, 9).filter(bool), min_size=2, max_size=6))
+    def test_every_tuple_sits_above_the_series_floor(self, head):
+        # the profile and main-term paths check no domain: S = 1 would force (1, -1)
+        try:
+            tup = z.coefficient_tuple(head + [-sum(head)])
+        except ValueError:
+            return
+        assert tup.positive_sum >= 2 > series.SIGMA_FLOOR
+        # the spectral rate's 2 S is the sum of the |a_k|
+        assert sum(abs(a) for a in tup.entries) == 2 * tup.positive_sum
 
     def test_rejects_nonzero_sum(self):
         with pytest.raises(ValueError, match="sum"):
@@ -319,7 +329,7 @@ gammas = np.sort(np.random.default_rng(0).uniform(14.0, 5000.0, 12_000))
 chunk = _zero_sums(gammas, 1, 1e-3, 128)[0]
 tup = z.coefficient_tuple([1, 1, -1, -1])
 table = z.sieve_mangoldt(sieve_limit(2.0, 4, 1e-2))
-log_n, w = profile_terms(tup, table, choose_truncation(2.0, 4, table, 1e-2))
+log_n, w = profile_terms(2.0, 4, table, choose_truncation(2.0, 4, table, 1e-2))
 assert profile_proxies(log_n, 2.0 * w, 1e6, 1e-5)[0].size > PIECE
 ys = kernel_profile_evaluator(tup, table, 1e-2, 1e6)(z.t_grid(999_000.0, 999_002.0, 0.01)[0])
 print(
@@ -467,7 +477,7 @@ class TestSpectralRoute:
         tup = z.coefficient_tuple([1, 1, -2])
         gammas = z.zeros_up_to(zero_table, 100.0)
         slow = tup.positive_sum * float(gammas[-1] - gammas[0]) + weight_default.center / 2
-        monkeypatch.setattr(correlation, "SAMPLES_PER_PERIOD", slow / (tup.abs_sum * 100.0))
+        monkeypatch.setattr(correlation, "SAMPLES_PER_PERIOD", slow / (2 * tup.positive_sum * 100.0))
         spectral, sdiag = z.spectral_correlation_sum(weight_default, tup, 100.0, zero_table)
         direct, ddiag = z.direct_correlation_sum(weight_default, tup, 100.0, zero_table)
         gap = abs(spectral - direct)
@@ -493,12 +503,12 @@ class TestSpectralRoute:
 
     @pytest.mark.parametrize("center, width, t_max", [(1e300, 2.0, 40.0), (1e200, 1e150, 60.0)])
     def test_grid_never_exceeds_sixteen_per_period(self, zero_table, center, width, t_max):
-        # a huge center caps the rate at SAMPLES_PER_PERIOD sum|a| T; dx is
+        # a huge center caps the rate at SAMPLES_PER_PERIOD 2 S T; dx is
         # rounded up, so the nodes j dx <= xi_max stay within that rate
         tup = z.coefficient_tuple([1, 1, -2])
         h = z.gaussian_triplet(center, width)
         _, diag = z.spectral_correlation_sum(h, tup, t_max, zero_table)
-        assert diag.grid_points <= math.ceil(16 * tup.abs_sum * t_max * diag.xi_max) + 1
+        assert diag.grid_points <= math.ceil(16 * 2 * tup.positive_sum * t_max * diag.xi_max) + 1
 
     @pytest.mark.parametrize("chunk", [1, 5, 1000])
     def test_chunk_size_bit_identical(self, weight_default, zero_table, chunk):

@@ -202,6 +202,19 @@ def test_blas_contractions_only_in_phase_sums():
     assert found and {owner for owner, _ in found} == {"series.phase_sums"}, found
 
 
+def test_only_profile_terms_slices_the_series_terms():
+    # the kernel, the profile and the main term take their terms from
+    # profile_terms, so Lambda(n)^m n^(-sigma) is formed in one place
+    tree = ast.parse((PACKAGE / "series.py").read_text(encoding="utf-8"))
+    readers = {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in {"base_log", "power_index"}
+    }
+    assert readers == {"profile_terms"}, readers
+
+
 # numpy calls that reorder or merge arrays
 REORDERS = {"argsort", "insert", "lexsort", "sort", "unique"}
 

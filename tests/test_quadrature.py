@@ -14,6 +14,25 @@ from zetacorr.quadrature import (
 SERIES_TOL = 1e-3
 
 
+QUADRATURES = {
+    "adaptive_integrate": lambda h, table, tol: adaptive_integrate(np.exp, 0.0, 1.0, tol),
+    "sinc_product_constant": lambda h, table, tol: sinc_product_constant(
+        z.coefficient_tuple([1, 2, -3]), tol
+    ),
+    "weighted_profile_integral": lambda h, table, tol: weighted_profile_integral(
+        h, z.coefficient_tuple([1, 1, -2]), table, SERIES_TOL, tol
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+@pytest.mark.parametrize("name", sorted(QUADRATURES))
+def test_rejects_a_tolerance_not_finite_and_positive(name, tol, weight_default, mangoldt_small):
+    # with tol = inf every panel passes its share of tol: one batch, no estimate worth the name
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        QUADRATURES[name](weight_default, mangoldt_small, tol)
+
+
 class TestAdaptiveIntegrate:
     def test_constant(self):
         res = adaptive_integrate(lambda x: np.ones_like(x), 0.0, 1.0, 1e-12)

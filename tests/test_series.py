@@ -255,7 +255,7 @@ def _proxied(entries, tol, table, t_max):
     """The evaluator at t_max, its proxies X_j, a_j and their certified bound."""
     tup = z.coefficient_tuple(list(entries))
     n_cut = choose_truncation(float(tup.positive_sum), tup.m, table, tol)
-    log_n, w = profile_terms(tup, table, n_cut)
+    log_n, w = profile_terms(float(tup.positive_sum), tup.m, table, n_cut)
     x, a, bound = profile_proxies(log_n, 2.0 * w, t_max, PROXY_TOL_SHARE * tol)
     return kernel_profile_evaluator(tup, table, tol, t_max), x, a, bound
 
@@ -298,7 +298,7 @@ class TestProfileProxies:
     def test_huge_range_falls_back_to_terms(self, mangoldt_medium):
         tup = z.coefficient_tuple([1, 1, -2])
         n_cut = choose_truncation(2.0, 3, mangoldt_medium, 1e-2)
-        log_n, w = profile_terms(tup, mangoldt_medium, n_cut)
+        log_n, w = profile_terms(2.0, 3, mangoldt_medium, n_cut)
         nodes, weights, bound = profile_proxies(log_n, 2.0 * w, 1e6, 1e-5)
         assert bound == 0.0
         assert np.array_equal(nodes, log_n) and np.array_equal(weights, 2.0 * w)
@@ -349,9 +349,8 @@ class TestProxyBuffers:
     @pytest.mark.parametrize("t_max", [40.02, 1000.0])
     @pytest.mark.parametrize("tol", [1e-2, 1e-3])
     def test_bits_of_the_per_node_loop(self, mangoldt_medium, tol, t_max):
-        tup = z.coefficient_tuple([1, 1, -1, -1])
         n_cut = choose_truncation(2.0, 4, mangoldt_medium, tol)
-        log_n, w = profile_terms(tup, mangoldt_medium, n_cut)
+        log_n, w = profile_terms(2.0, 4, mangoldt_medium, n_cut)
         args = (log_n, 2.0 * w, t_max, PROXY_TOL_SHARE * tol)
         got = profile_proxies(*args)
         assert got[2] > 0.0  # proxies, not the terms
@@ -382,9 +381,8 @@ class TestProxyBuffers:
 
     def test_working_set_is_five_term_arrays(self, mangoldt_medium):
         # the dips-quartic terms: 23,578 at tolerance 1e-2
-        tup = z.coefficient_tuple([1, 1, -1, -1])
         n_cut = choose_truncation(2.0, 4, mangoldt_medium, 1e-2)
-        log_n, w = profile_terms(tup, mangoldt_medium, n_cut)
+        log_n, w = profile_terms(2.0, 4, mangoldt_medium, n_cut)
         a = 2.0 * w
         tracemalloc.start()
         try:

@@ -30,7 +30,7 @@ from .identities import run_identity_suite
 from .arithmetic import SIEVE_LIMIT_CAP, sieve_mangoldt
 from .series import kernel_profile_evaluator, sieve_limit, transform_truncation
 from .weights import gaussian_triplet
-from .zeros import load_zeros, validate_zero_table
+from .zeros import load_zeros, validate_zero_table, zeros_up_to
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -185,6 +185,7 @@ def _cmd_dips(args) -> int:
     tup = parse_tuple_text(args.tuple)
     zeros = load_zeros(args.zeros or default_zeros_path())
     ts, t_max = scan_grid(args.t_lo, args.t_hi, args.step, args.window)
+    zeros_up_to(zeros, float(ts[-1]) + args.window)  # the table must cover every match
     records = scan_minima(tup, ts, *_profiles([tup], args.tolerance, t_max))
     if args.deep_only:
         records = deep_minima(records)

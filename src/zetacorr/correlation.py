@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import sinc_product_exact
-from .errors import BudgetError, DataError, DomainError
+from .errors import BudgetError, DomainError
 from .rounding import ELEM_REL, MARGIN, U, exact_sum, gamma
 from .series import SQRT2, closed_form_profile_integral, phase_sums
 from .tuples import CoefficientTuple, coefficient_tuple
@@ -62,23 +62,6 @@ class SpectralDiagnostics:
     claimed_error: float
 
 
-def _ordinates_for(zeros: ZeroTable, t_max: float) -> np.ndarray:
-    if len(zeros) == 0:
-        return zeros.ordinates
-    # A complete initial segment still covers a little beyond its last
-    # entry; allow ~1.5 mean gaps of slack before calling it a gap in
-    # the data.
-    top = zeros.max_ordinate
-    mean_gap = 2.0 * math.pi / math.log(max(top / (2.0 * math.pi), 2.0))
-    covered = top + 1.5 * mean_gap
-    if t_max > covered:
-        raise DataError(
-            f"zero table covers ordinates up to about {covered:.3f}, "
-            f"below requested T={t_max}"
-        )
-    return zeros_up_to(zeros, t_max)
-
-
 def _multisets(gammas: np.ndarray, coeffs: list[int]):
     """Sum and multiplicity of each index multiset of a half, PREFIXES index tuples a step.
 
@@ -106,13 +89,13 @@ def direct_correlation_sum(
     tup: CoefficientTuple,
     t_max: float,
     zeros: ZeroTable,
-    cutoff: float | None = None,
 ) -> tuple[float, DirectDiagnostics]:
     """Pruned exact enumeration of sum h(Delta) over ordinate m-tuples.
 
-    cutoff=None uses the weight's support cutoff (|h| below 1e-14 of its
-    sup); cutoff=inf disables pruning entirely, which reproduces a naive
-    full enumeration bit for bit (the test oracle `naive_correlation_sum`).
+    Only tuples with |Delta| <= h.support_cutoff() are summed, and the
+    claimed error bounds the rest.  A weight whose cutoff is inf prunes
+    nothing and reproduces a naive full enumeration bit for bit
+    (`Unpruned` and `naive_correlation_sum` in tests/oracles.py).
 
     Delta = P - N over the halves' multisets (`_multisets`).  The half with
     fewer is sorted; each value x of the other, streamed, takes its window
@@ -122,24 +105,24 @@ def direct_correlation_sum(
     enters exact_sum times its count of tuples, in power-of-two parts.
 
     Raises:
-        DataError: the zero table does not cover (0, T].
+        DataError: T above the zero table's last ordinate (`zeros_up_to`).
         BudgetError: n^(m-1), which bounds the index tuples either half
-            enumerates, would exceed the budget; the spectral route is
-            suggested.
+            enumerates, would exceed the budget; the message names the
+            ordinate below which T fits it.
     """
-    gammas = _ordinates_for(zeros, t_max)
+    gammas = zeros_up_to(zeros, t_max)
     n = gammas.size
     m = tup.m
     if n == 0:
-        return 0.0, DirectDiagnostics(0, 0.0, 0.0, cutoff or math.inf, 0)
+        return 0.0, DirectDiagnostics(0, 0.0, 0.0, math.inf, 0)
     if n ** (m - 1) > DIRECT_HALF_BUDGET:
+        fit = next(k for k in range(n) if (k + 1) ** (m - 1) > DIRECT_HALF_BUDGET)
         raise BudgetError(
-            f"{n}^{m - 1} index tuples of a half exceed the direct-route budget; "
-            "use the spectral route"
+            f"{n}^{m - 1} index tuples of a half exceed the direct-route budget of "
+            f"{DIRECT_HALF_BUDGET:,}; T below {float(gammas[fit])!r} (ordinate {fit + 1}) fits"
         )
-    if cutoff is None:
-        cutoff = h.support_cutoff()
-    claimed = 0.0 if math.isinf(cutoff) else float(n) ** m * h.value_bound_beyond(cutoff)
+    cutoff = h.support_cutoff()
+    claimed = float(n) ** m * h.value_bound_beyond(cutoff)
     size = lambda half: math.prod(math.comb(n + r - 1, r) for r in Counter(half).values())
     halves = [sorted(a for a in tup.entries if a > 0), sorted(-a for a in tup.entries if a < 0)]
     built, streamed = sorted(halves, key=size)
@@ -244,7 +227,7 @@ def spectral_correlation_sum(
     - hhat: off by `GaussianTriplet.hat_rounding_bound`, times prod U_l;
     - sum: exact_sum and the scaling by 2 dx add expm1(2U) |full|.
     """
-    gammas = _ordinates_for(zeros, t_max)
+    gammas = zeros_up_to(zeros, t_max)
     n = gammas.size
     if n == 0:
         return 0.0, SpectralDiagnostics(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

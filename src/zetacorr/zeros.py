@@ -122,9 +122,14 @@ def zeros_up_to(table: ZeroTable, t_max: float) -> np.ndarray:
 
     Raises:
         ValueError: t_max <= 0.
+        DataError: t_max above the table's last ordinate, or any t_max for
+            an empty table: zeros the table lacks could lie below t_max.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
+    if t_max > table.max_ordinate:
+        held = f"ends at {table.max_ordinate!r}" if len(table) else "is empty"
+        raise DataError(f"zero table {table.source} {held}, so it does not cover T={t_max!r}")
     cut = int(np.searchsorted(table.ordinates, t_max, side="right"))
     return table.ordinates[:cut]
 
@@ -162,7 +167,7 @@ def validate_zero_table(
     points = inside + beyond[:1] + [table.max_ordinate]
     report = ValidationReport(source=table.source)
     for t in points:
-        count = int(zeros_up_to(table, t).size)
+        count = int(np.searchsorted(table.ordinates, t, side="right"))
         expected = riemann_von_mangoldt_count(t)
         deviation = abs(count - expected)
         report.checkpoints.append(

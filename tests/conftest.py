@@ -33,5 +33,7 @@ def weight_default():
 @pytest.fixture()
 def tiny_zeros(tmp_path):
     path = tmp_path / "tiny_zeros.txt"
-    path.write_text("# first three ordinates\n14.134725\n21.022040\n25.010858\n")
+    # the first four ordinates: T = 30 reads the first three, and the fourth
+    # lets the table cover that T
+    path.write_text("14.134725\n21.022040\n25.010858\n30.424876\n")
     return z.load_zeros(path)

@@ -6,7 +6,6 @@ from itertools import product
 import numpy as np
 
 from zetacorr.arithmetic import MangoldtTable, b_coefficients
-from zetacorr.correlation import _ordinates_for
 from zetacorr.dips import GOLDEN
 from zetacorr.errors import DomainError
 from zetacorr.rounding import exact_sum
@@ -19,6 +18,7 @@ from zetacorr.series import (
     profile_terms,
     upper_gamma_int,
 )
+from zetacorr.zeros import zeros_up_to
 
 
 def _halves(tup, n: int) -> list[list]:
@@ -60,7 +60,7 @@ def canonical_pair_count(tup, t_max, zeros, cutoff) -> int:
     Tuples that differ by permuting equal coefficients are one pair; for
     a balanced tuple, whose halves are alike, so are (A, B) and (B, A).
     """
-    gammas = _ordinates_for(zeros, t_max)
+    gammas = zeros_up_to(zeros, t_max)
     kept = np.abs(delta_by_halves(tup, gammas)) <= cutoff
     keys = [zip(*(row[kept].tolist() for _, row in half)) for half in _halves(tup, gammas.size)]
     pairs = zip(*keys)
@@ -69,14 +69,30 @@ def canonical_pair_count(tup, t_max, zeros, cutoff) -> int:
     return len(set(pairs))
 
 
+class Unpruned:
+    """A weight h whose support cutoff is inf, so the direct route prunes nothing."""
+
+    def __init__(self, inner):
+        self.inner, self.center, self.width = inner, inner.center, inner.width
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def value_bound_beyond(self, x):
+        return self.inner.value_bound_beyond(x)
+
+    def support_cutoff(self):
+        return math.inf
+
+
 def naive_correlation_sum(h, tup, t_max, zeros) -> float:
     """Unpruned enumeration of sum h(Delta) over ordinate m-tuples (n <= 40).
 
     Every tuple's Delta from `delta_by_halves`, all terms to one
     math.fsum, so the result is their correctly rounded sum, which is
-    what the direct route returns with an infinite cutoff.
+    what the direct route returns for the weight `Unpruned(h)`.
     """
-    gammas = _ordinates_for(zeros, t_max)
+    gammas = zeros_up_to(zeros, t_max)
     if gammas.size > 40:
         raise ValueError("naive enumeration is intended for tiny instances")
     return math.fsum(h.value(delta_by_halves(tup, gammas)).tolist())
@@ -87,7 +103,7 @@ def tuple_count_naive(tup, t_max, zeros, cutoff) -> int:
 
     Delta from `delta_by_halves` (small tables only).
     """
-    gammas = _ordinates_for(zeros, t_max)
+    gammas = zeros_up_to(zeros, t_max)
     return int(np.count_nonzero(np.abs(delta_by_halves(tup, gammas)) <= cutoff))
 
 

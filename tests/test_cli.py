@@ -277,6 +277,25 @@ class TestHsumCommand:
         cfg.write_text("tuples = 1,1,-3\nT = 40\n")
         assert main(["hsum", "--config", str(cfg)]) == 2
 
+    def test_t_past_the_table_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        # the bundled table ends at ordinate 1000, 1419.42; ordinate 1001,
+        # 1420.42, lies below T = 1421 and would be missed
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"tuples = 1,1,-2\nT = 1421\noutput_dir = {out}\n")
+        assert main(["hsum", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "does not cover T=1421.0" in captured.err
+        assert not out.exists()
+
+    def test_empty_table_exit_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# no ordinates\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"tuples = 1,1,-2\nT = 300\nzeros = {empty}\noutput_dir = {tmp_path}\n")
+        assert main(["hsum", "--config", str(cfg)]) == 2
+        assert "is empty, so it does not cover T=300.0" in capsys.readouterr().err
+
     def test_zero_sum_below_first_zero_not_vacuous(self, tmp_path, capsys):
         # no ordinate below T: both routes give H = 0 with claims of 0
         cfg = tmp_path / "exp.cfg"
@@ -401,6 +420,16 @@ class TestDipsCommand:
         assert capsys.readouterr().out == "[]\n" and len(limits) == 1
         assert main([*argv[:-1], "1e-300"]) == 4
         assert "limit" in capsys.readouterr().err
+
+    def test_window_past_the_table_exit_2_before_the_sieve(self, capsys, monkeypatch):
+        # the bundled table ends at 1419.42: dips near 1420.42 would read unmatched
+        def unreachable(*args):
+            raise AssertionError("sieved")
+
+        monkeypatch.setattr(cli, "sieve_mangoldt", unreachable)
+        assert main(["dips", "--tuple", "1,1,-2", "--t-lo", "1400", "--t-hi", "1440"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "ends at 1419.42" in err
 
     @pytest.mark.parametrize(
         "option, value, message",

@@ -18,7 +18,7 @@ from zetacorr.correlation import _zero_sums
 from zetacorr.rounding import gamma
 from zetacorr.series import ROW, transform_truncation
 
-from oracles import canonical_pair_count, naive_correlation_sum, tuple_count_naive
+from oracles import Unpruned, canonical_pair_count, naive_correlation_sum, tuple_count_naive
 
 # runs of equal coefficients in one half or both, none, and equal halves
 TUPLES = [(1, 1, -2), (-1, -1, 2), (1, 1, -1, -1), (2, 2, -1, -3), (1, 2, -3), (1, -1, 1, -1)]
@@ -147,9 +147,7 @@ class TestDirectRoute:
     def test_naive_matches_bitwise_m3(self, weight_default, tiny_zeros):
         tup = z.coefficient_tuple([1, 1, -2])
         naive = naive_correlation_sum(weight_default, tup, 30.0, tiny_zeros)
-        pruned, _ = z.direct_correlation_sum(
-            weight_default, tup, 30.0, tiny_zeros, cutoff=math.inf
-        )
+        pruned, _ = z.direct_correlation_sum(Unpruned(weight_default), tup, 30.0, tiny_zeros)
         assert naive == pruned
 
     @pytest.mark.parametrize(
@@ -158,9 +156,7 @@ class TestDirectRoute:
     def test_naive_matches_bitwise_more_tuples(self, weight_default, zero_table, entries):
         tup = z.coefficient_tuple(list(entries))
         naive = naive_correlation_sum(weight_default, tup, 60.0, zero_table)
-        pruned, diag = z.direct_correlation_sum(
-            weight_default, tup, 60.0, zero_table, cutoff=math.inf
-        )
+        pruned, diag = z.direct_correlation_sum(Unpruned(weight_default), tup, 60.0, zero_table)
         assert naive == pruned
         assert diag.tuple_count == z.zeros_up_to(zero_table, 60.0).size ** tup.m
 
@@ -168,8 +164,8 @@ class TestDirectRoute:
         # multiplicities 3 and 6 on alike halves, entering in power-of-two parts
         tup = z.coefficient_tuple([1, 1, 1, -1, -1, -1])
         naive = naive_correlation_sum(weight_default, tup, 40.0, zero_table)
-        counted = Scaled(weight_default, 1.0)
-        value, diag = z.direct_correlation_sum(counted, tup, 40.0, zero_table, cutoff=math.inf)
+        counted = Scaled(Unpruned(weight_default), 1.0)
+        value, diag = z.direct_correlation_sum(counted, tup, 40.0, zero_table)
         assert value == naive and diag.tuple_count == 6**6
         assert counted.points == canonical_pair_count(tup, 40.0, zero_table, math.inf)
         _, diag = z.direct_correlation_sum(weight_default, tup, 40.0, zero_table)
@@ -273,10 +269,17 @@ class TestDirectRoute:
                 weight_default, z.coefficient_tuple([1, 1, -2]), 100.0, tiny_zeros
             )
 
-    def test_budget_error_suggests_spectral(self, weight_default, zero_table):
+    def test_budget_error_names_the_ordinate_that_fits(self, weight_default, zero_table):
+        # 38^5 <= 8e7 < 39^5: T below the 39th ordinate keeps n at 38
         wide = z.coefficient_tuple([1, 1, 1, 1, 1, -5])
-        with pytest.raises(z.BudgetError, match="spectral"):
+        with pytest.raises(z.BudgetError) as caught:
             z.direct_correlation_sum(weight_default, wide, 1000.0, zero_table)
+        assert str(caught.value) == (
+            "649^5 index tuples of a half exceed the direct-route budget of 80,000,000; "
+            "T below 121.37012500242065 (ordinate 39) fits"
+        )
+        below = np.nextafter(zero_table.ordinates[38], 0.0)
+        assert z.zeros_up_to(zero_table, below).size == 38
 
 
 LD = np.longdouble
@@ -534,9 +537,7 @@ class TestSpectralRoute:
 
     def test_matches_direct_on_tiny_instance(self, weight_default, tiny_zeros):
         tup = z.coefficient_tuple([1, 1, -2])
-        direct, ddiag = z.direct_correlation_sum(
-            weight_default, tup, 30.0, tiny_zeros, cutoff=math.inf
-        )
+        direct, ddiag = z.direct_correlation_sum(Unpruned(weight_default), tup, 30.0, tiny_zeros)
         spectral, sdiag = z.spectral_correlation_sum(
             weight_default, tup, 30.0, tiny_zeros
         )

@@ -14,8 +14,9 @@ def _load_tool():
 
 def test_every_command_is_listed():
     labels = [label for label, _, _ in _load_tool().commands()]
-    assert labels[:4] == ["kfun"] + [f"dips --tuple {t}" for t in ("1,1,-2", "1,1,-1,-1", "1,2,-3")]
-    assert len(labels) == 4 + 3 * 3
+    dips = [f"dips --tuple {t}" for t in ("1,1,-2", "1,1,-1,-1", "1,2,-3")]
+    assert labels[:5] == ["kfun", *dips, "validate-zeros"]
+    assert len(labels) == 5 + 3 * 3
 
 
 def test_tree_against_itself_is_the_same(monkeypatch, capsys):

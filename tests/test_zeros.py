@@ -21,11 +21,13 @@ class TestLoad:
         assert table.precision_digits == 6
 
     def test_empty_file_is_valid(self, tmp_path):
+        # an empty table loads, but covers no T
         path = tmp_path / "empty.txt"
         path.write_text("# nothing\n")
         table = z.load_zeros(path)
         assert len(table) == 0
-        assert z.zeros_up_to(table, 50.0).size == 0
+        with pytest.raises(z.DataError, match="is empty"):
+            z.zeros_up_to(table, 50.0)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(z.DataError):
@@ -122,7 +124,13 @@ class TestQueries:
         with pytest.raises(ValueError):
             z.zeros_up_to(zero_table, 0.0)
 
-    @given(st.floats(min_value=1.0, max_value=1500.0), st.floats(min_value=0.0, max_value=200.0))
+    def test_covers_t_up_to_the_last_ordinate(self, zero_table):
+        top = zero_table.max_ordinate
+        assert z.zeros_up_to(zero_table, top).size == len(zero_table)
+        with pytest.raises(z.DataError, match=f"ends at {top!r}, so it does not cover T="):
+            z.zeros_up_to(zero_table, np.nextafter(top, math.inf))
+
+    @given(st.floats(min_value=1.0, max_value=1219.0), st.floats(min_value=0.0, max_value=200.0))
     def test_nested_thresholds(self, t1, gap):
         table = _module_table()
         low = z.zeros_up_to(table, t1)

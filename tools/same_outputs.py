@@ -8,9 +8,10 @@ zetacorr from that checkout's ``src/``, with a new temporary directory as
 its working directory and its stdout in ``stdout.txt`` there; that
 directory's path is written ``<dir>`` wherever an output names it.  The
 commands are the default ``kfun``, the default ``dips --tuple`` for each
-of ``kfun``'s default tuples, and every workload of
-``perfbench/workloads.py`` (read from this tool's checkout, not changed)
-at seeds 0, 5 and 9, built with ``workloads.command``.  The exit code,
+of ``kfun``'s default tuples, ``validate-zeros`` on the bundled table, and
+every workload of ``perfbench/workloads.py`` (read from this tool's
+checkout, not changed) at seeds 0, 5 and 9, built with
+``workloads.command``.  The exit code,
 stdout and every file the command wrote are compared byte for byte; for
 a workload these include the files ``workloads.outputs`` reads back,
 whose count is printed.  One line per command; the exit code is 1 on
@@ -48,6 +49,7 @@ def commands() -> list[tuple[str, object, object]]:
     out = [("kfun", lambda d: ["kfun"], None)]
     for t in CURVE_TUPLES:
         out.append((f"dips --tuple {t}", lambda d, t=t: ["dips", "--tuple", t], None))
+    out.append(("validate-zeros", lambda d: ["validate-zeros"], None))
     wl = _workloads()
     for name, w in wl.WORKLOADS.items():
         for seed in SEEDS:

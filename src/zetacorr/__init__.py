@@ -14,9 +14,7 @@ from .arithmetic import MangoldtTable, sieve_mangoldt
 from .combinatorics import (
     balanced_coefficient,
     balanced_sinc_constant,
-    cosh_product_identity,
     dip_depth_prediction,
-    multinomial,
     sinc_product_exact,
 )
 from .correlation import (
@@ -64,14 +62,12 @@ __all__ = [
     "closed_form_profile_integral",
     "coefficient_tuple",
     "correlation_kernel",
-    "cosh_product_identity",
     "dip_depth_prediction",
     "direct_correlation_sum",
     "gaussian_triplet",
     "load_zeros",
     "main_term",
     "match_to_zeros",
-    "multinomial",
     "parse_tuple_text",
     "riemann_von_mangoldt_count",
     "routes_agree",

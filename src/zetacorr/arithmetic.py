@@ -1,4 +1,4 @@
-"""Integer-arithmetic substrate: the prime-power sieve, and b_m(k) as an Euler product.
+"""Integer-arithmetic substrate: the prime-power sieve.
 
 The von Mangoldt table lists the prime powers n = p^k up to a limit,
 ascending, each with its base prime p.  Lambda(n) = log(p) is therefore
@@ -94,28 +94,3 @@ def sieve_mangoldt(limit: int) -> MangoldtTable:
     base_prime[at], power_index[at] = base, exponent
     base_log = np.log(base_prime, dtype=np.float64)
     return MangoldtTable(limit, base_prime, prime_powers, base_log, power_index, base_log.cumsum())
-
-
-def b_coefficients(m: int, limit: int) -> list[int]:
-    """b[k] = sum of mu(d) * d^(m-1) over the divisors d of k, for k <= limit.
-
-    These are the Dirichlet-inverse coefficients of n^(m-1): convolving
-    them back against d^(m-1) gives the constant 1 (see `identities`).
-    As d -> d^(m-1) is completely multiplicative, b[k] is the Euler
-    product of (1 - p^(m-1)) over the primes p dividing k: one pass over
-    the primes in Python integers, exact for every m; b[0] = 0.
-
-    Raises:
-        ValueError: m < 2, or limit < 1 or above the configured cap.
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if limit < 1:
-        raise ValueError("sieve limit must be >= 1")
-    if limit > SIEVE_LIMIT_CAP:
-        raise ValueError(f"sieve limit {limit} exceeds cap {SIEVE_LIMIT_CAP}")
-    b = [0] + [1] * limit
-    for p in _listed(_odd_sieve(limit)).tolist():
-        factor = 1 - p ** (m - 1)
-        b[p::p] = [v * factor for v in b[p::p]]
-    return b

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: constants, kfun, hsum, dips, validate-zeros, identities.
+Subcommands: constants, kfun, hsum, dips, validate-zeros.
 Exit codes: 0 success, 1 invariant violation (routes disagree, or a
 certificate is vacuous), 2 input error, 3 numeric domain error, 4
 resource/budget exceeded.  All numbers print with 17 significant
@@ -26,7 +26,6 @@ from .dips import (
     write_profile_csv,
 )
 from .errors import BudgetError, DataError, DomainError, ResourceError
-from .identities import run_identity_suite
 from .arithmetic import SIEVE_LIMIT_CAP, sieve_mangoldt
 from .series import kernel_profile_evaluator, sieve_limit, transform_truncation
 from .weights import gaussian_triplet
@@ -201,19 +200,6 @@ def _cmd_validate_zeros(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_VIOLATION
 
 
-def _cmd_identities(args) -> int:
-    result = run_identity_suite(
-        seed=args.seed, iterations=args.iters, b_limit=args.b_limit
-    )
-    print(f"max scaled residual (multinomial): {_fmt(result.max_scaled_residual_multinomial)}")
-    print(f"max scaled residual (signed power): {_fmt(result.max_scaled_residual_power)}")
-    print(f"max relative gap (cosh expansion): {_fmt(result.max_relative_gap_cosh)}")
-    print(f"inverse-convolution values checked: {result.b_inverse_checked}")
-    for violation in result.violations:
-        print(f"VIOLATION: {violation}", file=sys.stderr)
-    return EXIT_OK if result.ok else EXIT_VIOLATION
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zetacorr",
@@ -249,12 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-zeros", help="zero-count checkpoints vs asymptotic")
     p.add_argument("path", nargs="?", default=None)
     p.set_defaults(func=_cmd_validate_zeros)
-
-    p = sub.add_parser("identities", help="randomized exact-identity suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--b-limit", type=int, default=10**4)
-    p.set_defaults(func=_cmd_identities)
     return parser
 
 

@@ -63,8 +63,9 @@ def load_zeros(path) -> ZeroTable:
     """Parse an ordinate table from a text file.
 
     Raises:
-        DataError: unreadable file, unparseable line, non-finite,
-            non-positive or decreasing ordinate (message carries the
+        DataError: unreadable file, unparseable line, non-finite or
+            non-positive ordinate, a line that is not ASCII digits with at
+            most one dot, or a decreasing ordinate (message carries the
             line number).
     """
     path = Path(path)
@@ -88,6 +89,8 @@ def load_zeros(path) -> ZeroTable:
             raise DataError(f"{path}: line {lineno}: ordinate must be finite")
         if value <= 0.0:
             raise DataError(f"{path}: line {lineno}: ordinate must be positive")
+        if not (line.isascii() and line.replace(".", "", 1).isdigit()):
+            raise DataError(f"{path}: line {lineno}: not a decimal: {line!r}")
         if value < prev:
             raise DataError(
                 f"{path}: line {lineno}: ordinate {value} decreases below {prev}"
@@ -164,7 +167,9 @@ def validate_zero_table(
         raise ValueError("cannot validate an empty table")
     inside = [t for t in sorted(checkpoints) if t <= table.max_ordinate]
     beyond = [t for t in sorted(checkpoints) if t > table.max_ordinate]
-    points = inside + beyond[:1] + [table.max_ordinate]
+    points = inside + beyond[:1]
+    if table.max_ordinate not in points:
+        points.append(table.max_ordinate)
     report = ValidationReport(source=table.source)
     for t in points:
         count = int(np.searchsorted(table.ordinates, t, side="right"))

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 
-from zetacorr.arithmetic import MangoldtTable, b_coefficients
+from zetacorr.arithmetic import MangoldtTable, sieve_mangoldt
 from zetacorr.dips import GOLDEN
 from zetacorr.errors import DomainError
 from zetacorr.rounding import exact_sum
@@ -317,6 +317,29 @@ def mobius(n: int) -> int:
 def b_coefficient_naive(k: int, m: int) -> int:
     """b_m(k) = sum of mu(d) d^(m-1) over the divisors d of k, one k at a time."""
     return sum(mobius(d) * d ** (m - 1) for d in divisors(k))
+
+
+def b_coefficients(m: int, limit: int) -> list[int]:
+    """b[k] = sum of mu(d) * d^(m-1) over the divisors d of k, for k <= limit.
+
+    These are the Dirichlet-inverse coefficients of n^(m-1): convolving
+    them back against d^(m-1) gives the constant 1 (see `identities`).
+    As d -> d^(m-1) is completely multiplicative, b[k] is the Euler
+    product of (1 - p^(m-1)) over the primes p dividing k: one pass over
+    the primes of `sieve_mangoldt(limit)` in Python integers, exact for
+    every m; b[0] = 0.
+
+    Raises:
+        ValueError: m < 2, or a limit `sieve_mangoldt` refuses.
+    """
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    table = sieve_mangoldt(limit)
+    b = [0] + [1] * limit
+    for p in table.prime_powers[table.power_index == 1].tolist():
+        factor = 1 - p ** (m - 1)
+        b[p::p] = [v * factor for v in b[p::p]]
+    return b
 
 
 def prime_tail_estimate(n_cut: int, sigma: float, m: int) -> float:

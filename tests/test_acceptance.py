@@ -16,10 +16,10 @@ import pytest
 
 import zetacorr as z
 from zetacorr.dips import deep_minima
-from zetacorr.identities import run_identity_suite
 from zetacorr.quadrature import adaptive_integrate, sinc_product
 from zetacorr.series import choose_truncation
 
+from identities import run_identity_suite
 from oracles import (
     Unpruned,
     kernel_expansion_residual,

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zetacorr as z
-from zetacorr.arithmetic import SIEVE_LIMIT_CAP, b_coefficients
+from zetacorr.arithmetic import SIEVE_LIMIT_CAP
 
 from oracles import (
     b_coefficient_naive,
+    b_coefficients,
     divisors,
     lambda_value,
     mobius,

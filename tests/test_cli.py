@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zetacorr as z
-from zetacorr import cli, identities, series
+from zetacorr import cli, series
 from zetacorr.cli import main
 from zetacorr.config import KEYS, ExperimentConfig, parse_config_text
 from zetacorr.correlation import build_report, leading_constant, main_term
@@ -575,54 +575,13 @@ class TestValidateZerosCommand:
         assert "line 2" in capsys.readouterr().err
 
 
-class TestIdentitiesCommand:
-    def test_small_run_passes(self, capsys):
-        code = main(["identities", "--seed", "42", "--iters", "3", "--b-limit", "300"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "max scaled residual" in out
-
-    @pytest.mark.parametrize("iters", ["0", "-5"])
-    def test_no_iterations_exit_2(self, capsys, iters):
-        assert main(["identities", "--iters", iters, "--b-limit", "300"]) == 2
-        assert "iterations" in capsys.readouterr().err
-
-    def test_iterations_over_budget_exit_4(self, capsys, monkeypatch):
-        # refused before any work: the suite's first step would raise here
-        def unreachable(*args):
-            raise AssertionError("the suite ran")
-
-        monkeypatch.setattr(identities, "alternating_multinomial_sum_scaled", unreachable)
-        monkeypatch.setattr(identities, "b_coefficients", unreachable)
-        limit = identities.ITERATIONS_BUDGET
-        assert main(["identities", "--iters", str(limit + 1), "--b-limit", "300"]) == 4
-        err = capsys.readouterr().err
-        assert f"budget of {limit}" in err and "about 0.035 s" in err
-
-    @pytest.mark.parametrize("b_limit", [0, -3])
-    def test_b_limit_below_one_exit_2_before_any_work(self, capsys, monkeypatch, b_limit):
-        def unreachable(*args):
-            raise AssertionError("the suite ran")
-
-        for name in ("alternating_multinomial_sum_scaled", "signed_power_sum_scaled",
-                     "cosh_product_identity", "b_coefficients"):
-            monkeypatch.setattr(identities, name, unreachable)
-        with pytest.raises(ValueError, match=f"b_limit must be >= 1, got {b_limit}"):
-            identities.run_identity_suite(iterations=1, b_limit=b_limit)
-        assert main(["identities", "--iters", "1", "--b-limit", str(b_limit)]) == 2
-        assert "b_limit must be >= 1" in capsys.readouterr().err
-
-    def test_b_limit_over_budget_exit_4(self, capsys):
-        # refused before the sieve: 1e8 would hold lists of 1e8 + 1 big ints
-        tracemalloc.start()
-        try:
-            got = main(["identities", "--iters", "1", "--b-limit", "100000000"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == 4
-        assert "budget error" in capsys.readouterr().err
-        assert peak < 32 * 2**20
+def test_identities_is_no_command_and_its_evaluators_no_exports(capsys):
+    # the identity suite is a test (tests/identities.py), not a product feature
+    with pytest.raises(SystemExit) as exc:
+        main(["identities"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'identities'" in capsys.readouterr().err
+    assert {"multinomial", "cosh_product_identity"} & set(z.__all__) == set()
 
 
 class TestConfigParsing:

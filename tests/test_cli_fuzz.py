@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from zetacorr import cli, identities
+from zetacorr import cli
 from zetacorr.dips import MAX_GRID_POINTS
 
 PREFIX = {
@@ -29,10 +29,6 @@ FIRST_WORK = [
     (cli, "sieve_mangoldt"),
     (cli, "balanced_coefficient"),
     (cli, "leading_constant"),
-    (identities, "alternating_multinomial_sum_scaled"),
-    (identities, "signed_power_sum_scaled"),
-    (identities, "cosh_product_identity"),
-    (identities, "b_coefficients"),
 ]
 SMALL_GRID = 10**4
 ARANGE = np.arange
@@ -153,17 +149,3 @@ def test_dips(options):
 def test_constants(options):
     _check(_argv("constants", options))
 
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.fixed_dictionaries(
-        {},
-        optional={
-            "--seed": st.integers(-10**30, 10**30),
-            "--iters": _around(1, identities.ITERATIONS_BUDGET),
-            "--b-limit": _around(1, identities.B_INVERSE_BUDGET),
-        },
-    )
-)
-def test_identities(options):
-    _check(_argv("identities", options))

@@ -7,26 +7,28 @@ import pytest
 from hypothesis import given, strategies as st
 
 import zetacorr as z
-from zetacorr.combinatorics import (
-    alternating_multinomial_sum_scaled,
-    signed_power_sum_scaled,
-    sinc_product_digits,
-)
+from zetacorr.combinatorics import sinc_product_digits
 from zetacorr.quadrature import adaptive_integrate, sinc_product, sinc_product_constant
 
+from identities import (
+    alternating_multinomial_sum_scaled,
+    cosh_product_identity,
+    multinomial,
+    signed_power_sum_scaled,
+)
 from oracles import sinc_power_integral, sinc_product_naive
 
 
 class TestMultinomial:
     def test_hand_values(self):
-        assert z.multinomial(4, [2, 2]) == 6
-        assert z.multinomial(2, [2]) == 1
-        assert z.multinomial(6, [2, 2, 2]) == 90
-        assert z.multinomial(0, []) == 1
+        assert multinomial(4, [2, 2]) == 6
+        assert multinomial(2, [2]) == 1
+        assert multinomial(6, [2, 2, 2]) == 90
+        assert multinomial(0, []) == 1
 
     def test_rejects_mismatched_parts(self):
         with pytest.raises(ValueError):
-            z.multinomial(5, [2, 2])
+            multinomial(5, [2, 2])
 
     def test_matches_factorial_ratio(self):
         rng = random.Random(7)
@@ -36,7 +38,7 @@ class TestMultinomial:
             expect = math.factorial(top)
             for p in parts:
                 expect //= math.factorial(p)
-            assert z.multinomial(top, parts) == expect
+            assert multinomial(top, parts) == expect
 
 
 class TestCancellationSums:
@@ -69,25 +71,25 @@ class TestCancellationSums:
 
 class TestCoshExpansion:
     def test_zero_arguments(self):
-        lhs, rhs = z.cosh_product_identity([0.0, 0.0])
+        lhs, rhs = cosh_product_identity([0.0, 0.0])
         assert lhs == 4.0 and rhs == 4.0
 
     def test_hand_expansion(self):
-        lhs, rhs = z.cosh_product_identity([1.0, 1.0])
+        lhs, rhs = cosh_product_identity([1.0, 1.0])
         assert lhs == pytest.approx((2 * math.cosh(1)) ** 2, rel=1e-15)
         assert rhs == pytest.approx(2 * math.cosh(2) + 2 * math.cosh(0), rel=1e-15)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
-            z.cosh_product_identity([31.0, 0.0])
+            cosh_product_identity([31.0, 0.0])
 
     @pytest.mark.parametrize("s", [2, 3, 5, 6])
     def test_random_agreement(self, s):
         rng = random.Random(s)
         for _ in range(50):
             a_vals = [rng.uniform(-3, 3) for _ in range(s)]
-            lhs, rhs = z.cosh_product_identity(a_vals)
+            lhs, rhs = cosh_product_identity(a_vals)
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 

@@ -14,9 +14,11 @@ def _load_tool():
 
 def test_every_command_is_listed():
     labels = [label for label, _, _ in _load_tool().commands()]
-    dips = [f"dips --tuple {t}" for t in ("1,1,-2", "1,1,-1,-1", "1,2,-3")]
-    assert labels[:5] == ["kfun", *dips, "validate-zeros"]
-    assert len(labels) == 5 + 3 * 3
+    tuples = ("1,1,-2", "1,1,-1,-1", "1,2,-3")
+    dips = [f"dips --tuple {t}" for t in tuples]
+    constants = ["constants --r-max 12", *(f"constants --tuple {t}" for t in tuples)]
+    assert labels[:9] == ["kfun", *dips, "validate-zeros", *constants]
+    assert len(labels) == 9 + 3 * 3
 
 
 def test_tree_against_itself_is_the_same(monkeypatch, capsys):

@@ -65,6 +65,14 @@ class TestLoad:
         with pytest.raises(z.DataError, match="line 2: ordinate must be finite"):
             z.load_zeros(path)
 
+    @pytest.mark.parametrize("text", ["2.1022e1", "1_00.5", "\u0661\u0664.\u0661"])
+    def test_only_plain_decimals(self, tmp_path, text):
+        # float() reads each, but the digit count would not
+        path = tmp_path / "bad.txt"
+        path.write_text(f"14.1\n{text}\n", encoding="utf-8")
+        with pytest.raises(z.DataError, match=f"line 2: not a decimal: {text!r}"):
+            z.load_zeros(path)
+
     def test_repeated_line_kept_with_warning(self, tmp_path):
         path = tmp_path / "multi.txt"
         path.write_text("14.1\n14.1\n15.0\n")
@@ -200,6 +208,13 @@ class TestValidation:
         assert first["flagged"]
         # the later default checkpoints carry no new information
         assert [c["T"] for c in report.checkpoints] == [100.0, table.max_ordinate]
+
+    def test_table_ending_on_a_checkpoint_lists_it_once(self, zero_table, tmp_path):
+        path = tmp_path / "to_100.txt"
+        kept = zero_table.ordinates[zero_table.ordinates < 100.0]
+        path.write_text("".join(f"{g:.6f}\n" for g in kept) + "100.0\n")
+        report = z.validate_zero_table(z.load_zeros(path))
+        assert [c["T"] for c in report.checkpoints] == [100.0, 500.0]
 
     def test_truncated_table_flagged_at_covered_checkpoint(self, zero_table, tmp_path):
         path = tmp_path / "sparse.txt"

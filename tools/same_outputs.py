@@ -7,14 +7,14 @@ checkout, each time in a fresh ``python3 -I`` process that imports
 zetacorr from that checkout's ``src/``, with a new temporary directory as
 its working directory and its stdout in ``stdout.txt`` there; that
 directory's path is written ``<dir>`` wherever an output names it.  The
-commands are the default ``kfun``, the default ``dips --tuple`` for each
-of ``kfun``'s default tuples, ``validate-zeros`` on the bundled table, and
+commands are the default ``kfun``; the default ``dips --tuple`` and
+``constants --tuple`` for each of ``kfun``'s default tuples;
+``validate-zeros`` on the bundled table; ``constants --r-max 12``; and
 every workload of ``perfbench/workloads.py`` (read from this tool's
 checkout, not changed) at seeds 0, 5 and 9, built with
-``workloads.command``.  The exit code,
-stdout and every file the command wrote are compared byte for byte; for
-a workload these include the files ``workloads.outputs`` reads back,
-whose count is printed.  One line per command; the exit code is 1 on
+``workloads.command``.  The exit code, stdout and every file the
+command wrote are compared byte for byte; for a workload these include
+the files ``workloads.outputs`` reads back, whose count is printed.  One line per command; the exit code is 1 on
 any difference.
 """
 from __future__ import annotations
@@ -50,6 +50,9 @@ def commands() -> list[tuple[str, object, object]]:
     for t in CURVE_TUPLES:
         out.append((f"dips --tuple {t}", lambda d, t=t: ["dips", "--tuple", t], None))
     out.append(("validate-zeros", lambda d: ["validate-zeros"], None))
+    out.append(("constants --r-max 12", lambda d: ["constants", "--r-max", "12"], None))
+    for t in CURVE_TUPLES:
+        out.append((f"constants --tuple {t}", lambda d, t=t: ["constants", "--tuple", t], None))
     wl = _workloads()
     for name, w in wl.WORKLOADS.items():
         for seed in SEEDS:

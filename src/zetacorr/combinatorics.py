@@ -102,11 +102,12 @@ def sinc_product_digits(entries: tuple[int, ...]) -> float:
 def dip_depth_prediction(m: int, s_plus: int) -> float:
     """Predicted depth -2*(m-1)!/(s_plus - 1/2)^m of the profile dips.
 
-    ``s_plus`` is the sum of the positive tuple entries.
+    ``s_plus`` is the sum of the positive tuple entries.  One correctly
+    rounded quotient of integers, so no factor overflows float64 alone.
 
     Raises:
         ValueError: m < 2 or s_plus < 1.
     """
     if m < 2 or s_plus < 1:
         raise ValueError("require m >= 2 and s_plus >= 1")
-    return -2.0 * math.factorial(m - 1) / (s_plus - 0.5) ** m
+    return -(2 ** (m + 1) * math.factorial(m - 1)) / (2 * s_plus - 1) ** m

@@ -71,7 +71,8 @@ def _multisets(gammas: np.ndarray, coeffs: list[int]):
     n, k = gammas.size, len(coeffs)
     runs = [c for c in range(1, k) if coeffs[c - 1] == coeffs[c]]
     for start in range(0, n**k, PREFIXES):
-        d = np.unravel_index(np.arange(start, min(start + PREFIXES, n**k)), (n,) * k)
+        flat = np.arange(start, min(start + PREFIXES, n**k))
+        d = [flat // n ** (k - 1 - c) % n for c in range(k)]  # np.unravel_index takes k <= 64
         keep = np.ones(d[0].size, bool)
         for c in runs:
             keep &= d[c - 1] <= d[c]
@@ -351,14 +352,17 @@ def build_report(
     """Run both routes plus the main term and assemble the report.
 
     Raises:
-        DomainError: a value of the report is nan or infinite, which
-            strict JSON cannot hold (a weight too wide or too far out
-            for double precision).
+        DomainError: T^(m-1) overflows float64 (checked first), or a value
+            of the report is nan or infinite, which strict JSON cannot hold
+            (a weight too wide or too far out for double precision).
     """
+    try:
+        scale = t_max ** (tup.m - 1)
+    except OverflowError:
+        raise DomainError(f"T^(m-1) = {t_max:g}^{tup.m - 1} overflows float64") from None
     h_direct, ddiag = direct_correlation_sum(h, tup, t_max, zeros)
     h_spectral, sdiag = spectral_correlation_sum(h, tup, t_max, zeros)
     main, main_claimed, n_cut = main_term(h, tup, t_max, table, tol=tol)
-    scale = t_max ** (tup.m - 1)
     diagnostics = {
         "tuple_count": ddiag.tuple_count,
         "pruned_fraction": ddiag.pruned_fraction,

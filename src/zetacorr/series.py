@@ -3,17 +3,11 @@
 The kernel K(s) = sum Lambda(n)^m / n^s (Re s > 1) and its profile
 y(t) = 2 Re K(S + it) are evaluated over the prime powers up to a
 truncation point chosen so a rigorous tail bound falls below the
-configured tolerance; two bounds are available and the smaller
-certificate wins:
-
-* the all-integer majorant  sum_{n>N} (log n)^m n^(-sigma), bounded by
-  the closed-form incomplete gamma  Gamma(m+1, (sigma-1) log N) /
-  (sigma-1)^(m+1);
-* a Chebyshev-weighted bound using the exact partial sum psi(N) from
-  the sieve together with psi(x) < 1.03883 x (valid for all x > 0),
-  which tracks the prime-power density and is roughly log N / (sigma-1)
-  times sharper.  With a lower bound for psi(N) it needs no table, and
-  it sizes the sieve (`sieve_limit`).
+configured tolerance.  There is one bound, `psi_tail_bound`: partial
+summation against Chebyshev's psi, with psi(x) < 1.03883 x (valid for
+all x > 0).  From the sieve's exact psi(N) it cuts the profile and the
+kernel (`choose_truncation`); from a lower bound for psi(N) it needs no
+table, and it sizes the sieve (`sieve_limit`) and cuts the main term.
 
 The main term's integral of h(t) y(t) is a closed-form sum over the same
 terms (`closed_form_profile_integral`, truncated by `transform_truncation`).
@@ -47,35 +41,30 @@ SIGMA_FLOOR = 1.5  # smallest Re(s) the series are evaluated at
 SQRT2 = math.sqrt(2.0)
 
 
-def upper_gamma_int(k: int, z: float) -> float:
-    """Upper incomplete gamma Gamma(k, z) for integer k >= 1, z >= 0.
+def _exp_up(x: float, size: float) -> float:
+    """e^x rounded up, for an x formed from logs of total magnitude `size`; +inf past float64.
 
-    Uses the finite closed form (k-1)! e^(-z) sum_{j<k} z^j / j!.
+    Each log is within a few ELEM_REL of its magnitude, so raising x by
+    8 ELEM_REL (1 + size) covers their rounding and exp's own.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if z < 0:
-        raise ValueError("z must be >= 0")
-    acc, term = 1.0, 1.0
-    for j in range(1, k):
-        term *= z / j
-        acc += term
-    return math.factorial(k - 1) * math.exp(-z) * acc
+    x += 8.0 * ELEM_REL * (1.0 + size)
+    return math.exp(x) if x < 709.0 else math.inf
 
 
-def integral_tail_bound(n_cut: int, sigma: float, m: int) -> float:
-    """All-integer tail bound for sum_{n>N} (log n)^m n^(-sigma).
+def _gamma_integral(m: int, sigma: float, ln_n: float) -> float:
+    """integral_N^inf (log x)^(m-1) x^(-sigma) dx = Gamma(m, z) / (sigma-1)^m, z = (sigma-1) log N.
 
-    Valid (and returned) only when the majorant is decreasing at N,
-    i.e. log N >= m / sigma; returns +inf otherwise.
+    Taken from its log, rounded up (`_exp_up`), so that no power or
+    factorial overflows: Gamma(m, z) = e^(-z) sum_{j<m} e^(l_j), with
+    l_j = log((m-1)! z^j / j!).  Needs sigma > 1, ln_n = log N > 0.
     """
-    if sigma <= 1:
-        return math.inf
-    ln_n = math.log(n_cut)
-    if ln_n * sigma < m:
-        return math.inf
     z = (sigma - 1.0) * ln_n
-    return upper_gamma_int(m + 1, z) / (sigma - 1.0) ** (m + 1)
+    log_z, log_s, lg = math.log(z), math.log(sigma - 1.0), math.lgamma(m)
+    logs = [lg - math.lgamma(j + 1) + j * log_z for j in range(m)]
+    top = max(logs)
+    log_sum = top + math.log(math.fsum(math.exp(v - top) for v in logs))
+    size = 2.0 * lg + m * (abs(log_z) + abs(log_s)) + math.log(m) + z
+    return _exp_up(log_sum - z - m * log_s, size)
 
 
 def psi_tail_bound(n_cut: int, sigma: float, m: int, table: MangoldtTable | None = None) -> float:
@@ -90,7 +79,9 @@ def psi_tail_bound(n_cut: int, sigma: float, m: int, table: MangoldtTable | None
     for N within the sieve; without a table it is the lower bound
     N (1 - 1/log N), from theta(x) > x (1 - 1/log x) for x >= 41
     (Rosser and Schoenfeld, Illinois J. Math. 6, 1962) and a check of
-    psi's steps below 41.  Returns +inf outside those conditions.
+    psi's steps below 41.  Returns +inf outside those conditions.  It
+    bounds the smaller tail of sum Lambda(n)^m n^(-sigma) too.  phi(N) and
+    the Gamma term (`_gamma_integral`) are taken from logs, rounded up.
     """
     if sigma <= 1 or (table is not None and n_cut > table.limit):
         return math.inf
@@ -98,26 +89,9 @@ def psi_tail_bound(n_cut: int, sigma: float, m: int, table: MangoldtTable | None
     if ln_n * sigma < m - 1:
         return math.inf
     psi = n_cut * (1.0 - 1.0 / ln_n) if table is None else table.psi_at(n_cut)
-    phi = ln_n ** (m - 1) * n_cut ** (-sigma)
-    boundary = (CHEBYSHEV_UPPER * n_cut - psi) * phi
-    integral = upper_gamma_int(m, (sigma - 1.0) * ln_n) / (sigma - 1.0) ** m
-    return boundary + CHEBYSHEV_UPPER * integral
-
-
-def certified_tail_bound(
-    n_cut: int, sigma: float, m: int, table: MangoldtTable | None = None
-) -> float:
-    """The sharper of the two rigorous tail bounds at truncation N.
-
-    Both bound the true tail of either series family, since
-    Lambda(n)^m and Lambda(n) (log n)^(m-1) are each at most
-    Lambda(n) (log n)^(m-1) <= (log n)^m.  Without a table, at least
-    the bound from any table that reaches N.
-    """
-    return min(
-        integral_tail_bound(n_cut, sigma, m),
-        psi_tail_bound(n_cut, sigma, m, table),
-    )
+    log_ln = math.log(ln_n)
+    phi = _exp_up((m - 1) * log_ln - sigma * ln_n, (m - 1) * abs(log_ln) + sigma * ln_n)
+    return (CHEBYSHEV_UPPER * n_cut - psi) * phi + CHEBYSHEV_UPPER * _gamma_integral(m, sigma, ln_n)
 
 
 def _smallest_cut(bound, sigma: float, m: int, cap: int, tol: float, what: str) -> int:
@@ -152,21 +126,21 @@ def _smallest_cut(bound, sigma: float, m: int, cap: int, tol: float, what: str) 
 def sieve_limit(sigma: float, m: int, tol: float) -> int:
     """A sieve limit N <= SIEVE_LIMIT_CAP on which `choose_truncation` certifies tol.
 
-    N is `_smallest_cut` of the table-free `certified_tail_bound`, which
-    is at least the bound of the table sieved to N.
+    N is `_smallest_cut` of the table-free `psi_tail_bound`, which is at
+    least the bound of the table sieved to N.
     """
-    bound = lambda n: certified_tail_bound(n, sigma, m)
+    bound = lambda n: psi_tail_bound(n, sigma, m)
     return _smallest_cut(bound, sigma, m, SIEVE_LIMIT_CAP, tol, "series")
 
 
 def choose_truncation(sigma: float, m: int, table: MangoldtTable, tol: float) -> int:
-    """The `_smallest_cut` of the certified tail bound at tol.
+    """The `_smallest_cut` of the table's `psi_tail_bound` at tol.
 
     Raises:
         ResourceError: no admissible N within the sieve limit; the
             message names the `sieve_limit` that suffices.
     """
-    bound = lambda n: certified_tail_bound(n, sigma, m, table)
+    bound = lambda n: psi_tail_bound(n, sigma, m, table)
     try:
         return _smallest_cut(bound, sigma, m, table.limit, tol, "series")
     except ResourceError as exc:
@@ -181,14 +155,14 @@ def transform_truncation(
 
     Here w_n = Lambda(n)^m n^(-sigma).  The envelope of |hhat(log n / 2 pi)|
     decreases in n, so the tail over n > N is at most 2 envelope(log N / 2 pi)
-    times the all-integer bound on sum_{n>N} (log n)^m n^(-sigma).  Needs no
-    sieve table.  Returns N and its tail bound.
+    times the table-free `psi_tail_bound` on sum_{n>N} w_n.  Needs no sieve
+    table.  Returns N and its tail bound.
 
     Raises:
         ResourceError: the tail bound at the cap is still above tol.
     """
     tail = lambda n: 2.0 * h.hat_envelope(math.log(n) / (2.0 * math.pi)) * (
-        integral_tail_bound(n, sigma, m)
+        psi_tail_bound(n, sigma, m)
     )
     n_cut = _smallest_cut(tail, sigma, m, cap, tol, "main-term")
     return n_cut, tail(n_cut)

@@ -16,7 +16,6 @@ from zetacorr.series import (
     choose_truncation,
     correlation_kernel,
     profile_terms,
-    upper_gamma_int,
 )
 from zetacorr.zeros import zeros_up_to
 
@@ -340,6 +339,30 @@ def b_coefficients(m: int, limit: int) -> list[int]:
         factor = 1 - p ** (m - 1)
         b[p::p] = [v * factor for v in b[p::p]]
     return b
+
+
+def upper_gamma_int(k: int, z: float) -> float:
+    """Upper incomplete gamma Gamma(k, z) = (k-1)! e^(-z) sum_{j<k} z^j / j!, integer k >= 1.
+
+    In float64 as written, so it overflows past k of about 170.
+    """
+    acc, term = 1.0, 1.0
+    for j in range(1, k):
+        term *= z / j
+        acc += term
+    return math.factorial(k - 1) * math.exp(-z) * acc
+
+
+def integral_tail_bound(n_cut: int, sigma: float, m: int) -> float:
+    """The all-integer majorant of sum_{n>N} (log n)^m n^(-sigma), or +inf.
+
+    Gamma(m+1, (sigma-1) log N) / (sigma-1)^(m+1), the integral of
+    (log x)^m x^(-sigma) over x > N; it bounds the sum while that
+    integrand decreases at N (log N >= m / sigma).
+    """
+    if sigma <= 1 or math.log(n_cut) * sigma < m:
+        return math.inf
+    return upper_gamma_int(m + 1, (sigma - 1.0) * math.log(n_cut)) / (sigma - 1.0) ** (m + 1)
 
 
 def prime_tail_estimate(n_cut: int, sigma: float, m: int) -> float:

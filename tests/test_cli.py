@@ -1,11 +1,13 @@
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -560,6 +562,46 @@ def test_double_dash_value_exit_2(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: '--' is not a flag's value\n"
+
+
+def _balanced(r: int) -> str:
+    return ",".join(["1"] * r + ["-1"] * r)
+
+
+class TestLongTuples:
+    """Balanced tuples of 170, 172 and 400 entries finish without a traceback.
+
+    Their (m-1)!, (S-1)^m or T^(m-1) overflow float64.
+    """
+
+    GRID = ["--t-lo", "13.5", "--t-hi", "14.8", "--tolerance", "0.1"]
+
+    @pytest.mark.parametrize("r", [85, 86, 200])
+    def test_kfun_and_dips_exit_0_with_finite_output(self, capsys, r):
+        assert main(["kfun", "--tuple", _balanced(r), *self.GRID]) == 0
+        values = [float(row.split(",")[1]) for row in capsys.readouterr().out.splitlines()[1:]]
+        assert len(values) == 66 and all(math.isfinite(v) for v in values)
+        assert main(["dips", "--tuple", _balanced(r), *self.GRID]) == 0
+        records = json.loads(capsys.readouterr().out)
+        depth = Fraction(2 ** (2 * r + 1) * math.factorial(2 * r - 1), (2 * r - 1) ** (2 * r))
+        assert records and all(rec["predicted_depth"] == -float(depth) for rec in records)
+        assert all(math.isfinite(rec["y_min"]) for rec in records)
+
+    @pytest.mark.parametrize("r", [85, 86])
+    def test_hsum_reports_are_finite(self, zero_table, weight_default, r):
+        # built in process, as their report names, of over 340 bytes, are too
+        # long for a file system; build_report refuses any value not finite
+        tup = z.coefficient_tuple([1] * r + [-1] * r)
+        table = z.sieve_mangoldt(1_000)
+        report = build_report(weight_default, tup, 14.5, zero_table, table, tol=1e-6)
+        assert report.diagnostics["main_term_terms"] == 8
+
+    def test_hsum_exit_3_when_t_power_overflows(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"tuples = {_balanced(200)}\nT = 14.5\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["hsum", "--config", str(cfg)]) == 3
+        assert "T^(m-1) = 14.5^399 overflows float64" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestValidateZerosCommand:

@@ -5,21 +5,26 @@
 PARENT and CHANGE are checkout roots.  Each command runs twice, once per
 checkout, each time in a fresh ``python3 -I`` process that imports
 zetacorr from that checkout's ``src/``, with a new temporary directory as
-its working directory and its stdout in ``stdout.txt`` there; that
-directory's path is written ``<dir>`` wherever an output names it.  The
+its working directory and its stdout in ``stdout.txt`` there.  The
 commands are the default ``kfun``; the default ``dips --tuple`` and
 ``constants --tuple`` for each of ``kfun``'s default tuples;
-``validate-zeros`` on the bundled table; ``constants --r-max 12``; and
-every workload of ``perfbench/workloads.py`` (read from this tool's
-checkout, not changed) at seeds 0, 5 and 9, built with
-``workloads.command``.  The exit code, stdout and every file the
-command wrote are compared byte for byte; for a workload these include
-the files ``workloads.outputs`` reads back, whose count is printed.  One line per command; the exit code is 1 on
-any difference.
+``dips --tuple 1,1,-2 --t-lo 1400 --t-hi 1440``, which exits 2 as its
+window passes the bundled table's last ordinate, so that an error
+message is compared; ``validate-zeros`` on the bundled table;
+``constants --r-max 12``; and every workload of ``perfbench/workloads.py``
+(read from this tool's checkout, not changed) at seeds 0, 5 and 9, built
+with ``workloads.command``.  The exit code, stdout, stderr and every file
+the command wrote are compared byte for byte, with the run's directory
+written ``<dir>`` and the checkout root ``<root>`` wherever they are
+named; for a workload these include the files ``workloads.outputs`` reads
+back, whose count is printed.  One line per command names what differs,
+and for a ``.json`` object the dotted keys whose values differ; the exit
+code is 1 on any difference.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -49,6 +54,8 @@ def commands() -> list[tuple[str, object, object]]:
     out = [("kfun", lambda d: ["kfun"], None)]
     for t in CURVE_TUPLES:
         out.append((f"dips --tuple {t}", lambda d, t=t: ["dips", "--tuple", t], None))
+    past = ["dips", "--tuple", "1,1,-2", "--t-lo", "1400", "--t-hi", "1440"]
+    out.append((" ".join(past), lambda d: past, None))
     out.append(("validate-zeros", lambda d: ["validate-zeros"], None))
     out.append(("constants --r-max 12", lambda d: ["constants", "--r-max", "12"], None))
     for t in CURVE_TUPLES:
@@ -72,7 +79,7 @@ def _files(d: Path) -> dict[str, bytes]:
 def run(root: Path, make_argv, gated) -> tuple[dict[str, bytes], int | None]:
     """One command run from `root`'s src: {name: bytes} and its gated output count.
 
-    The names are "exit code", "stdout" and each written file's path.
+    The names are "exit code", "stdout", "stderr" and each written file's path.
     """
     env = {k: v for k, v in os.environ.items() if k != "ZETA_ZEROS_PATH"}
     with tempfile.TemporaryDirectory() as tmp:
@@ -82,14 +89,33 @@ def run(root: Path, make_argv, gated) -> tuple[dict[str, bytes], int | None]:
         with open(d / "stdout.txt", "wb") as out:
             done = subprocess.run(
                 [sys.executable, "-I", "-c", CHILD, str(root / "src"), *argv],
-                cwd=d, stdout=out, stderr=subprocess.DEVNULL, env=env, check=False,
+                cwd=d, stdout=out, stderr=subprocess.PIPE, env=env, check=False,
             )
-        record = {"exit code": str(done.returncode).encode()}
-        # hsum prints the paths it wrote, which name the run's own directory
-        here = str(d).encode()
-        record |= {k: v.replace(here, b"<dir>") for k, v in _files(d).items() if before.get(k) != v}
+        record = {"exit code": str(done.returncode).encode(), "stderr": done.stderr}
+        record |= {k: v for k, v in _files(d).items() if before.get(k) != v}
         record["stdout"] = record.pop("stdout.txt")
+        # hsum prints the paths it wrote, which name the run's own directory,
+        # and an error message may name a file of the checkout
+        for path, name in ((d, b"<dir>"), (root, b"<root>")):
+            record = {k: v.replace(str(path).encode(), name) for k, v in record.items()}
         return record, None if gated is None else len(gated(d))
+
+
+def _json_keys(a, b, prefix: str = "") -> list[str]:
+    """Dotted keys of the leaves at which two parsed JSON objects differ."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [prefix[:-1]]
+    keys = sorted(a.keys() | b.keys())
+    return [k for key in keys for k in _json_keys(a.get(key), b.get(key), f"{prefix}{key}.")]
+
+
+def _differs(name: str, a: bytes | None, b: bytes | None) -> str:
+    """The name of an output that differs, with its differing keys if JSON objects."""
+    try:
+        keys = _json_keys(json.loads(a), json.loads(b)) if name.endswith(".json") else []
+    except (TypeError, ValueError):  # missing on one side, or not JSON
+        keys = []
+    return f"{name} [{', '.join(keys)}]" if any(keys) else name
 
 
 def main(argv=None) -> int:
@@ -101,9 +127,10 @@ def main(argv=None) -> int:
     differ = False
     for label, make_argv, gated in commands():
         (a, gated_a), (b, gated_b) = (run(root, make_argv, gated) for root in roots)
-        bad = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        names = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        bad = [_differs(k, a.get(k), b.get(k)) for k in names]
         differ |= bool(bad)
-        note = f"exit {a['exit code'].decode()}, {len(a) - 1} outputs"
+        note = f"exit {a['exit code'].decode()}, {len(a) - 2} outputs"
         if gated is not None:
             note += f", {gated_a}/{gated_b} gated"
         line = f"{'DIFFER' if bad else 'same'}  {label}  ({note})"

@@ -150,6 +150,11 @@ def _vacuous_claims(report) -> list[str]:
 
 def _cmd_hsum(args) -> int:
     cfg = load_config(args.config)
+    report_name = lambda tup, t_max: f"report_{tup.compact}_{_name(t_max)}.json"
+    for tup in cfg.tuples:  # refused before any work: no report could be written
+        size = max(len(report_name(tup, t_max).encode()) for t_max in cfg.t_list)
+        if size > 255:  # the usual file-name limit (NAME_MAX)
+            raise ValueError(f"the report name of tuple {tup} has {size} bytes, above 255")
     zeros = load_zeros(cfg.zeros_path)
     h = gaussian_triplet(cfg.h_center, cfg.h_width)
     table = _sieve_for(cfg.tuples, cfg.quadrature_tolerance, h)
@@ -162,7 +167,7 @@ def _cmd_hsum(args) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     vacuous = []
     for tup, t_max, report in runs:
-        out = cfg.output_dir / f"report_{tup.compact}_{_name(t_max)}.json"
+        out = cfg.output_dir / report_name(tup, t_max)
         out.write_text(report.to_json(), encoding="utf-8")
         print(out)
         vacuous.extend(f"{tup} at T={_name(t_max)}: {v}" for v in _vacuous_claims(report))

@@ -35,7 +35,7 @@ PROXY_SPAN = 2.0  # t_max times the proxy bins' half-width
 PROXY_TOL_SHARE = 1e-3  # the profile's proxy error, as a share of its tolerance
 PROFILE_BLOCK = 256  # t values per block of the profile's point path
 ROW = 64  # terms' column factors per row of the factored phase sums
-CHUNK = 32  # rows per contraction of the phase sums
+CHUNK = 8  # rows per contraction of the phase sums
 PIECE = 8192  # terms per np.vecdot: OpenBLAS threads zdotc above 10,000
 SIGMA_FLOOR = 1.5  # smallest Re(s) the series are evaluated at
 SQRT2 = math.sqrt(2.0)
@@ -169,15 +169,17 @@ def transform_truncation(
 
 
 def profile_terms(
-    sigma: float, m: int, table: MangoldtTable, n_cut: int
+    sigma: float, m: int, table: MangoldtTable, n_cut: int, start: int = 0, stop: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """log n and w_n = Lambda(n)^m n^(-sigma) over the prime powers n <= N, ascending.
 
-    The kernel, the profile and the main term all take their terms from here.
+    Entries start:stop of them (all by default), with the same bits in any
+    slice.  The kernel, the profile and the main term take them from here.
     """
     idx = int(np.searchsorted(table.prime_powers, n_cut, side="right"))
-    base_log = table.base_log[:idx]
-    log_n = table.power_index[:idx] * base_log
+    part = slice(start, idx if stop is None else min(stop, idx))
+    base_log = table.base_log[part]
+    log_n = table.power_index[part] * base_log
     w = -sigma * log_n
     return log_n, np.multiply(base_log**m, np.exp(w, out=w), out=w)
 
@@ -273,11 +275,11 @@ def _chebyshev_error(degree: int) -> float:
     return math.exp(float(log_bound.min()))
 
 
-def profile_proxies(
-    log_n: np.ndarray, w: np.ndarray, t_max: float, tol: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Proxy points X_j and weights W_j for sum_n w_n cos(t x_n), x_n = log_n ascending.
+def profile_proxies(blocks, t_max: float, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Proxy points X_j and weights W_j for sum_n w_n cos(t x_n), the terms read in blocks.
 
+    blocks() yields the terms as (x, w) pairs of nonempty arrays, x_n
+    ascending across them; it is called once per pass over the terms.
     For every |t| <= t_max, sum_j W_j cos(t X_j) is within the returned
     bound of sum_n w_n cos(t x_n), and the bound is at most tol.
 
@@ -295,39 +297,60 @@ def profile_proxies(
     The bound is for exact arithmetic; `phase_sums` bounds the rounding of
     the profile's grid path.
 
-    Besides its arguments and the P proxies it holds at most four n-term arrays
-    and an n-byte mask at once: in the node loops, each term's bin and u, and
-    two reused buffers, for the denominator and for one node's weights.
+    Pass 1 finds the occupied bins and sum_n |w_n| (one `exact_sum` over
+    the blocks), pass 2 spreads each block onto its bins: besides the P
+    proxies, no array longer than a block is held.  Each block's sum for its
+    first bin starts from that bin's sum so far, so every W_j is summed in
+    ascending n, with the bits of one np.bincount over all the terms.
     """
-    n = log_n.size
-    weight = exact_sum((np.abs(w),))
+    x0, n, last, seen = None, 0, -1.0, []
+
+    def magnitudes():  # pass 1: each block's |w_n|, noting the bins that open in it
+        nonlocal x0, n, last
+        for x, w in blocks():
+            x0 = x[0] if x0 is None else x0
+            b = bin_at(x)
+            seen.append(b[np.diff(b, prepend=last) != 0])
+            n, last = n + x.size, b[-1]
+            yield np.abs(w)
+
     r = PROXY_SPAN / max(t_max, 1.0)
-    bin_at = lambda x: np.floor((x - log_n[0]) / (2.0 * r))  # elementwise: no n-term array kept
-    first = np.flatnonzero(np.diff(bin_at(log_n), prepend=-1.0))
-    occupied = first.size
+    bin_at = lambda x: np.floor((x - x0) / (2.0 * r))
+    weight = exact_sum(magnitudes())
+    opened = np.concatenate(seen)
+    occupied = opened.size
     for p in range(2, -(-n // occupied)):
         bound = weight * _chebyshev_error(p - 1)
         if bound <= tol:
             break
     else:
-        return log_n, w, 0.0
-    centres = log_n[0] + (2.0 * bin_at(log_n[first]) + 1.0) * r
-    bin_of = np.repeat(np.arange(occupied), np.diff(np.append(first, n)))
-    u = np.clip((log_n - centres[bin_of]) / r, -1.0, 1.0)
+        x, w = map(np.concatenate, zip(*blocks()))
+        return x, w, 0.0
+    centres = x0 + (2.0 * opened + 1.0) * r
     nodes = np.cos(np.pi * np.arange(p) / (p - 1))
     lam = (-1.0) ** np.arange(p)
     lam[[0, -1]] *= 0.5
-    weights = np.empty((occupied, p))
-    denom, l_j = np.zeros(n), np.empty(n)
-    term = lambda j: np.divide(lam[j], np.subtract(u, nodes[j], out=l_j), out=l_j)
+    weights = np.zeros((occupied, p))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(p):
-            np.add(denom, term(j), out=denom)
-        for j in range(p):
-            np.divide(term(j), denom, out=l_j)
-            # a term on node j has l_j = 1 (inf / inf here) and l_k = 0
-            np.copyto(l_j, 1.0, where=u == nodes[j])
-            weights[:, j] = np.bincount(bin_of, np.multiply(w, l_j, out=l_j), occupied)
+        for x, w in blocks():  # pass 2
+            b = bin_at(x)
+            k = int(np.searchsorted(opened, b[0]))  # the block's first bin
+            # entry 0 of `at` and `spread` carries bin k's sum so far
+            at = np.zeros(x.size + 1, np.intp)
+            np.cumsum(np.diff(b) != 0, out=at[2:])
+            u = np.clip((x - centres[k + at[1:]]) / r, -1.0, 1.0)
+            spread, denom = np.empty(x.size + 1), np.zeros(x.size)
+            l_j = spread[1:]
+            term = lambda j: np.divide(lam[j], np.subtract(u, nodes[j], out=l_j), out=l_j)
+            for j in range(p):
+                np.add(denom, term(j), out=denom)
+            for j in range(p):
+                np.divide(term(j), denom, out=l_j)
+                # a term on node j has l_j = 1 (inf / inf here) and l_k = 0
+                np.copyto(l_j, 1.0, where=u == nodes[j])
+                np.multiply(w, l_j, out=l_j)
+                spread[0] = weights[k, j]
+                weights[k : k + at[-1] + 1, j] = np.bincount(at, spread, at[-1] + 1)
     return (centres[:, None] + r * nodes).ravel(), weights.ravel(), bound
 
 
@@ -337,10 +360,12 @@ def phase_sums(g: np.ndarray, count: int, rel: float, w=1.0, phi=0.0):
     k = r ROW + q splits each term into e^(i (phi_j + r ROW g_j)) and
     w_j e^(i q g_j), exactly (Dutt and Rokhlin, SIAM J. Sci. Comput. 14,
     1993): 2 (ROW + ceil(count / ROW)) cosines and sines per term, not
-    count.  The (ROW x n) block of the second factor is computed once; each
-    chunk of CHUNK rows is contracted with it by np.vecdot, which conjugates
-    its first argument, PIECE terms at a time, so that each dot product runs
-    in one BLAS thread.  w = 1 and phi = 0 change no bit.
+    count.  The (ROW x n) block of the second factor is computed once; the
+    first factor is formed CHUNK rows at a time, in one reused (CHUNK x n)
+    array, and contracted with it by np.vecdot, which conjugates its first
+    argument, PIECE terms at a time, so that each dot product runs in one
+    BLAS thread.  The bound is formed first, so its temporaries are freed
+    before the block is made.  w = 1 and phi = 0 change no bit.
 
     bound[k] bounds the error from sum_j w_j e^(i theta_kj), for any phases
     within rel (|phi_j| + k |g_j|) of phi_j + k g_j: rel is the caller's
@@ -356,29 +381,32 @@ def phase_sums(g: np.ndarray, count: int, rel: float, w=1.0, phi=0.0):
       so each is within gamma_(2n) of sum |x| |y| (Higham, section 3.1).
     The bound is evaluated in float64 without MARGIN, which a certificate applies.
     """
-    block = np.zeros((ROW, g.size), np.complex128)  # formed in place: one (ROW x n) array
-    np.multiply.outer(np.arange(ROW, dtype=np.float64), g, out=block.imag)
-    np.multiply(np.exp(block, out=block), w, out=block)
-    rows = -(-count // ROW)
-    out = np.empty(rows * ROW, np.complex128)
-    for r0 in range(0, rows, CHUNK):
-        conj = np.empty((min(rows - r0, CHUNK), g.size), np.complex128)
-        theta = conj.imag  # the row phases, then their sines, in place
-        np.multiply.outer(np.arange(r0, r0 + conj.shape[0]) * -float(ROW), g, out=theta)
-        theta -= phi
-        np.cos(theta, out=conj.real)
-        np.sin(theta, out=theta)
-        out[r0 * ROW : (r0 + CHUNK) * ROW] = sum(
-            np.vecdot(conj[:, None, k : k + PIECE], block[None, :, k : k + PIECE])
-            for k in range(0, g.size, PIECE)
-        ).ravel()
     aw = np.abs(np.broadcast_to(w, g.shape))
     weight, offset, moment = (exact_sum((v,)) for v in (aw, aw * abs(phi), aw * abs(g)))
     eta, sub = SQRT2 * TRIG_ABS, U if np.any(phi) else 0.0
     x_err = eta + SQRT2 * gamma(2 * g.size) * (1.0 + eta)  # x and the contraction, per |y|
     factors = x_err * (1.0 + eta) * (1.0 + U) + eta + U * (1.0 + eta)
     arg = rel + U + (1.0 + U) * sub
-    return out[:count], factors * weight + arg * (offset + np.arange(count) * moment)
+    bound = factors * weight + arg * (offset + np.arange(count) * moment)
+    block = np.zeros((ROW, g.size), np.complex128)  # formed in place: one (ROW x n) array
+    np.multiply.outer(np.arange(ROW, dtype=np.float64), g, out=block.imag)
+    np.multiply(np.exp(block, out=block), w, out=block)
+    rows = -(-count // ROW)
+    out = np.empty(rows * ROW, np.complex128)
+    chunk = np.empty((min(rows, CHUNK), g.size), np.complex128)  # reused by every chunk
+    for r0 in range(0, rows, CHUNK):
+        conj = chunk[: rows - r0]
+        theta = conj.imag  # the row phases, then their sines, in place
+        for r, row in enumerate(theta, r0):  # by rows: a broadcast would take ufunc buffers
+            np.multiply(g, r * -float(ROW), out=row)
+            row -= phi
+        np.cos(theta, out=conj.real)
+        np.sin(theta, out=theta)
+        out[r0 * ROW : (r0 + CHUNK) * ROW] = sum(
+            np.vecdot(conj[:, None, k : k + PIECE], block[None, :, k : k + PIECE])
+            for k in range(0, g.size, PIECE)
+        ).ravel()
+    return out[:count], bound
 
 
 def kernel_profile_evaluator(
@@ -408,9 +436,14 @@ def kernel_profile_evaluator(
         raise ValueError("t_max must be finite and positive")
     sigma = float(tup.positive_sum)
     n_cut = choose_truncation(sigma, tup.m, table, tol)
-    log_n, w = profile_terms(sigma, tup.m, table, n_cut)
-    w *= 2.0
-    x, amp, _ = profile_proxies(log_n, w, t_max, PROXY_TOL_SHARE * tol)
+    n = int(np.searchsorted(table.prime_powers, n_cut, side="right"))
+
+    def blocks():  # y's terms, 2 w_n, PIECE at a time
+        for start in range(0, n, PIECE):
+            log_n, w = profile_terms(sigma, tup.m, table, n_cut, start, start + PIECE)
+            yield log_n, np.multiply(w, 2.0, out=w)
+
+    x, amp, _ = profile_proxies(blocks, t_max, PROXY_TOL_SHARE * tol)
     if not math.isfinite(4.0 * t_max * float(x.max())):
         raise ValueError(f"phases up to 4 t_max log n overflow float64 at t_max = {t_max:g}")
 

@@ -597,10 +597,24 @@ class TestLongTuples:
         assert report.diagnostics["main_term_terms"] == 8
 
     def test_hsum_exit_3_when_t_power_overflows(self, tmp_path, capsys):
+        # 100 entries, whose report name (217 bytes) a file system takes
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"tuples = {_balanced(200)}\nT = 14.5\noutput_dir = {tmp_path / 'out'}\n")
+        cfg.write_text(f"tuples = {_balanced(50)}\nT = 1400\noutput_dir = {tmp_path / 'out'}\n")
         assert main(["hsum", "--config", str(cfg)]) == 3
-        assert "T^(m-1) = 14.5^399 overflows float64" in capsys.readouterr().err
+        assert "T^(m-1) = 1400^99 overflows float64" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_hsum_refuses_a_report_name_too_long_before_any_work(self, tmp_path, capsys):
+        # 130 entries: report_<260 bytes>_14.5.json; the zero table named does
+        # not exist, so the refusal comes before it is read
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"tuples = 1,1,-2; {_balanced(65)}\nT = 14.5\n"
+            f"zeros = {tmp_path / 'missing.txt'}\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["hsum", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: the report name of tuple ({_balanced(65)}) has 277 bytes, above 255\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -333,7 +333,7 @@ chunk = _zero_sums(gammas, 1, 1e-3, 128)[0]
 tup = z.coefficient_tuple([1, 1, -1, -1])
 table = z.sieve_mangoldt(sieve_limit(2.0, 4, 1e-2))
 log_n, w = profile_terms(2.0, 4, table, choose_truncation(2.0, 4, table, 1e-2))
-assert profile_proxies(log_n, 2.0 * w, 1e6, 1e-5)[0].size > PIECE
+assert profile_proxies(lambda: [(log_n, 2.0 * w)], 1e6, 1e-5)[0].size > PIECE
 ys = kernel_profile_evaluator(tup, table, 1e-2, 1e6)(z.t_grid(999_000.0, 999_002.0, 0.01)[0])
 print(
     value.hex(), diag.rounding_error.hex(),

@@ -16,11 +16,15 @@ def _load_tool():
 def test_every_command_is_listed():
     labels = [label for label, _, _ in _load_tool().commands()]
     tuples = ("1,1,-2", "1,1,-1,-1", "1,2,-3")
+    edges = [  # the profile's proxies are the terms, then their bins span blocks
+        "kfun --tuple 1,1,-2 --t-lo 999990 --t-hi 1000000 --step 0.5 --tolerance 1e-2",
+        "kfun --tuple 1,1,-1,-1 --t-lo 0 --t-hi 1 --step 0.02",
+    ]
     dips = [f"dips --tuple {t}" for t in tuples]
     past = "dips --tuple 1,1,-2 --t-lo 1400 --t-hi 1440"
     constants = ["constants --r-max 12", *(f"constants --tuple {t}" for t in tuples)]
-    assert labels[:10] == ["kfun", *dips, past, "validate-zeros", *constants]
-    assert len(labels) == 10 + 3 * 3
+    assert labels[:12] == ["kfun", *edges, *dips, past, "validate-zeros", *constants]
+    assert len(labels) == 12 + 3 * 3
 
 
 def test_tree_against_itself_is_the_same(monkeypatch, capsys):

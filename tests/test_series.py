@@ -308,12 +308,23 @@ _PROFILES = {}
 
 
 def _proxied(entries, tol, table, t_max):
-    """The evaluator at t_max, its proxies X_j, a_j and their certified bound."""
-    tup = z.coefficient_tuple(list(entries))
-    n_cut = choose_truncation(float(tup.positive_sum), tup.m, table, tol)
-    log_n, w = profile_terms(float(tup.positive_sum), tup.m, table, n_cut)
-    x, a, bound = profile_proxies(log_n, 2.0 * w, t_max, PROXY_TOL_SHARE * tol)
-    return kernel_profile_evaluator(tup, table, tol, t_max), x, a, bound
+    """The evaluator at t_max, and the proxies X_j, a_j and certified bound it built."""
+    built = []
+
+    def recorded(*args):
+        built.append(profile_proxies(*args))
+        return built[-1]
+
+    with patch.object(series, "profile_proxies", recorded):
+        profile = kernel_profile_evaluator(z.coefficient_tuple(list(entries)), table, tol, t_max)
+    ((x, a, bound),) = built
+    return profile, x, a, bound
+
+
+def _blocks(x, w, size=None):
+    """x and w as `profile_proxies` reads them: `size` terms at a time, else all at once."""
+    size = size or x.size
+    return lambda: ((x[k : k + size], w[k : k + size]) for k in range(0, x.size, size))
 
 
 def _profiles(entries, tol, table):
@@ -355,21 +366,20 @@ class TestProfileProxies:
         tup = z.coefficient_tuple([1, 1, -2])
         n_cut = choose_truncation(2.0, 3, mangoldt_medium, 1e-2)
         log_n, w = profile_terms(2.0, 3, mangoldt_medium, n_cut)
-        nodes, weights, bound = profile_proxies(log_n, 2.0 * w, 1e6, 1e-5)
+        proxy, nodes, weights, bound = _proxied((1, 1, -2), 1e-2, mangoldt_medium, 1e6)
         assert bound == 0.0
         assert np.array_equal(nodes, log_n) and np.array_equal(weights, 2.0 * w)
         ts = np.array([-1e6, -123456.789, 0.0, 31.4, 999999.5, 1e6])
-        proxy = kernel_profile_evaluator(tup, mangoldt_medium, 1e-2, 1e6)
         dense = dense_profile(tup, mangoldt_medium, 1e-2)
         assert np.all(np.abs(proxy(ts) - dense(ts)) <= 1e-12)
 
     def test_degree_is_the_smallest_certified(self):
         # x in [0, 1] fills one bin at t_max = 1, so every node is one
-        # of that bin's p Chebyshev points
+        # of that bin's p Chebyshev points; the bin spans 16 blocks
         x = np.linspace(0.0, 1.0, 1000)
         w = np.full(x.size, 1e-3)
         tol = 1e-9
-        nodes, weights, bound = profile_proxies(x, w, 1.0, tol)
+        nodes, weights, bound = profile_proxies(_blocks(x, w, 64), 1.0, tol)
         p = nodes.size
         weight = math.fsum(w.tolist())
         assert bound == weight * _chebyshev_error(p - 1) <= tol
@@ -387,7 +397,7 @@ class TestProfileProxies:
         # x = 0 is the bin's node u = -1, where the barycentric formula is 0/0
         x = np.repeat([0.0, 1.0], 30)
         w = np.ones(x.size)
-        nodes, weights, bound = profile_proxies(x, w, 1.0, 1e-3)
+        nodes, weights, bound = profile_proxies(_blocks(x, w), 1.0, 1e-3)
         assert nodes.size < x.size and nodes[-1] == 0.0
         assert np.all(np.isfinite(weights))
         assert math.fsum(weights.tolist()) == pytest.approx(60.0, rel=1e-14)
@@ -402,18 +412,27 @@ def _same_bits(got, want) -> bool:
 
 
 class TestProxyBuffers:
-    @pytest.mark.parametrize("t_max", [40.02, 1000.0])
+    @pytest.mark.parametrize("t_max", [1.02, 40.02, 1000.0, 1e6])
     @pytest.mark.parametrize("tol", [1e-2, 1e-3])
     def test_bits_of_the_per_node_loop(self, mangoldt_medium, tol, t_max):
-        n_cut = choose_truncation(2.0, 4, mangoldt_medium, tol)
-        log_n, w = profile_terms(2.0, 4, mangoldt_medium, n_cut)
-        args = (log_n, 2.0 * w, t_max, PROXY_TOL_SHARE * tol)
-        got = profile_proxies(*args)
-        assert got[2] > 0.0  # proxies, not the terms
-        assert _same_bits(got, proxy_weights_loop(*args))
+        # the evaluator reads its terms PIECE at a time; at t_max = 1.02 one
+        # bin spans many blocks ((1,1,-1,-1) at 1e-3: 332,986 terms), and at
+        # 1e6 the proxies would not be fewer than the terms
+        for entries in ((1, 1, -2), (1, 1, -1, -1), (1, 2, -3)):
+            tup = z.coefficient_tuple(list(entries))
+            sigma = float(tup.positive_sum)
+            n_cut = choose_truncation(sigma, tup.m, mangoldt_medium, tol)
+            log_n, w = profile_terms(sigma, tup.m, mangoldt_medium, n_cut)
+            got = _proxied(entries, tol, mangoldt_medium, t_max)[1:]
+            want = proxy_weights_loop(log_n, 2.0 * w, t_max, PROXY_TOL_SHARE * tol)
+            assert _same_bits(got, want), entries
+            if t_max == 1.02:
+                assert got[2] > 0.0  # proxies, not the terms
+            if t_max == 1e6:
+                assert got[2] == 0.0 and got[0].size == log_n.size
 
     @settings(max_examples=60, deadline=None)
-    @example(x0=3.118, edges=[(1, -np.inf)] * 60, w=1.0)  # u rounds past 1: clipped
+    @example(x0=3.118, edges=[(1, -np.inf)] * 60, w=1.0, size=100)  # u rounds past 1: clipped
     @given(
         x0=st.floats(min_value=0.0, max_value=10.0),
         edges=st.lists(
@@ -421,33 +440,35 @@ class TestProxyBuffers:
             min_size=60, max_size=100,
         ),
         w=st.floats(min_value=1e-3, max_value=1.0),
+        size=st.integers(min_value=1, max_value=101),
     )
-    def test_bits_with_terms_clipped_onto_end_nodes(self, x0, edges, w):
+    def test_bits_with_terms_clipped_onto_end_nodes(self, x0, edges, w, size):
         # terms at, or one float either side of, the edges of bins of width
         # 2 PROXY_SPAN (t_max = 1) round or clip to u = +-1, nodes 0 and p - 1,
-        # where the barycentric formula is inf / inf
+        # where the barycentric formula is inf / inf; read `size` at a time,
+        # so that bins span blocks
         x = np.sort([x0] + [np.nextafter(x0 + 2.0 * PROXY_SPAN * k, d) for k, d in edges])
         bins = np.floor((x - x[0]) / (2.0 * PROXY_SPAN))
         u = (x - (x[0] + (2.0 * bins + 1.0) * PROXY_SPAN)) / PROXY_SPAN
         assume(np.any(np.abs(u) >= 1.0))
         weights = np.full(x.size, w)
-        got = profile_proxies(x, weights, 1.0, 0.1)
+        got = profile_proxies(_blocks(x, weights, size), 1.0, 0.1)
         assert got[0].size < x.size and np.all(np.isfinite(got[1]))
         assert _same_bits(got, proxy_weights_loop(x, weights, 1.0, 0.1))
 
-    def test_working_set_is_five_term_arrays(self, mangoldt_medium):
-        # the dips-quartic terms: 23,578 at tolerance 1e-2
-        n_cut = choose_truncation(2.0, 4, mangoldt_medium, 1e-2)
-        log_n, w = profile_terms(2.0, 4, mangoldt_medium, n_cut)
-        a = 2.0 * w
+    def test_evaluator_working_set_does_not_grow_with_the_terms(self, mangoldt_medium):
+        # the default dips terms: 332,986 at tolerance 1e-3, 2.5 MB per
+        # term-length array; the proxies are read from the table in blocks
+        n_cut = choose_truncation(2.0, 4, mangoldt_medium, 1e-3)
+        assert np.searchsorted(mangoldt_medium.prime_powers, n_cut, side="right") == 332_986
+        tup = z.coefficient_tuple([1, 1, -1, -1])
         tracemalloc.start()
         try:
-            profile_proxies(log_n, a, 40.02, PROXY_TOL_SHARE * 1e-2)
+            kernel_profile_evaluator(tup, mangoldt_medium, 1e-3, 40.02)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert log_n.size == 23_578
-        assert peak <= 5 * 8 * log_n.size
+        assert peak <= 3 * 2**20
 
 
 def _grid_with_bound(profile, ts):

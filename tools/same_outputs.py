@@ -6,7 +6,11 @@ PARENT and CHANGE are checkout roots.  Each command runs twice, once per
 checkout, each time in a fresh ``python3 -I`` process that imports
 zetacorr from that checkout's ``src/``, with a new temporary directory as
 its working directory and its stdout in ``stdout.txt`` there.  The
-commands are the default ``kfun``; the default ``dips --tuple`` and
+commands are the default ``kfun``; two ``kfun`` runs at the edges of the
+profile's proxies, ``--tuple 1,1,-2`` on [999990, 1000000] at step 0.5 and
+tolerance 1e-2 (where the proxies are the terms themselves) and
+``--tuple 1,1,-1,-1`` on [0, 1] at step 0.02 (bins wider than a block of
+terms); the default ``dips --tuple`` and
 ``constants --tuple`` for each of ``kfun``'s default tuples;
 ``dips --tuple 1,1,-2 --t-lo 1400 --t-hi 1440``, which exits 2 as its
 window passes the bundled table's last ordinate, so that an error
@@ -52,6 +56,12 @@ def _workloads():
 def commands() -> list[tuple[str, object, object]]:
     """(label, argv of a directory, gated outputs of a directory or None) of each command."""
     out = [("kfun", lambda d: ["kfun"], None)]
+    for edge in (
+        ["--tuple", "1,1,-2", "--t-lo", "999990", "--t-hi", "1000000", "--step", "0.5",
+         "--tolerance", "1e-2"],
+        ["--tuple", "1,1,-1,-1", "--t-lo", "0", "--t-hi", "1", "--step", "0.02"],
+    ):
+        out.append((" ".join(["kfun", *edge]), lambda d, edge=edge: ["kfun", *edge], None))
     for t in CURVE_TUPLES:
         out.append((f"dips --tuple {t}", lambda d, t=t: ["dips", "--tuple", t], None))
     past = ["dips", "--tuple", "1,1,-2", "--t-lo", "1400", "--t-hi", "1440"]
